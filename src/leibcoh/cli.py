@@ -27,7 +27,9 @@ from .formats import (
     parse_document,
 )
 from .koszul import decompose_degree2, koszul_data, uncoupling_report
-from .linalg import kernel
+# Unused here since the cocycles are cached on the scheme, but kept:
+# bench/tests/test_bench.py checks that tracing restores `cli.kernel`.
+from .linalg import kernel  # noqa: F401
 from .polynomials import format_poly, parse_poly
 from .scalars import format_scalar
 
@@ -63,10 +65,6 @@ def build_parser() -> _Parser:
                         help="report format (default json)")
     common.add_argument("--out", metavar="PATH",
                         help="write the report to PATH instead of stdout")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker cap; every computation is exact and "
-                             "deterministic, so this never changes output "
-                             "(default 1)")
     reads = _Parser(add_help=False, parents=[common])
     reads.add_argument("file", nargs="?", default="-",
                        help="algebra document ('-' or omitted for stdin)")
@@ -333,7 +331,7 @@ def _run_massey(args):
         raise UsageError("--order must be at least 2")
     indices = _parse_generators(args.generators)
     scheme = CochainScheme(spec, "adjoint")
-    basis = kernel(scheme.delta_matrix(2)).basis()
+    basis = scheme.cocycles(2).basis()
     for idx in indices:
         if not 1 <= idx <= len(basis):
             raise UsageError(f"generator index {idx} out of range 1.."
@@ -490,8 +488,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise UsageError("--threads must be at least 1")
         if args.command == "catalog":
             _write_output(_run_catalog(args), args.out)
             return 0

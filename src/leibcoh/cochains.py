@@ -43,10 +43,12 @@ __all__ = [
 class CochainScheme:
     """An algebra together with a coefficient choice, adjoint or trivial.
 
-    Holds the flat-index conventions and caches coboundary matrices.
+    Holds the flat-index conventions and caches coboundary matrices and
+    their kernels.
     """
 
-    __slots__ = ("spec", "coefficients", "dim", "adjoint", "_by_target", "_mats")
+    __slots__ = ("spec", "coefficients", "dim", "adjoint", "_by_target",
+                 "_mats", "_cocycles")
 
     def __init__(self, spec, coefficients="adjoint"):
         if coefficients not in ("adjoint", "trivial"):
@@ -61,6 +63,7 @@ class CochainScheme:
                 by_target[m].append((a, b, c))
         self._by_target = by_target
         self._mats = {}
+        self._cocycles = {}
 
     def cochain_dim(self, n: int) -> int:
         base = self.dim ** n
@@ -164,6 +167,13 @@ class CochainScheme:
         mat = Matrix.from_columns(self.cochain_dim(n + 1), cols)
         self._mats[n] = mat
         return mat
+
+    def cocycles(self, n: int) -> Subspace:
+        """Kernel of the degree-n coboundary, cached; callers only read it."""
+        z = self._cocycles.get(n)
+        if z is None:
+            z = self._cocycles[n] = kernel(self.delta_matrix(n))
+        return z
 
     def is_cocycle(self, n: int, data: dict) -> bool:
         return not self.delta_apply(n, data)
@@ -358,7 +368,7 @@ def leibniz_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
     """Cocycles mod coboundaries of the full complex in degree n >= 1."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-    z = kernel(scheme.delta_matrix(n))
+    z = scheme.cocycles(n)
     b = image(scheme.delta_matrix(n - 1))
     return CohomologySpace(n, z, b, quotient_reps(z, b))
 

@@ -23,7 +23,7 @@ from itertools import product as iter_product
 
 from .algebras import AlgebraSpec
 from .cochains import ClassCoordinates, CochainScheme, leibniz_cohomology
-from .linalg import Solver, Subspace, kernel, vec_add_scaled
+from .linalg import Solver, Subspace, vec_add_scaled
 from .scalars import ONE, Scalar
 
 __all__ = [
@@ -367,7 +367,7 @@ def massey_products(scheme: CochainScheme, generators, order: int,
 
     context = ObstructionContext(scheme)
     classes = context.classes
-    zl2_basis = kernel(scheme.delta_matrix(2)).basis()
+    zl2_basis = scheme.cocycles(2).basis()
 
     witnesses = {}
     for a, g in enumerate(generators):

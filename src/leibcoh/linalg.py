@@ -207,15 +207,23 @@ class Echelon:
     `pivot_limit` restricts which columns may serve as pivots; rows that
     reduce to zero on the pivotable range are collected in `remainders`
     (used by Solver for consistency checks).
+
+    `occupancy` indexes the stored rows by column: for every column
+    below `pivot_limit` that is not a pivot, the set of pivots whose
+    rows are nonzero there (columns no row touches are absent).  Every
+    write or deletion of a stored-row entry keeps it exact, so a new
+    pivot's back-substitution visits only the rows listed under it.
     """
 
-    __slots__ = ("ncols", "pivot_limit", "pivot_rows", "remainders")
+    __slots__ = ("ncols", "pivot_limit", "pivot_rows", "remainders",
+                 "occupancy")
 
     def __init__(self, ncols: int, pivot_limit: int | None = None):
         self.ncols = ncols
         self.pivot_limit = ncols if pivot_limit is None else pivot_limit
         self.pivot_rows = {}  # pivot column -> row dict
         self.remainders = []
+        self.occupancy = {}  # non-pivot column -> pivots of rows using it
 
     @property
     def rank(self) -> int:
@@ -251,9 +259,10 @@ class Echelon:
         row = self.reduce(vec)
         if not row:
             return False
+        limit = self.pivot_limit
         p = None
         for c in row:
-            if c < self.pivot_limit and (p is None or c < p):
+            if c < limit and (p is None or c < p):
                 p = c
         if p is None:
             self.remainders.append(row)
@@ -262,21 +271,39 @@ class Echelon:
         if lead != 1:
             inv = ONE / lead
             row = {c: inv * v for c, v in row.items()}
-        # Back-substitute to keep full reduction.
-        for prow in self.pivot_rows.values():
-            factor = prow.get(p)
-            if factor is None:
-                continue
-            del prow[p]
+        occupancy = self.occupancy
+        targets = occupancy.pop(p, ())
+        # Index the new row first: then every column the back-substitution
+        # below can touch already has a set, which never empties.
+        for c in row:
+            if c != p and c < limit:
+                users = occupancy.get(c)
+                if users is None:
+                    occupancy[c] = {p}
+                else:
+                    users.add(p)
+        # Back-substitute to keep full reduction.  Each stored row is
+        # updated on its own, so visiting only the rows that are nonzero
+        # at p leaves every row, and its key order, as a full scan would.
+        for q in targets:
+            prow = self.pivot_rows[q]
+            factor = prow.pop(p)
             for c2, v in row.items():
                 if c2 == p:
                     continue
                 w = prow.get(c2)
-                w = -(factor * v) if w is None else w - factor * v
+                if w is None:
+                    prow[c2] = -(factor * v)
+                    if c2 < limit:
+                        occupancy[c2].add(q)
+                    continue
+                w = w - factor * v
                 if w:
                     prow[c2] = w
                 else:
                     del prow[c2]
+                    if c2 < limit:
+                        occupancy[c2].discard(q)
         self.pivot_rows[p] = row
         return True
 
@@ -379,16 +406,17 @@ def kernel(m: Matrix) -> Subspace:
     ech = Echelon(m.ncols)
     for r in m.rows:
         ech.insert(r)
-    pivset = ech.pivot_rows
+    pivot_rows = ech.pivot_rows
+    # One free-column vector e_f - sum_p prow[f] e_p per non-pivot f,
+    # filled by one pass over the rows, so each lists its pivots in
+    # pivot_rows order.
+    free = {f: {f: ONE} for f in range(m.ncols) if f not in pivot_rows}
+    for p, prow in pivot_rows.items():
+        for c, v in prow.items():
+            if c != p:
+                free[c][p] = -v
     out = Echelon(m.ncols)
-    for f in range(m.ncols):
-        if f in pivset:
-            continue
-        v = {f: ONE}
-        for p, prow in pivset.items():
-            coeff = prow.get(f)
-            if coeff is not None:
-                v[p] = -coeff
+    for v in free.values():
         out.insert(v)
     return Subspace._from_echelon(m.ncols, out)
 

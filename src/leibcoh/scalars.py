@@ -5,6 +5,14 @@ exact by construction.  The rational parts are gmpy2.mpq when gmpy2 is
 importable (it is a dependency, and much faster) and fractions.Fraction
 otherwise; both reduce to lowest terms automatically and hash identically,
 so Scalar never normalizes anything itself.
+
+Invariant: ``re`` and ``im`` are always instances of the backend rational
+type.  The public ``Scalar(...)`` constructor coerces its arguments to
+establish it (and refuses floats, which are not exact).  Arithmetic
+results already are backend rationals, so they are built by the private
+``_make``, which sets the slots without coercion; real results share the
+one backend zero ``_QZERO`` as their imaginary part.  Equality, hashes
+and ``format_scalar`` therefore cannot tell the two constructions apart.
 """
 
 from __future__ import annotations
@@ -17,16 +25,21 @@ except ImportError:
     from fractions import Fraction as _Q
 
 _QTYPE = type(_Q(0))
+_QZERO = _Q(0)
 
 
 def _to_q(value):
-    """Coerce an int, rational, or numeric string to the backend rational."""
+    """Coerce an int, rational, Decimal or numeric string to the backend
+    rational.  Floats are refused: they are not exact."""
     if isinstance(value, (_QTYPE, int)):
         return _Q(value)
     if isinstance(value, str):
         return _Q(value.strip())
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r} is not exact; pass an int, a "
+                        f"rational, a Decimal or a string")
     # Last resort: anything the backend itself accepts (e.g. Fraction
-    # values when the backend is mpq).
+    # values when the backend is mpq, or Decimal values).
     return _Q(value)
 
 
@@ -57,7 +70,7 @@ class Scalar:
         return hash((self.re, self.im))
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _make(-self.re, -self.im if self.im else _QZERO)
 
     def __pos__(self):
         return self
@@ -66,7 +79,9 @@ class Scalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Scalar(self.re + other.re, self.im + other.im)
+        if not self.im and not other.im:
+            return _make(self.re + other.re, _QZERO)
+        return _make(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -74,13 +89,15 @@ class Scalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Scalar(self.re - other.re, self.im - other.im)
+        if not self.im and not other.im:
+            return _make(self.re - other.re, _QZERO)
+        return _make(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Scalar(other.re - self.re, other.im - self.im)
+        return _make(other.re - self.re, other.im - self.im)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -89,8 +106,8 @@ class Scalar:
         # Structure constants are usually real, so the 1-multiply path
         # is worth having.
         if not self.im and not other.im:
-            return Scalar(self.re * other.re)
-        return Scalar(
+            return _make(self.re * other.re, _QZERO)
+        return _make(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -102,9 +119,10 @@ class Scalar:
         if other is None:
             return NotImplemented
         if not other.im:
-            return Scalar(self.re / other.re, self.im / other.re)
+            im = self.im / other.re if self.im else _QZERO
+            return _make(self.re / other.re, im)
         n = other.re * other.re + other.im * other.im
-        return Scalar(
+        return _make(
             (self.re * other.re + self.im * other.im) / n,
             (self.im * other.re - self.re * other.im) / n,
         )
@@ -116,7 +134,7 @@ class Scalar:
         return other / self
 
     def conjugate(self):
-        return Scalar(self.re, -self.im)
+        return _make(self.re, -self.im if self.im else _QZERO)
 
     def __str__(self):
         return format_scalar(self)
@@ -125,8 +143,19 @@ class Scalar:
         return f"Scalar({format_scalar(self)!r})"
 
 
+_new = object.__new__
+
+
+def _make(re, im):
+    """Trusted constructor: re and im must already be backend rationals."""
+    s = _new(Scalar)
+    s.re = re
+    s.im = im
+    return s
+
+
 def _coerce(value):
-    if isinstance(value, Scalar):
+    if type(value) is Scalar or isinstance(value, Scalar):
         return value
     if isinstance(value, (int, _QTYPE)):
         return Scalar(value)

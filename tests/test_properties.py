@@ -1,0 +1,235 @@
+"""Property tests of the exact elimination core and the scalar fast path.
+
+Echelon invariants and its column-occupancy index after random insert
+sequences, kernel and image against sympy `DomainMatrix` RREF over QQ
+and QQ_I, and the trusted arithmetic constructor against the coercing
+one.  Runs are derandomized, so the suite stays deterministic.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from sympy import QQ, QQ_I  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from leibcoh.linalg import Echelon, Matrix, image, kernel  # noqa: E402
+from leibcoh.scalars import ONE, Scalar, format_scalar  # noqa: E402
+
+BACKEND = type(ONE.re)
+PROPERTY = settings(deadline=None, derandomize=True, max_examples=150)
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+real_scalars = st.builds(Scalar, rationals)
+gaussian_scalars = st.builds(Scalar, rationals, rationals)
+
+
+def entries(gaussian):
+    """Mostly zero entries, so that rows are sparse and ranks vary."""
+    values = gaussian_scalars if gaussian else real_scalars
+    return st.one_of(st.just(Scalar(0)), st.just(Scalar(0)), values)
+
+
+@st.composite
+def matrices(draw, gaussian):
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(1, 7))
+    grid = [[draw(entries(gaussian)) for _ in range(ncols)]
+            for _ in range(nrows)]
+    return Matrix(nrows, ncols, [dict(enumerate(r)) for r in grid])
+
+
+class ScanEchelon(Echelon):
+    """The echelon with back-substitution by a scan over every stored
+    row, the reference the occupancy index must reproduce exactly."""
+
+    __slots__ = ()
+
+    def insert(self, vec):
+        row = self.reduce(vec)
+        if not row:
+            return False
+        cands = [c for c in row if c < self.pivot_limit]
+        if not cands:
+            self.remainders.append(row)
+            return False
+        p = min(cands)
+        inv = ONE / row[p]
+        row = {c: inv * v for c, v in row.items()}
+        for prow in self.pivot_rows.values():
+            factor = prow.pop(p, None)
+            if factor is None:
+                continue
+            for c2, v in row.items():
+                if c2 == p:
+                    continue
+                w = prow.get(c2)
+                w = -(factor * v) if w is None else w - factor * v
+                if w:
+                    prow[c2] = w
+                else:
+                    del prow[c2]
+        self.pivot_rows[p] = row
+        return True
+
+
+def probe_kernel(m: Matrix):
+    """Kernel echelon built by probing every pivot row per free column,
+    the reference for the one-pass construction in `kernel`."""
+    ech = ScanEchelon(m.ncols)
+    for r in m.rows:
+        ech.insert(r)
+    out = ScanEchelon(m.ncols)
+    for f in range(m.ncols):
+        if f in ech.pivot_rows:
+            continue
+        v = {f: ONE}
+        for p, prow in ech.pivot_rows.items():
+            if f in prow:
+                v[p] = -prow[f]
+        out.insert(v)
+    return out
+
+
+def layout(ech):
+    """Pivot order and every row's key order, with values."""
+    return [(p, list(row.items())) for p, row in ech.pivot_rows.items()]
+
+
+def recomputed_occupancy(ech):
+    occ = {}
+    for p, row in ech.pivot_rows.items():
+        for c in row:
+            if c < ech.pivot_limit and c not in ech.pivot_rows:
+                occ.setdefault(c, set()).add(p)
+    return occ
+
+
+@st.composite
+def insert_runs(draw):
+    ncols = draw(st.integers(1, 9))
+    limit = draw(st.one_of(st.none(), st.integers(0, ncols)))
+    gaussian = draw(st.booleans())
+    vecs = draw(st.lists(
+        st.dictionaries(st.integers(0, ncols - 1), entries(gaussian),
+                        max_size=ncols),
+        max_size=10))
+    return ncols, limit, vecs
+
+
+@PROPERTY
+@given(insert_runs())
+def test_echelon_invariants_and_occupancy(run):
+    ncols, limit, vecs = run
+    ech = Echelon(ncols, pivot_limit=limit)
+    ref = ScanEchelon(ncols, pivot_limit=limit)
+    for vec in vecs:
+        assert ech.insert(vec) == ref.insert(vec)
+        pivots = set(ech.pivot_rows)
+        for p, row in ech.pivot_rows.items():
+            assert p < ech.pivot_limit
+            assert row[p] == 1
+            assert all(row.values())
+            assert not (pivots - {p}) & set(row)
+        assert ech.occupancy == recomputed_occupancy(ech)
+    # Same rows with the same key order as the full scan.
+    assert layout(ech) == layout(ref)
+    assert ech.remainders == ref.remainders
+
+
+def to_sympy(m: Matrix, gaussian):
+    if gaussian:
+        dom = QQ_I
+
+        def conv(s):
+            return QQ_I(QQ(s.re.numerator, s.re.denominator),
+                        QQ(s.im.numerator, s.im.denominator))
+    else:
+        dom = QQ
+
+        def conv(s):
+            return QQ(s.re.numerator, s.re.denominator)
+    zero = Scalar(0)
+    grid = [[conv(r.get(j, zero)) for j in range(m.ncols)] for r in m.rows]
+    return DomainMatrix(grid, (m.nrows, m.ncols), dom), conv
+
+
+def rref_rows(dm):
+    """Nonzero rows of the RREF of dm, as lists of domain elements."""
+    reduced, pivots = dm.rref()
+    return reduced.to_list()[:len(pivots)]
+
+
+def dense(basis, n, conv):
+    return [[conv(v.get(j, Scalar(0))) for j in range(n)] for v in basis]
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["QQ", "QQ_I"])
+def test_kernel_and_image_match_sympy(gaussian):
+    @PROPERTY
+    @given(matrices(gaussian))
+    def check(m):
+        dm, conv = to_sympy(m, gaussian)
+        null = dm.nullspace()
+        want_kernel = rref_rows(null) if null.shape[0] else []
+        ker = kernel(m)
+        assert dense(ker.basis(), m.ncols, conv) == want_kernel
+        assert layout(ker._ech) == layout(probe_kernel(m))
+        want_image = rref_rows(dm.transpose()) if m.ncols else []
+        assert dense(image(m).basis(), m.nrows, conv) == want_image
+
+    check()
+
+
+ARITHMETIC = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+    "neg": lambda a, b: -a,
+    "conjugate": lambda a, b: a.conjugate(),
+    "int_mul": lambda a, b: 3 * a,
+    "int_rsub": lambda a, b: 2 - a,
+}
+
+
+def exact(name, a, b):
+    """The same operation on (re, im) pairs of plain Fractions."""
+    ar, ai = Fraction(a.re), Fraction(a.im)
+    br, bi = Fraction(b.re), Fraction(b.im)
+    if name == "add":
+        return ar + br, ai + bi
+    if name == "sub":
+        return ar - br, ai - bi
+    if name == "mul":
+        return ar * br - ai * bi, ar * bi + ai * br
+    if name == "div":
+        n = br * br + bi * bi
+        return (ar * br + ai * bi) / n, (ai * br - ar * bi) / n
+    if name == "neg":
+        return -ar, -ai
+    if name == "conjugate":
+        return ar, -ai
+    if name == "int_mul":
+        return 3 * ar, 3 * ai
+    return 2 - ar, -ai
+
+
+@PROPERTY
+@given(st.one_of(real_scalars, gaussian_scalars),
+       st.one_of(real_scalars, gaussian_scalars),
+       st.sampled_from(sorted(ARITHMETIC)))
+def test_fast_arithmetic_matches_coercing_constructor(a, b, name):
+    if name == "div" and not b:
+        return
+    got = ARITHMETIC[name](a, b)
+    coerced = Scalar(*exact(name, a, b))
+    assert type(got) is Scalar
+    assert type(got.re) is BACKEND and type(got.im) is BACKEND
+    assert got == coerced
+    assert hash(got) == hash(coerced)
+    assert format_scalar(got) == format_scalar(coerced)

@@ -1,4 +1,6 @@
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -114,6 +116,24 @@ def test_scalar_coercion():
     assert scalar("1+i") == Scalar(1, 1)
     s = Scalar(2, 3)
     assert scalar(s) is s
+
+
+def test_floats_are_refused():
+    for make in (Scalar, scalar, lambda x: Scalar(1, x)):
+        with pytest.raises(TypeError, match="0.1"):
+            make(0.1)
+    with pytest.raises(TypeError):
+        Scalar(1) + 0.5
+    with pytest.raises(TypeError):
+        0.5 * Scalar(1)
+
+
+def test_exact_inputs_are_accepted():
+    tenth = Scalar("1/10")
+    assert Scalar(Fraction(1, 10)) == tenth
+    assert Scalar(Decimal("0.1")) == tenth
+    assert Scalar("0.1") == tenth
+    assert scalar(Fraction(1, 10)) == tenth
 
 
 def test_hash_consistency():
