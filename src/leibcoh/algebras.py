@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import LinalgError, Matrix, Solver, Subspace, kernel
+from .linalg import (LinalgError, Matrix, Solver, Subspace, kernel,
+                     vec_add_at, vec_add_scaled)
 from .scalars import ONE, Scalar, scalar
 
 __all__ = [
@@ -75,14 +76,7 @@ class AlgebraSpec:
                 cell = row[j]
                 if not cell or not b:
                     continue
-                ab = a * b
-                for k, c in cell.items():
-                    w = out.get(k)
-                    w = ab * c if w is None else w + ab * c
-                    if w:
-                        out[k] = w
-                    else:
-                        del out[k]
+                vec_add_scaled(out, cell, a * b)
         return out
 
     def nonzero_brackets(self):
@@ -152,12 +146,7 @@ def validate(spec: AlgebraSpec) -> StructureReport:
                 defect = dict(xy_z)
                 for vec in (xz_y, x_yz):
                     for m, v in vec.items():
-                        w = defect.get(m)
-                        w = -v if w is None else w - v
-                        if w:
-                            defect[m] = w
-                        else:
-                            del defect[m]
+                        vec_add_at(defect, m, -v)
                 if defect:
                     leibniz = False
                 if jacobi:
@@ -166,12 +155,7 @@ def validate(spec: AlgebraSpec) -> StructureReport:
                     cyc = dict(xy_z)
                     for vec in (yz_x, zx_y):
                         for m, v in vec.items():
-                            w = cyc.get(m)
-                            w = v if w is None else w + v
-                            if w:
-                                cyc[m] = w
-                            else:
-                                del cyc[m]
+                            vec_add_at(cyc, m, v)
                     if cyc:
                         jacobi = False
 
@@ -226,13 +210,7 @@ def change_basis(spec: AlgebraSpec, t: Matrix, name="", basis_names=None) -> Alg
     def to_new(vec):
         out = {}
         for i, v in vec.items():
-            for k, w in inv_cols[i].items():
-                s = out.get(k)
-                s = v * w if s is None else s + v * w
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+            vec_add_scaled(out, inv_cols[i], v)
         return out
 
     cols = t.columns()
@@ -350,14 +328,8 @@ def _gl(n: int) -> AlgebraSpec:
         out = {}
         for (i, k), u in a.items():
             for (k2, j), v in b.items():
-                if k != k2:
-                    continue
-                w = out.get((i, j))
-                w = u * v if w is None else w + u * v
-                if w:
-                    out[(i, j)] = w
-                else:
-                    del out[(i, j)]
+                if k == k2:
+                    vec_add_at(out, (i, j), u * v)
         return out
 
     def to_coords(m):
@@ -388,13 +360,8 @@ def _gl(n: int) -> AlgebraSpec:
     for a in range(d):
         for b in range(d):
             comm = mat_mul(basis[a], basis[b])
-            for (i, j), v in mat_mul(basis[b], basis[a]).items():
-                w = comm.get((i, j))
-                w = -v if w is None else w - v
-                if w:
-                    comm[(i, j)] = w
-                else:
-                    del comm[(i, j)]
+            for ij, v in mat_mul(basis[b], basis[a]).items():
+                vec_add_at(comm, ij, -v)
             val = to_coords(comm)
             if val:
                 brackets[(a, b)] = val

@@ -6,7 +6,7 @@ at the flat index k*d^n + sum t_m d^(n-m).  Trivial coefficients drop
 the k part.  The coboundary sends the basis cochain at (k, t) to a
 short combination of basis cochains one degree up, so both the matrix
 of the coboundary and its matrix-free application come from the same
-push-forward enumeration.
+push-forward column.
 
 The antisymmetric subcomplex (for Lie algebras) is reached through
 explicit inclusion and projection matrices over the basis of increasing
@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-from .linalg import Matrix, Solver, Subspace, image, kernel, quotient_reps
+from .linalg import (Matrix, Solver, Subspace, image, kernel, quotient_reps,
+                     vec_add_at, vec_add_scaled)
 from .scalars import ONE, Scalar
 
 __all__ = [
@@ -92,15 +93,14 @@ class CochainScheme:
             for t in product(range(self.dim), repeat=n):
                 yield k, t
 
-    def _delta_entries(self, k, t):
-        """Push-forward of the basis cochain at (k, t) under the coboundary.
-
-        Yields (flat index, coefficient) pairs one degree up, possibly
-        with repeated indices.
-        """
+    def _delta_column(self, k, t) -> dict:
+        """Push-forward of the basis cochain at (k, t) under the coboundary:
+        its column of the coboundary matrix, one degree up."""
         n = len(t)
         d = self.dim
         table = self.spec.table
+        flat = self.flat_index
+        col = {}
         if self.adjoint:
             # [X_1, psi(X_2 .. X_{n+1})]
             for j in range(d):
@@ -108,7 +108,7 @@ class CochainScheme:
                 if cell:
                     u = (j,) + t
                     for m, c in cell.items():
-                        yield self.flat_index(m, u), c
+                        vec_add_at(col, flat(m, u), c)
             # (-1)^i [psi(.. hat X_i ..), X_i] for i = 2 .. n+1
             row = table[k]
             for pos in range(1, n + 1):
@@ -119,7 +119,7 @@ class CochainScheme:
                         continue
                     u = t[:pos] + (j,) + t[pos:]
                     for m, c in cell.items():
-                        yield self.flat_index(m, u), (c if positive else -c)
+                        vec_add_at(col, flat(m, u), c if positive else -c)
         # (-1)^(j+1) psi(.., [X_i, X_j] in slot i, .., hat X_j, ..)
         for i in range(1, n + 1):
             hits = self._by_target[t[i - 1]]
@@ -130,22 +130,15 @@ class CochainScheme:
                 w[i - 1] = a
                 for j in range(i + 1, n + 2):
                     u = tuple(w[: j - 1]) + (b,) + tuple(w[j - 1 :])
-                    yield self.flat_index(k, u), (c if j % 2 == 1 else -c)
+                    vec_add_at(col, flat(k, u), c if j % 2 == 1 else -c)
+        return col
 
     def delta_apply(self, n: int, data: dict) -> dict:
         """Coboundary of a degree-n cochain, matrix-free."""
         out = {}
         for idx, coeff in data.items():
-            if not coeff:
-                continue
             k, t = self.unflatten(n, idx)
-            for fi, c in self._delta_entries(k, t):
-                w = out.get(fi)
-                w = coeff * c if w is None else w + coeff * c
-                if w:
-                    out[fi] = w
-                else:
-                    del out[fi]
+            vec_add_scaled(out, self._delta_column(k, t), coeff)
         return out
 
     def delta_matrix(self, n: int) -> Matrix:
@@ -153,17 +146,7 @@ class CochainScheme:
         mat = self._mats.get(n)
         if mat is not None:
             return mat
-        cols = []
-        for k, t in self.basis_iter(n):
-            col = {}
-            for fi, c in self._delta_entries(k, t):
-                w = col.get(fi)
-                w = c if w is None else w + c
-                if w:
-                    col[fi] = w
-                else:
-                    del col[fi]
-            cols.append(col)
+        cols = [self._delta_column(k, t) for k, t in self.basis_iter(n)]
         mat = Matrix.from_columns(self.cochain_dim(n + 1), cols)
         self._mats[n] = mat
         return mat
@@ -203,12 +186,7 @@ def evaluate_cochain(scheme: CochainScheme, data: dict, vectors):
         if prod is None or not prod:
             continue
         if scheme.adjoint:
-            w = out.get(k)
-            w = prod if w is None else w + prod
-            if w:
-                out[k] = w
-            else:
-                del out[k]
+            vec_add_at(out, k, prod)
         else:
             total = total + prod
     return out if scheme.adjoint else total
@@ -296,12 +274,7 @@ def split_degree2(scheme: CochainScheme, data: dict):
                 (scheme.flat_index(k, (i, j)), hv),
                 (scheme.flat_index(k, (j, i)), -hv if flip else hv),
             ):
-                s = target.get(key)
-                s = w if s is None else s + w
-                if s:
-                    target[key] = s
-                elif key in target:
-                    del target[key]
+                vec_add_at(target, key, w)
     return anti, sym
 
 

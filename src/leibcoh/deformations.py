@@ -23,7 +23,7 @@ from itertools import product as iter_product
 
 from .algebras import AlgebraSpec
 from .cochains import ClassCoordinates, CochainScheme, leibniz_cohomology
-from .linalg import Solver, Subspace, vec_add_scaled
+from .linalg import Solver, Subspace, vec_add_at, vec_add_scaled
 from .scalars import ONE, Scalar
 
 __all__ = [
@@ -53,24 +53,15 @@ def comp2(scheme: CochainScheme, phi: dict, psi: dict) -> dict:
     out = {}
     psi_items = [(scheme.unflatten(2, i), v) for i, v in psi.items()]
     flat = scheme.flat_index
-
-    def acc(key, value):
-        w = out.get(key)
-        w = value if w is None else w + value
-        if w:
-            out[key] = w
-        else:
-            out.pop(key, None)
-
     for i, u in phi.items():
         kphi, (a, b) = scheme.unflatten(2, i)
         for (kpsi, (c, e)), v in psi_items:
             w = u * v
             if a == kpsi:
-                acc(flat(kphi, (c, e, b)), w)
-                acc(flat(kphi, (c, b, e)), -w)
+                vec_add_at(out, flat(kphi, (c, e, b)), w)
+                vec_add_at(out, flat(kphi, (c, b, e)), -w)
             if b == kpsi:
-                acc(flat(kphi, (a, c, e)), -w)
+                vec_add_at(out, flat(kphi, (a, c, e)), -w)
     return out
 
 
@@ -79,12 +70,7 @@ def bracket2(scheme: CochainScheme, phi: dict, psi: dict) -> dict:
     one argument is the bracket itself."""
     out = comp2(scheme, phi, psi)
     for k, v in comp2(scheme, psi, phi).items():
-        w = out.get(k)
-        w = v if w is None else w + v
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
+        vec_add_at(out, k, v)
     return out
 
 

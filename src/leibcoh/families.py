@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import AlgebraSpec
+from .linalg import vec_add_at, vec_add_scaled
 from .polynomials import Poly, parse_poly
 from .scalars import format_scalar, scalar
 
@@ -81,14 +82,7 @@ class ParamAlgebra:
                 cell = self.table.get((i, j))
                 if not cell or not b:
                     continue
-                factor = a * b
-                for k, poly in cell.items():
-                    w = out.get(k)
-                    w = factor * poly if w is None else w + factor * poly
-                    if w:
-                        out[k] = w
-                    else:
-                        del out[k]
+                vec_add_scaled(out, cell, a * b)
         return out
 
 
@@ -106,7 +100,6 @@ def leibniz_defect_sym(pa: ParamAlgebra) -> list:
     """Nonzero components of [[x,y],z] - [[x,z],y] - [x,[y,z]] over all
     basis triples, as polynomials; empty means the right Leibniz
     identity holds for every parameter value."""
-    zero = Poly.zero(pa.params)
     out = []
     for x in range(pa.dim):
         for y in range(pa.dim):
@@ -118,11 +111,9 @@ def leibniz_defect_sym(pa: ParamAlgebra) -> list:
                     (pa.bracket_vec({x: 1}, pa.bracket(y, z)), -1),
                 ):
                     for k, poly in vec.items():
-                        term = poly if sign == 1 else -poly
-                        acc[k] = acc.get(k, zero) + term
+                        vec_add_at(acc, k, poly if sign == 1 else -poly)
                 for k in sorted(acc):
-                    if acc[k]:
-                        out.append(DefectTerm("identity", (x, y, z), k, acc[k]))
+                    out.append(DefectTerm("identity", (x, y, z), k, acc[k]))
     return out
 
 

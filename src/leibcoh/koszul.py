@@ -26,7 +26,8 @@ from .cochains import (
     wedge_basis,
     wedge_inclusion,
 )
-from .linalg import Matrix, Solver, Subspace, image, kernel, quotient_reps
+from .linalg import (Matrix, Solver, Subspace, image, kernel, quotient_reps,
+                     vec_add_at, vec_add_scaled)
 from .scalars import Scalar
 
 __all__ = [
@@ -53,21 +54,9 @@ def invariant_forms(spec: AlgebraSpec) -> Subspace:
             for y in range(x, d):
                 row = {}
                 for m, c in spec.table[z][x].items():
-                    key = pos[(m, y) if m <= y else (y, m)]
-                    w = row.get(key)
-                    w = c if w is None else w + c
-                    if w:
-                        row[key] = w
-                    elif key in row:
-                        del row[key]
+                    vec_add_at(row, pos[(m, y) if m <= y else (y, m)], c)
                 for m, c in spec.table[z][y].items():
-                    key = pos[(x, m) if x <= m else (m, x)]
-                    w = row.get(key)
-                    w = c if w is None else w + c
-                    if w:
-                        row[key] = w
-                    elif key in row:
-                        del row[key]
+                    vec_add_at(row, pos[(x, m) if x <= m else (m, x)], c)
                 if row:
                     rows.append(row)
     m = Matrix.zero(len(rows), len(pairs))
@@ -88,13 +77,7 @@ def koszul_matrix(spec: AlgebraSpec) -> Matrix:
     for a, b, c in combs:
         row = {}
         for m, coeff in spec.table[a][b].items():
-            key = pos[(m, c) if m <= c else (c, m)]
-            w = row.get(key)
-            w = coeff if w is None else w + coeff
-            if w:
-                row[key] = w
-            elif key in row:
-                del row[key]
+            vec_add_at(row, pos[(m, c) if m <= c else (c, m)], coeff)
         rows.append(row)
     m = Matrix.zero(len(combs), len(pairs))
     m.rows = rows
@@ -131,13 +114,7 @@ def koszul_data(spec: AlgebraSpec, report=None) -> KoszulData:
     for lam in combos.basis():
         vec = {}
         for i, coeff in lam.items():
-            for key, v in basis[i].items():
-                w = vec.get(key)
-                w = coeff * v if w is None else w + coeff * v
-                if w:
-                    vec[key] = w
-                else:
-                    del vec[key]
+            vec_add_scaled(vec, basis[i], coeff)
         kern_vecs.append(vec)
     kern = Subspace(npairs, kern_vecs)
     return KoszulData(
@@ -242,7 +219,7 @@ def decompose_degree2(spec: AlgebraSpec, coefficients="adjoint",
     lie_d2 = lie_delta_matrix(scheme, 2)
     b3_wedge = image(lie_d2)
     coupled_reps = []
-    if g_cols and b3_wedge.ambient_dim >= 0:
+    if g_cols:
         stacked = Matrix.from_columns(
             b3_wedge.ambient_dim, g_cols + b3_wedge.basis()
         )
@@ -259,31 +236,14 @@ def decompose_degree2(spec: AlgebraSpec, coefficients="adjoint",
             s_part = {}
             v_wedge = {}
             for i, coeff in u.items():
-                for key, v in s_cols[i].items():
-                    w = s_part.get(key)
-                    w = coeff * v if w is None else w + coeff * v
-                    if w:
-                        s_part[key] = w
-                    else:
-                        del s_part[key]
-                for key, v in g_cols[i].items():
-                    w = v_wedge.get(key)
-                    w = coeff * v if w is None else w + coeff * v
-                    if w:
-                        v_wedge[key] = w
-                    else:
-                        del v_wedge[key]
+                vec_add_scaled(s_part, s_cols[i], coeff)
+                vec_add_scaled(v_wedge, g_cols[i], coeff)
             omega = solver.solve(v_wedge)
             if omega is None:
                 raise AssertionError("exactness certificate failed to solve")
             rep = dict(s_part)
             for key, v in incl2.matvec(omega).items():
-                w = rep.get(key)
-                w = v if w is None else w + v
-                if w:
-                    rep[key] = w
-                else:
-                    del rep[key]
+                vec_add_at(rep, key, v)
             if not scheme.is_cocycle(2, rep):
                 raise AssertionError("coupled representative is not a cocycle")
             coupled_reps.append(rep)

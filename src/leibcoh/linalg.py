@@ -1,6 +1,9 @@
 """Exact linear algebra over the Gaussian rationals.
 
 Vectors are sparse maps {coordinate: Scalar} with no zero values stored.
+`vec_add_at` and `vec_add_scaled` are the only writers that add into
+such a map and keep that invariant; every accumulation in the library
+goes through them, except the back-substitution loops inside `Echelon`.
 Matrices are logically dense rows x cols grids but keep their rows sparse,
 since the coboundary operators that dominate the workload are very sparse
 and dense elimination on a few thousand rows of Python objects would be
@@ -22,14 +25,9 @@ __all__ = [
     "Echelon",
     "Subspace",
     "Solver",
-    "rref",
     "kernel",
     "image",
-    "intersect",
-    "subspace_sum",
-    "quotient_dim",
     "quotient_reps",
-    "solve_particular",
 ]
 
 
@@ -48,6 +46,17 @@ def vec_clean(vec) -> dict:
     return out
 
 
+def vec_add_at(acc: dict, key, value) -> None:
+    """In place: acc[key] += value; a zero value at an absent key is
+    accepted and stores nothing."""
+    w = acc.get(key)
+    w = value if w is None else w + value
+    if w:
+        acc[key] = w
+    else:
+        acc.pop(key, None)
+
+
 def vec_add_scaled(acc: dict, vec: dict, factor: Scalar) -> None:
     """In place: acc += factor * vec."""
     if not factor:
@@ -59,12 +68,6 @@ def vec_add_scaled(acc: dict, vec: dict, factor: Scalar) -> None:
             acc[c] = w
         else:
             del acc[c]
-
-
-def vec_scaled(vec: dict, factor: Scalar) -> dict:
-    if not factor:
-        return {}
-    return {c: factor * v for c, v in vec.items()}
 
 
 def vec_dot(a: dict, b: dict):
@@ -164,13 +167,6 @@ class Matrix:
                 out[i] = val
         return out
 
-    def to_dense(self):
-        zero = Scalar(0)
-        return [[r.get(j, zero) for j in range(self.ncols)] for r in self.rows]
-
-    def is_zero(self) -> bool:
-        return all(not r for r in self.rows)
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -182,20 +178,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
-
-
-def _matvec_columns(columns, vec: dict) -> dict:
-    out = {}
-    for j, x in vec.items():
-        col = columns[j]
-        for i, v in col.items():
-            w = out.get(i)
-            w = x * v if w is None else w + x * v
-            if w:
-                out[i] = w
-            else:
-                del out[i]
-    return out
 
 
 class Echelon:
@@ -240,6 +222,7 @@ class Echelon:
                 continue
             factor = row.pop(c)
             prow = self.pivot_rows[c]
+            # Inline, not vec_add_scaled: that call made δ3 elimination slower.
             for c2, v in prow.items():
                 if c2 == c:
                     continue
@@ -288,6 +271,7 @@ class Echelon:
         for q in targets:
             prow = self.pivot_rows[q]
             factor = prow.pop(p)
+            # Inline, not vec_add_scaled: each write also updates occupancy.
             for c2, v in row.items():
                 if c2 == p:
                     continue
@@ -346,9 +330,6 @@ class Subspace:
         """RREF basis vectors, ordered by pivot column."""
         return [dict(r) for r in self._ech.sorted_rows()]
 
-    def basis_matrix(self) -> Matrix:
-        return Matrix(self.dim, self.ambient_dim, self.basis())
-
     def contains(self, vec: dict) -> bool:
         return not self._ech.reduce(vec)
 
@@ -365,9 +346,6 @@ class Subspace:
         """Grow the span; used by incremental constructions."""
         return self._ech.insert(vec)
 
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -379,26 +357,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
-
-
-class RrefResult:
-    __slots__ = ("matrix", "pivots", "rank")
-
-    def __init__(self, matrix, pivots, rank):
-        self.matrix = matrix
-        self.pivots = pivots
-        self.rank = rank
-
-
-def rref(m: Matrix) -> RrefResult:
-    """Unique reduced row echelon form, with pivot columns and rank."""
-    ech = Echelon(m.ncols)
-    for r in m.rows:
-        ech.insert(r)
-    rows = ech.sorted_rows()
-    rows = [dict(r) for r in rows]
-    rows.extend({} for _ in range(m.nrows - len(rows)))
-    return RrefResult(Matrix(m.nrows, m.ncols, rows), ech.sorted_pivots(), ech.rank)
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -427,44 +385,6 @@ def image(m: Matrix) -> Subspace:
     for col in m.columns():
         ech.insert(col)
     return Subspace._from_echelon(m.nrows, ech)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise LinalgError("ambient dimension mismatch")
-    ech = Echelon(a.ambient_dim)
-    for r in a.basis():
-        ech.insert(r)
-    for r in b.basis():
-        ech.insert(r)
-    return Subspace._from_echelon(a.ambient_dim, ech)
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """a ∩ b via the kernel of the stacked-bases coefficient map."""
-    if a.ambient_dim != b.ambient_dim:
-        raise LinalgError("ambient dimension mismatch")
-    abasis = a.basis()
-    bbasis = b.basis()
-    cols = abasis + bbasis
-    stacked = Matrix.from_columns(a.ambient_dim, cols)
-    coeffs = kernel(stacked)
-    ech = Echelon(a.ambient_dim)
-    na = len(abasis)
-    for lam in coeffs.basis():
-        v = {}
-        for j, c in lam.items():
-            if j < na:
-                vec_add_scaled(v, abasis[j], c)
-        ech.insert(v)
-    return Subspace._from_echelon(a.ambient_dim, ech)
-
-
-def quotient_dim(a: Subspace, b: Subspace) -> int:
-    """dim a/b, requiring b ⊆ a."""
-    if not a.contains_subspace(b):
-        raise LinalgError("not a subspace: quotient denominator not contained")
-    return a.dim - b.dim
 
 
 def quotient_reps(a: Subspace, b: Subspace):
@@ -522,7 +442,3 @@ class Solver:
                 x[p] = val
         return x
 
-
-def solve_particular(m: Matrix, rhs: dict):
-    """One-shot m x = rhs; see Solver for the repeated-solve variant."""
-    return Solver(m).solve(rhs)

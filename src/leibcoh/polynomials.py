@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re as _re
 
+from .linalg import vec_add_at
 from .scalars import ONE, Scalar, format_scalar, scalar
 
 __all__ = ["Poly", "parse_poly", "format_poly"]
@@ -79,12 +80,7 @@ class Poly:
         other = self._coerce(other)
         out = dict(self.coeffs)
         for exps, value in other.coeffs.items():
-            w = out.get(exps)
-            w = value if w is None else w + value
-            if w:
-                out[exps] = w
-            else:
-                del out[exps]
+            vec_add_at(out, exps, value)
         return Poly(self.params, out)
 
     __radd__ = __add__
@@ -104,13 +100,7 @@ class Poly:
         for e1, v1 in self.coeffs.items():
             for e2, v2 in other.coeffs.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
-                w = out.get(exps)
-                prod = v1 * v2
-                w = prod if w is None else w + prod
-                if w:
-                    out[exps] = w
-                else:
-                    del out[exps]
+                vec_add_at(out, exps, v1 * v2)
         return Poly(self.params, out)
 
     __rmul__ = __mul__

@@ -19,8 +19,23 @@ from leibcoh.cochains import (
     wedge_inclusion,
     wedge_projection,
 )
-from leibcoh.linalg import Subspace, intersect, image
+from leibcoh.linalg import (Echelon, Matrix, Subspace, image, kernel,
+                            vec_add_scaled)
 from leibcoh.scalars import ONE, Scalar
+
+
+def intersect(a, b):
+    """a ∩ b: the a-parts of the kernel of the stacked-bases map [a | b]."""
+    abasis = a.basis()
+    stacked = Matrix.from_columns(a.ambient_dim, abasis + b.basis())
+    ech = Echelon(a.ambient_dim)
+    for lam in kernel(stacked).basis():
+        v = {}
+        for j, c in lam.items():
+            if j < len(abasis):
+                vec_add_scaled(v, abasis[j], c)
+        ech.insert(v)
+    return Subspace._from_echelon(a.ambient_dim, ech)
 
 
 def literal_delta_at(scheme, data, args):
@@ -113,9 +128,14 @@ def test_delta_matches_literal_formula(spec, coeffs, degrees):
                 assert got == expect, (spec.name, coeffs, n, args)
 
 
-def test_delta_matrix_agrees_with_apply(diamond_adj, g54_triv):
+def test_delta_matrix_agrees_with_apply(diamond_adj, diamond_triv, g54_triv):
     rng = random.Random(5)
-    for scheme, n in [(diamond_adj, 1), (diamond_adj, 2), (g54_triv, 2)]:
+    square_adj = CochainScheme(one_sided_square(), "adjoint")
+    square_triv = CochainScheme(one_sided_square(), "trivial")
+    cases = [(diamond_adj, 1), (diamond_adj, 2), (diamond_adj, 3),
+             (diamond_triv, 3), (g54_triv, 2), (g54_triv, 3),
+             (square_adj, 2), (square_adj, 3), (square_triv, 3)]
+    for scheme, n in cases:
         mat = scheme.delta_matrix(n)
         for _ in range(5):
             data = random_cochain(rng, scheme, n)

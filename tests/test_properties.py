@@ -2,22 +2,33 @@
 
 Echelon invariants and its column-occupancy index after random insert
 sequences, kernel and image against sympy `DomainMatrix` RREF over QQ
-and QQ_I, and the trusted arithmetic constructor against the coercing
-one.  Runs are derandomized, so the suite stays deterministic.
+and QQ_I, the trusted arithmetic constructor against the coercing one,
+and the two sparse-accumulate primitives against dense arithmetic.
+Runs are derandomized, so the suite stays deterministic.
 """
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy import QQ, QQ_I  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from leibcoh.linalg import Echelon, Matrix, image, kernel  # noqa: E402
+import leibcoh  # noqa: E402
+from leibcoh.linalg import (  # noqa: E402
+    Echelon,
+    Matrix,
+    image,
+    kernel,
+    vec_add_at,
+    vec_add_scaled,
+)
 from leibcoh.scalars import ONE, Scalar, format_scalar  # noqa: E402
 
 BACKEND = type(ONE.re)
@@ -233,3 +244,59 @@ def test_fast_arithmetic_matches_coercing_constructor(a, b, name):
     assert got == coerced
     assert hash(got) == hash(coerced)
     assert format_scalar(got) == format_scalar(coerced)
+
+
+NCOORDS = 6
+any_scalars = st.one_of(real_scalars, gaussian_scalars)
+sparse_vectors = st.dictionaries(st.integers(0, NCOORDS - 1),
+                                 any_scalars.filter(bool), max_size=NCOORDS)
+accumulate_steps = st.lists(st.one_of(
+    st.tuples(st.just("at"), st.integers(0, NCOORDS - 1), entries(True)),
+    st.tuples(st.just("scaled"), sparse_vectors, entries(True)),
+), max_size=8)
+
+
+def pair(s):
+    return Fraction(s.re), Fraction(s.im)
+
+
+@PROPERTY
+@given(sparse_vectors, accumulate_steps)
+@example({0: ONE}, [("at", 3, Scalar(0)), ("at", 0, -ONE)])
+def test_sparse_accumulate_matches_dense(start, steps):
+    acc = dict(start)
+    want = [(Fraction(0), Fraction(0))] * NCOORDS
+    for j, v in start.items():
+        want[j] = pair(v)
+    for kind, arg, value in steps:
+        if kind == "at":
+            vec_add_at(acc, arg, value)
+            terms = {arg: pair(value)}
+        else:
+            vec_add_scaled(acc, arg, value)
+            fr, fi = pair(value)
+            terms = {}
+            for j, v in arg.items():
+                vr, vi = pair(v)
+                terms[j] = (fr * vr - fi * vi, fr * vi + fi * vr)
+        for j, (tr, ti) in terms.items():
+            wr, wi = want[j]
+            want[j] = (wr + tr, wi + ti)
+        assert all(acc.values())
+        assert {j: pair(v) for j, v in acc.items()} == {
+            j: w for j, w in enumerate(want) if any(w)}
+
+
+# `w = <value> if w is None else w + <value>`, under any variable name.
+ACCUMULATE = re.compile(r"(\w+) = .+ if \1 is None else \1 [-+]")
+
+
+def test_accumulate_idiom_lives_only_in_linalg():
+    package = Path(leibcoh.__file__).parent
+    assert ACCUMULATE.search((package / "linalg.py").read_text())
+    copies = [f"{path.name}:{lineno}"
+              for path in sorted(package.glob("*.py"))
+              if path.name != "linalg.py"
+              for lineno, line in enumerate(path.read_text().splitlines(), 1)
+              if ACCUMULATE.search(line)]
+    assert copies == [], "accumulate into a sparse map with linalg.vec_add_at"
