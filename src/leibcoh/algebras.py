@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .linalg import (LinalgError, Matrix, Solver, Subspace, kernel,
                      vec_add_at, vec_add_scaled)
-from .scalars import ONE, Scalar, scalar
+from .scalars import ONE, ZERO, Scalar, scalar
 
 __all__ = [
     "AlgebraSpec",
@@ -122,7 +122,7 @@ def validate(spec: AlgebraSpec) -> StructureReport:
         for j in range(i, d):
             lhs = spec.table[i][j]
             rhs = spec.table[j][i]
-            if any(lhs.get(k, Scalar(0)) != -v for k, v in rhs.items()) or any(
+            if any(lhs.get(k, ZERO) != -v for k, v in rhs.items()) or any(
                 k not in rhs and v for k, v in lhs.items()
             ):
                 anti = False
@@ -342,14 +342,14 @@ def _gl(n: int) -> AlgebraSpec:
                 out[idx] = v
         # Remaining part is diagonal: trace/n on the identity, the rest
         # on the traceless differences via partial sums.
-        diag = [m.get((i, i), Scalar(0)) for i in range(n)]
+        diag = [m.get((i, i), ZERO) for i in range(n)]
         trace = diag[0]
         for v in diag[1:]:
             trace = trace + v
         tpart = trace / n
         if tpart:
             out[d - 1] = tpart
-        run = Scalar(0)
+        run = ZERO
         for i in range(n - 1):
             run = run + (diag[i] - tpart)
             if run:

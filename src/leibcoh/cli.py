@@ -273,7 +273,7 @@ def _run_koszul(args):
     report = _checked(spec)
     _require_lie(report, "the cubic map on invariant forms")
     data = koszul_data(spec, report)
-    unc = uncoupling_report(spec, report)
+    unc = uncoupling_report(spec, report, data)
     section = {
         "invariant_forms_dim": data.forms.dim,
         "p": data.p,

@@ -21,7 +21,7 @@ from itertools import combinations, permutations, product
 
 from .linalg import (Matrix, Solver, Subspace, image, kernel, quotient_reps,
                      vec_add_at, vec_add_scaled)
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
     "ClassCoordinates",
@@ -35,7 +35,6 @@ __all__ = [
     "split_degree2",
     "wedge_basis",
     "wedge_inclusion",
-    "wedge_projection",
     "sym2_basis",
     "sym2_inclusion",
 ]
@@ -44,12 +43,12 @@ __all__ = [
 class CochainScheme:
     """An algebra together with a coefficient choice, adjoint or trivial.
 
-    Holds the flat-index conventions and caches coboundary matrices and
-    their kernels.
+    Holds the flat-index conventions and caches coboundary matrices (of
+    the full and the antisymmetric complex) and their kernels.
     """
 
     __slots__ = ("spec", "coefficients", "dim", "adjoint", "_by_target",
-                 "_mats", "_cocycles")
+                 "_mats", "_lie_mats", "_cocycles")
 
     def __init__(self, spec, coefficients="adjoint"):
         if coefficients not in ("adjoint", "trivial"):
@@ -64,6 +63,7 @@ class CochainScheme:
                 by_target[m].append((a, b, c))
         self._by_target = by_target
         self._mats = {}
+        self._lie_mats = {}
         self._cocycles = {}
 
     def cochain_dim(self, n: int) -> int:
@@ -173,7 +173,7 @@ def evaluate_cochain(scheme: CochainScheme, data: dict, vectors):
     """
     n = len(vectors)
     out = {}
-    total = Scalar(0)
+    total = ZERO
     for idx, coeff in data.items():
         k, t = scheme.unflatten(n, idx)
         prod = coeff
@@ -227,19 +227,6 @@ def wedge_inclusion(scheme: CochainScheme, n: int) -> Matrix:
     return Matrix.from_columns(scheme.cochain_dim(n), cols)
 
 
-def wedge_projection(scheme: CochainScheme, n: int) -> Matrix:
-    """Left inverse of wedge_inclusion: read the increasing-tuple coordinates."""
-    combs = wedge_basis(scheme.dim, n)
-    m = Matrix.zero(len(combs) * (scheme.dim if scheme.adjoint else 1),
-                    scheme.cochain_dim(n))
-    r = 0
-    for k in _heads(scheme):
-        for comb in combs:
-            m.rows[r] = {scheme.flat_index(k, comb): ONE}
-            r += 1
-    return m
-
-
 def sym2_basis(dim: int):
     return [(i, j) for i in range(dim) for j in range(i, dim)]
 
@@ -287,28 +274,27 @@ def lie_delta_matrix(scheme: CochainScheme, n: int) -> Matrix:
 
     Meaningful when the algebra is Lie, where the coboundary preserves
     antisymmetry; columns are computed by including, applying the full
-    coboundary, and reading the increasing coordinates back.
+    coboundary, and reading the increasing coordinates back.  Cached on
+    the scheme.
     """
-    combs = wedge_basis(scheme.dim, n)
+    mat = scheme._lie_mats.get(n)
+    if mat is not None:
+        return mat
     out_combs = wedge_basis(scheme.dim, n + 1)
     out_pos = {c: i for i, c in enumerate(out_combs)}
     nout = len(out_combs)
     cols = []
-    for k in _heads(scheme):
-        for comb in combs:
-            vec = {}
-            for perm in permutations(range(n)):
-                u = tuple(comb[p] for p in perm)
-                vec[scheme.flat_index(k, u)] = Scalar(_perm_sign(perm))
-            col = {}
-            for idx, v in scheme.delta_apply(n, vec).items():
-                k2, t = scheme.unflatten(n + 1, idx)
-                pos = out_pos.get(t)
-                if pos is not None:
-                    col[_wedge_flat(scheme, nout, k2, pos)] = v
-            cols.append(col)
+    for vec in wedge_inclusion(scheme, n).columns():
+        col = {}
+        for idx, v in scheme.delta_apply(n, vec).items():
+            k2, t = scheme.unflatten(n + 1, idx)
+            pos = out_pos.get(t)
+            if pos is not None:
+                col[_wedge_flat(scheme, nout, k2, pos)] = v
+        cols.append(col)
     nrows = nout * (scheme.dim if scheme.adjoint else 1)
-    return Matrix.from_columns(nrows, cols)
+    mat = scheme._lie_mats[n] = Matrix.from_columns(nrows, cols)
+    return mat
 
 
 @dataclass
@@ -397,8 +383,7 @@ class ClassCoordinates:
         sol = self._solver.solve(vec)
         if sol is None:
             return None
-        zero = Scalar(0)
-        return [sol.get(self._offset + i, zero) for i in range(len(self.space.reps))]
+        return [sol.get(self._offset + i, ZERO) for i in range(len(self.space.reps))]
 
     def is_coboundary(self, vec: dict) -> bool:
         coords = self.coords(vec)

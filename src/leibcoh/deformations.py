@@ -24,7 +24,7 @@ from itertools import product as iter_product
 from .algebras import AlgebraSpec
 from .cochains import ClassCoordinates, CochainScheme, leibniz_cohomology
 from .linalg import Solver, Subspace, vec_add_at, vec_add_scaled
-from .scalars import ONE, Scalar
+from .scalars import ONE
 
 __all__ = [
     "comp2",

@@ -22,13 +22,11 @@ from .cochains import (
     lie_delta_matrix,
     sym2_basis,
     sym2_inclusion,
-    symmetric_cocycle_space,
     wedge_basis,
     wedge_inclusion,
 )
 from .linalg import (Matrix, Solver, Subspace, image, kernel, quotient_reps,
                      vec_add_at, vec_add_scaled)
-from .scalars import Scalar
 
 __all__ = [
     "KoszulData",
@@ -178,13 +176,44 @@ class Degree2Decomposition:
         return self.h2_reps + self.symmetric_basis + self.coupled_reps
 
 
+def _lie_report(spec: AlgebraSpec, report):
+    report = report if report is not None else validate(spec)
+    if not (report.is_antisymmetric and report.is_jacobi):
+        raise ValueError("the degree-2 decomposition requires a Lie algebra")
+    return report
+
+
+def _exact_combinations(scheme: CochainScheme, kos: KoszulData, heads):
+    """Combinations of kernel-complement forms, one per head, whose image
+    3-form is exact on the antisymmetric complex.
+
+    Returns the complement forms, the candidate image columns (head-major)
+    and the Subspace of candidate coefficient vectors with an exact image;
+    its dimension is the coupled count.
+    """
+    w_reps = quotient_reps(kos.forms, kos.kernel)
+    ncombs3 = len(wedge_basis(scheme.dim, 3))
+    images3 = [kos.matrix.matvec(w) for w in w_reps]
+    g_cols = [_tensor_head(z, iw, ncombs3) for z in heads for iw in images3]
+    ncand = len(g_cols)
+    coeff_vecs = []
+    if g_cols:
+        b3_wedge = image(lie_delta_matrix(scheme, 2))
+        stacked = Matrix.from_columns(
+            b3_wedge.ambient_dim, g_cols + b3_wedge.basis()
+        )
+        for vec in kernel(stacked).basis():
+            head = {i: v for i, v in vec.items() if i < ncand}
+            if head:
+                coeff_vecs.append(head)
+    return w_reps, g_cols, Subspace(ncand, coeff_vecs)
+
+
 def decompose_degree2(spec: AlgebraSpec, coefficients="adjoint",
                       report=None) -> Degree2Decomposition:
     """Split degree-2 Leibniz cohomology of a Lie algebra into the
     antisymmetric, central-symmetric, and coupled blocks."""
-    report = report if report is not None else validate(spec)
-    if not (report.is_antisymmetric and report.is_jacobi):
-        raise ValueError("the degree-2 decomposition requires a Lie algebra")
+    report = _lie_report(spec, report)
     scheme = CochainScheme(spec, coefficients)
     adjoint = scheme.adjoint
     triv = CochainScheme(spec, "trivial") if adjoint else scheme
@@ -204,33 +233,15 @@ def decompose_degree2(spec: AlgebraSpec, coefficients="adjoint",
     # Coupled block: symmetric parts from a complement of the kernel
     # whose image 3-forms are exact, each closed up by an antisymmetric
     # corrector solved on the antisymmetric complex.
-    w_reps = quotient_reps(kos.forms, kos.kernel)
-    ncombs3 = len(wedge_basis(spec.dim, 3))
-    wedge_base3 = ncombs3
-    images3 = [kos.matrix.matvec(w) for w in w_reps]
-    g_cols = [
-        _tensor_head(z, iw, wedge_base3) for z in heads for iw in images3
-    ]
+    w_reps, g_cols, coeff_space = _exact_combinations(scheme, kos, heads)
     s_cols = [
         _tensor_head(z, sym_incl.matvec(w), tensor_base)
         for z in heads
         for w in w_reps
     ]
-    lie_d2 = lie_delta_matrix(scheme, 2)
-    b3_wedge = image(lie_d2)
     coupled_reps = []
-    if g_cols:
-        stacked = Matrix.from_columns(
-            b3_wedge.ambient_dim, g_cols + b3_wedge.basis()
-        )
-        ncand = len(g_cols)
-        coeff_vecs = []
-        for vec in kernel(stacked).basis():
-            head = {i: v for i, v in vec.items() if i < ncand}
-            if head:
-                coeff_vecs.append(head)
-        coeff_space = Subspace(ncand, coeff_vecs)
-        solver = Solver(lie_d2)
+    if coeff_space.dim:
+        solver = Solver(lie_delta_matrix(scheme, 2))
         incl2 = wedge_inclusion(scheme, 2)
         for u in coeff_space.basis():
             s_part = {}
@@ -275,12 +286,19 @@ class UncouplingReport:
         return self.trivial_coupled_dim == 0
 
 
-def uncoupling_report(spec: AlgebraSpec, report=None) -> UncouplingReport:
-    report = report if report is not None else validate(spec)
-    adj = decompose_degree2(spec, "adjoint", report)
-    triv = decompose_degree2(spec, "trivial", report)
+def uncoupling_report(spec: AlgebraSpec, report=None,
+                      kos: KoszulData | None = None) -> UncouplingReport:
+    """Coupled-class counts for both coefficient choices, without building
+    the degree-2 complexes or any representative."""
+    report = _lie_report(spec, report)
+    kos = kos if kos is not None else koszul_data(spec, report)
+    counts = {}
+    for coefficients in ("adjoint", "trivial"):
+        scheme = CochainScheme(spec, coefficients)
+        heads = kos.center.basis() if scheme.adjoint else [None]
+        counts[coefficients] = _exact_combinations(scheme, kos, heads)[2].dim
     return UncouplingReport(
         center_dim=report.c,
-        adjoint_coupled_dim=adj.coupled_dim,
-        trivial_coupled_dim=triv.coupled_dim,
+        adjoint_coupled_dim=counts["adjoint"],
+        trivial_coupled_dim=counts["trivial"],
     )

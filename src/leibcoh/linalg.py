@@ -17,7 +17,7 @@ subspaces are equal exactly when their bases are identical.  Every
 
 from __future__ import annotations
 
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
     "LinalgError",
@@ -58,7 +58,8 @@ def vec_add_at(acc: dict, key, value) -> None:
 
 
 def vec_add_scaled(acc: dict, vec: dict, factor: Scalar) -> None:
-    """In place: acc += factor * vec."""
+    """In place: acc += factor * vec; like vec_add_at, an explicit zero
+    in vec at a key absent from acc stores nothing."""
     if not factor:
         return
     for c, v in vec.items():
@@ -67,11 +68,11 @@ def vec_add_scaled(acc: dict, vec: dict, factor: Scalar) -> None:
         if w:
             acc[c] = w
         else:
-            del acc[c]
+            acc.pop(c, None)
 
 
 def vec_dot(a: dict, b: dict):
-    """Sparse dot product; returns a Scalar (zero Scalar when disjoint)."""
+    """Sparse dot product; returns a Scalar (the shared ZERO when disjoint)."""
     if len(b) < len(a):
         a, b = b, a
     total = None
@@ -79,7 +80,7 @@ def vec_dot(a: dict, b: dict):
         w = b.get(c)
         if w is not None:
             total = v * w if total is None else total + v * w
-    return total if total is not None else Scalar(0)
+    return total if total is not None else ZERO
 
 
 class Matrix:
@@ -112,17 +113,6 @@ class Matrix:
         return cls(n, n, [{i: ONE} for i in range(n)])
 
     @classmethod
-    def from_dense(cls, grid) -> "Matrix":
-        nrows = len(grid)
-        ncols = len(grid[0]) if nrows else 0
-        rows = []
-        for r in grid:
-            if len(r) != ncols:
-                raise LinalgError("ragged dense grid")
-            rows.append({j: v for j, v in enumerate(r)})
-        return cls(nrows, ncols, rows)
-
-    @classmethod
     def from_columns(cls, nrows: int, columns) -> "Matrix":
         """Build from a list of sparse columns (maps over row indices)."""
         rows = [{} for _ in range(nrows)]
@@ -139,9 +129,6 @@ class Matrix:
         m.ncols = len(columns)
         m.rows = rows
         return m
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i].get(j, Scalar(0))
 
     def column(self, j: int) -> dict:
         return {i: r[j] for i, r in enumerate(self.rows) if j in r}

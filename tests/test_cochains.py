@@ -17,7 +17,6 @@ from leibcoh.cochains import (
     symmetric_cocycle_space,
     wedge_basis,
     wedge_inclusion,
-    wedge_projection,
 )
 from leibcoh.linalg import (Echelon, Matrix, Subspace, image, kernel,
                             vec_add_scaled)
@@ -36,6 +35,14 @@ def intersect(a, b):
                 vec_add_scaled(v, abasis[j], c)
         ech.insert(v)
     return Subspace._from_echelon(a.ambient_dim, ech)
+
+
+def wedge_projection(scheme, n):
+    """Left inverse of wedge_inclusion: read the increasing-tuple coordinates."""
+    heads = range(scheme.dim) if scheme.adjoint else (None,)
+    rows = [{scheme.flat_index(k, comb): ONE}
+            for k in heads for comb in wedge_basis(scheme.dim, n)]
+    return Matrix(len(rows), scheme.cochain_dim(n), rows)
 
 
 def literal_delta_at(scheme, data, args):

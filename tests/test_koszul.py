@@ -1,10 +1,17 @@
 """Invariant forms, the cubic map, and the degree-2 decomposition."""
 
+import io
+import json
+import sys
+
 import pytest
 
-from leibcoh.algebras import AlgebraSpec, catalog, validate
+from leibcoh import cli
+from leibcoh.algebras import AlgebraSpec, catalog, change_basis, validate
 from leibcoh.cochains import (
     CochainScheme,
+    leibniz_cohomology,
+    lie_cohomology,
     split_degree2,
     sym2_basis,
     sym2_inclusion,
@@ -19,8 +26,9 @@ from leibcoh.koszul import (
     koszul_matrix,
     uncoupling_report,
 )
-from leibcoh.linalg import Subspace
-from leibcoh.scalars import ONE, Scalar
+from leibcoh.formats import algebra_to_document, dumps_canonical
+from leibcoh.linalg import Matrix, Solver, Subspace
+from leibcoh.scalars import ONE, I, Scalar
 
 LIE_CASES = [
     ("abelian", (3,)),
@@ -226,3 +234,75 @@ def test_decompose_rejects_non_lie():
     spec = AlgebraSpec(2, {(1, 1): {0: ONE}}, kind="leibniz")
     with pytest.raises(ValueError):
         decompose_degree2(spec, "adjoint")
+
+
+def sheared(name):
+    """The catalog algebra in the basis y_j = e_j + (1 + i) e_(j+1)."""
+    spec = catalog(name)
+    d = spec.dim
+    cols = [{j: ONE, j + 1: ONE + I} if j + 1 < d else {j: ONE}
+            for j in range(d)]
+    return change_basis(spec, Matrix.from_columns(d, cols))
+
+
+@pytest.mark.parametrize("spec", [catalog(name, *params)
+                                  for name, params in LIE_CASES]
+                         + [sheared("diamond_e"), sheared("g54")],
+                         ids=[" ".join([name, *map(str, params)])
+                              for name, params in LIE_CASES]
+                         + ["sheared diamond_e", "sheared g54"])
+def test_uncoupling_counts_equal_decomposition_counts(spec):
+    # The count path builds no representative, so the decomposition's
+    # cocycle and solve checks vouch for it only through this equality.
+    report = validate(spec)
+    unc = uncoupling_report(spec, report)
+    assert unc.center_dim == report.c
+    assert unc.adjoint_coupled_dim == decompose_degree2(
+        spec, "adjoint", report).coupled_dim
+    assert unc.trivial_coupled_dim == decompose_degree2(
+        spec, "trivial", report).coupled_dim
+    assert uncoupling_report(spec) == unc
+
+
+def test_uncoupling_rejects_non_lie():
+    spec = AlgebraSpec(2, {(1, 1): {0: ONE}}, kind="leibniz")
+    with pytest.raises(ValueError):
+        uncoupling_report(spec)
+
+
+def test_koszul_command_runs_only_the_count_path(monkeypatch, capsys):
+    doc = dumps_canonical(algebra_to_document(catalog("g54")))
+
+    def run():
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert cli.main(["koszul"]) == 0
+        return capsys.readouterr().out
+
+    expected = run()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return koszul_data(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("not part of a koszul request")
+
+    modules = [module for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "leibcoh"]
+    for original, replacement in [
+        (koszul_data, counted),
+        (decompose_degree2, forbidden),
+        (leibniz_cohomology, forbidden),
+        (lie_cohomology, forbidden),
+        (Solver, forbidden),
+    ]:
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+    assert run() == expected
+    assert len(calls) == 1
+    section = json.loads(expected)["koszul"]
+    assert (section["adjoint_coupled_dim"], section["trivial_coupled_dim"]) \
+        == (2, 1)

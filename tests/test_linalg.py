@@ -19,6 +19,12 @@ def S(x):
     return Scalar(x)
 
 
+def from_dense(grid):
+    """A Matrix from a rectangular list of rows (zeros are dropped)."""
+    return Matrix(len(grid), len(grid[0]) if grid else 0,
+                  [dict(enumerate(r)) for r in grid])
+
+
 def random_matrix(rng, nrows, ncols, density=0.5):
     rows = []
     for _ in range(nrows):
@@ -59,7 +65,7 @@ def test_rref_zero():
 
 
 def test_rref_hand_example():
-    ech = row_echelon(Matrix.from_dense([[S(2), S(4)], [S(1), S(2)]]))
+    ech = row_echelon(from_dense([[S(2), S(4)], [S(1), S(2)]]))
     assert ech.rank == 1
     assert ech.sorted_rows() == [{0: S(1), 1: S(2)}]
     assert ech.sorted_pivots() == [0]
@@ -96,7 +102,7 @@ def test_rank_nullity_random():
 def test_image_examples():
     assert image(Matrix.zero(4, 2)).dim == 0
     # Rank-1 outer product of (1,2,-1) and (2,3).
-    outer = Matrix.from_dense([[S(2), S(3)], [S(4), S(6)], [S(-2), S(-3)]])
+    outer = from_dense([[S(2), S(3)], [S(4), S(6)], [S(-2), S(-3)]])
     assert image(outer).dim == 1
 
 
@@ -149,7 +155,7 @@ def test_solve_identity_and_inconsistent():
     rhs = {0: S(5), 2: S(-1)}
     assert Solver(m).solve(rhs) == rhs
     # x + y = 1 and x + y = 2 cannot both hold.
-    m2 = Matrix.from_dense([[S(1), S(1)], [S(1), S(1)]])
+    m2 = from_dense([[S(1), S(1)], [S(1), S(1)]])
     assert Solver(m2).solve({0: S(1), 1: S(2)}) is None
 
 
@@ -194,9 +200,9 @@ def test_subspace_canonical_equality():
 
 
 def test_matrix_transpose_and_columns():
-    m = Matrix.from_dense([[S(1), S(2), S(0)], [S(0), S(3), S(4)]])
+    m = from_dense([[S(1), S(2), S(0)], [S(0), S(3), S(4)]])
     t = m.transpose()
     assert t.nrows == 3 and t.ncols == 2
-    assert t.entry(1, 0) == S(2)
+    assert t.rows[1].get(0) == S(2)
     assert m.column(1) == {0: S(2), 1: S(3)}
     assert Matrix.from_columns(2, m.columns()) == m

@@ -263,6 +263,7 @@ def pair(s):
 @PROPERTY
 @given(sparse_vectors, accumulate_steps)
 @example({0: ONE}, [("at", 3, Scalar(0)), ("at", 0, -ONE)])
+@example({}, [("scaled", {0: Scalar(0)}, ONE)])
 def test_sparse_accumulate_matches_dense(start, steps):
     acc = dict(start)
     want = [(Fraction(0), Fraction(0))] * NCOORDS
