@@ -19,7 +19,6 @@ from .cochains import (
     CohomologySpace,
     leibniz_cohomology,
     lie_cohomology,
-    symmetric_cocycle_space,
 )
 from .deformations import (
     Deformation,
@@ -83,7 +82,6 @@ __all__ = [
     "CohomologySpace",
     "leibniz_cohomology",
     "lie_cohomology",
-    "symmetric_cocycle_space",
     "Deformation",
     "MasseyReport",
     "ObstructionClass",

@@ -16,10 +16,10 @@ weakly increasing pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
-from .linalg import (Matrix, Solver, Subspace, image, kernel, quotient_reps,
+from .linalg import (Matrix, Subspace, image, kernel, quotient_reps,
                      vec_add_at, vec_add_scaled)
 from .scalars import ONE, ZERO, Scalar
 
@@ -31,8 +31,6 @@ __all__ = [
     "leibniz_cohomology",
     "lie_cohomology",
     "lie_delta_matrix",
-    "symmetric_cocycle_space",
-    "split_degree2",
     "wedge_basis",
     "wedge_inclusion",
     "sym2_basis",
@@ -44,11 +42,12 @@ class CochainScheme:
     """An algebra together with a coefficient choice, adjoint or trivial.
 
     Holds the flat-index conventions and caches coboundary matrices (of
-    the full and the antisymmetric complex) and their kernels.
+    the full and the antisymmetric complex), their kernels, and the
+    antisymmetric inclusions.
     """
 
     __slots__ = ("spec", "coefficients", "dim", "adjoint", "_by_target",
-                 "_mats", "_lie_mats", "_cocycles")
+                 "_mats", "_lie_mats", "_wedge", "_cocycles")
 
     def __init__(self, spec, coefficients="adjoint"):
         if coefficients not in ("adjoint", "trivial"):
@@ -64,6 +63,7 @@ class CochainScheme:
         self._by_target = by_target
         self._mats = {}
         self._lie_mats = {}
+        self._wedge = {}
         self._cocycles = {}
 
     def cochain_dim(self, n: int) -> int:
@@ -213,8 +213,12 @@ def wedge_inclusion(scheme: CochainScheme, n: int) -> Matrix:
     """Antisymmetric cochains into tensor coordinates.
 
     The column for (k, i_1 < .. < i_n) is the signed sum over all
-    arrangements, with coefficient +1 on the increasing one.
+    arrangements, with coefficient +1 on the increasing one.  Cached on
+    the scheme; callers only read the matrix.
     """
+    mat = scheme._wedge.get(n)
+    if mat is not None:
+        return mat
     combs = wedge_basis(scheme.dim, n)
     cols = []
     for k in _heads(scheme):
@@ -224,7 +228,8 @@ def wedge_inclusion(scheme: CochainScheme, n: int) -> Matrix:
                 u = tuple(comb[p] for p in perm)
                 col[scheme.flat_index(k, u)] = Scalar(_perm_sign(perm))
             cols.append(col)
-    return Matrix.from_columns(scheme.cochain_dim(n), cols)
+    mat = scheme._wedge[n] = Matrix.from_columns(scheme.cochain_dim(n), cols)
+    return mat
 
 
 def sym2_basis(dim: int):
@@ -246,23 +251,6 @@ def sym2_inclusion(scheme: CochainScheme) -> Matrix:
                 col[scheme.flat_index(k, (j, i))] = ONE
             cols.append(col)
     return Matrix.from_columns(scheme.cochain_dim(2), cols)
-
-
-def split_degree2(scheme: CochainScheme, data: dict):
-    """Split a 2-cochain into its antisymmetric and symmetric parts."""
-    half = Scalar(1) / 2
-    anti = {}
-    sym = {}
-    for idx, v in data.items():
-        k, (i, j) = scheme.unflatten(2, idx)
-        hv = half * v
-        for target, flip in ((anti, True), (sym, False)):
-            for key, w in (
-                (scheme.flat_index(k, (i, j)), hv),
-                (scheme.flat_index(k, (j, i)), -hv if flip else hv),
-            ):
-                vec_add_at(target, key, w)
-    return anti, sym
 
 
 def _wedge_flat(scheme, ncombs, k, pos):
@@ -302,13 +290,19 @@ class CohomologySpace:
     """Cocycles, coboundaries, and chosen representatives in one degree.
 
     All three live in tensor coordinates of the ambient cochain space,
-    also for the antisymmetric subcomplex.
+    also for the antisymmetric subcomplex.  The representatives are
+    always `quotient_reps(cocycles, coboundaries)`, which also checks
+    that the coboundaries lie in the cocycles; `ClassCoordinates`
+    relies on both.
     """
 
     degree: int
     cocycles: Subspace
     coboundaries: Subspace
-    reps: list
+    reps: list = field(init=False)
+
+    def __post_init__(self):
+        self.reps = quotient_reps(self.cocycles, self.coboundaries)
 
     @property
     def z_dim(self):
@@ -329,7 +323,7 @@ def leibniz_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
         raise ValueError("degree must be at least 1")
     z = scheme.cocycles(n)
     b = image(scheme.delta_matrix(n - 1))
-    return CohomologySpace(n, z, b, quotient_reps(z, b))
+    return CohomologySpace(n, z, b)
 
 
 def _embed(mat: Matrix, space: Subspace, ambient: int) -> Subspace:
@@ -349,42 +343,32 @@ def lie_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
     incl_prev = wedge_inclusion(scheme, n - 1)
     b = Subspace(ambient,
                  [scheme.delta_apply(n - 1, col) for col in incl_prev.columns()])
-    return CohomologySpace(n, z, b, quotient_reps(z, b))
-
-
-def symmetric_cocycle_space(scheme: CochainScheme) -> Subspace:
-    """Symmetric Leibniz 2-cocycles, embedded in tensor coordinates."""
-    incl = sym2_inclusion(scheme)
-    cols = [scheme.delta_apply(2, col) for col in incl.columns()]
-    composed = Matrix.from_columns(scheme.cochain_dim(3), cols)
-    return _embed(incl, kernel(composed), scheme.cochain_dim(2))
+    return CohomologySpace(n, z, b)
 
 
 class ClassCoordinates:
     """Coordinates of cohomology classes over chosen representatives.
 
-    Cocycles are expanded over the coboundary basis followed by the
-    representatives; the representative block is the class coordinate
-    vector, which is unique because representatives are independent
-    modulo coboundaries.
+    Read off the two RREF echelons the space already holds, with no
+    further elimination.  B is inside Z, so every pivot of B's RREF is a
+    pivot of Z's, and the representatives are Z's RREF rows at the
+    remaining pivots.  The residue r of a vector modulo B is zero at
+    every B pivot; when r is a cocycle it is therefore the sum of r[p]
+    times the representative with pivot p, and the vector minus r lies
+    in B.  Coordinates over (B basis, representatives) are unique, so
+    these are the class coordinates.
     """
 
-    __slots__ = ("space", "_solver", "_offset")
+    __slots__ = ("space", "_rep_pivots")
 
     def __init__(self, space: CohomologySpace):
-        cols = space.coboundaries.basis() + [dict(r) for r in space.reps]
-        ambient = space.cocycles.ambient_dim
         self.space = space
-        self._solver = Solver(Matrix.from_columns(ambient, cols))
-        self._offset = space.coboundaries.dim
+        # The pivot of an RREF row is its first nonzero coordinate.
+        self._rep_pivots = [min(r) for r in space.reps]
 
     def coords(self, vec: dict):
         """Class coordinates of a cocycle, or None if vec is not one."""
-        sol = self._solver.solve(vec)
-        if sol is None:
+        r = self.space.coboundaries.reduce(vec)
+        if not self.space.cocycles.contains(r):
             return None
-        return [sol.get(self._offset + i, ZERO) for i in range(len(self.space.reps))]
-
-    def is_coboundary(self, vec: dict) -> bool:
-        coords = self.coords(vec)
-        return coords is not None and not any(coords)
+        return [r.get(p, ZERO) for p in self._rep_pivots]

@@ -232,7 +232,6 @@ class ObstructionClass:
     verdict: str | None            # "zero" | "coboundary" | "nontrivial"
     witness: dict | None = None
     class_coords: list | None = None
-    indeterminacy: Subspace | None = None
 
 
 def classify3(scheme: CochainScheme, chi: dict,
@@ -243,9 +242,9 @@ def classify3(scheme: CochainScheme, chi: dict,
     if context is None:
         context = ObstructionContext(scheme)
     chi = {k: v for k, v in chi.items() if v}
-    if not scheme.is_cocycle(3, chi):
-        return ObstructionClass(chi, closed=False, verdict=None)
     coords = context.classes.coords(chi)
+    if coords is None:
+        return ObstructionClass(chi, closed=False, verdict=None)
     if not chi:
         return ObstructionClass(chi, True, "zero", witness={},
                                 class_coords=coords)

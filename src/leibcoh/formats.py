@@ -58,6 +58,8 @@ def load_document(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(exc.msg, line=exc.lineno) from exc
+    except RecursionError as exc:
+        raise FormatError("document nested too deeply") from exc
     if not isinstance(doc, dict):
         raise FormatError("document must be a JSON object")
     return doc
@@ -68,6 +70,14 @@ def _check_keys(mapping, allowed, path):
         if key not in allowed:
             full = f"{path}.{key}" if path else str(key)
             raise FormatError("unknown field", field=full)
+
+
+def _basis_index(index, label, field):
+    if not isinstance(label, str):
+        raise FormatError("expected a basis name string", field=field)
+    if label not in index:
+        raise FormatError(f"unknown basis name {label!r}", field=field)
+    return index[label]
 
 
 def _structure(doc, coeff_parser, coeff_label):
@@ -97,14 +107,8 @@ def _structure(doc, coeff_parser, coeff_label):
         if not isinstance(entry, dict):
             raise FormatError("expected an object", field=path)
         _check_keys(entry, _ENTRY_FIELDS, path)
-        pair = []
-        for side in ("left", "right"):
-            label = entry.get(side)
-            if label not in index:
-                raise FormatError(f"unknown basis name {label!r}",
-                                  field=f"{path}.{side}")
-            pair.append(index[label])
-        key = tuple(pair)
+        key = tuple(_basis_index(index, entry.get(side), f"{path}.{side}")
+                    for side in ("left", "right"))
         if key in brackets:
             raise FormatError("duplicate bracket pair", field=path)
         value = entry.get("value")
@@ -116,11 +120,7 @@ def _structure(doc, coeff_parser, coeff_label):
             if not isinstance(term, dict):
                 raise FormatError("expected an object", field=vpath)
             _check_keys(term, _TERM_FIELDS, vpath)
-            label = term.get("basis")
-            if label not in index:
-                raise FormatError(f"unknown basis name {label!r}",
-                                  field=f"{vpath}.basis")
-            k = index[label]
+            k = _basis_index(index, term.get("basis"), f"{vpath}.basis")
             if k in cell:
                 raise FormatError("duplicate basis component",
                                   field=f"{vpath}.basis")

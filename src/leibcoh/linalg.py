@@ -390,9 +390,11 @@ def quotient_reps(a: Subspace, b: Subspace):
 class Solver:
     """Repeated-solve helper: RREF of m with row operations tracked.
 
-    Solving m x = b for many right-hand sides b is the hot path in the
-    obstruction calculus.  The elimination is done once on rows of
-    [m | identity]; each solve is then a handful of sparse dot products.
+    Serves the obstruction witnesses (solves against the degree-2
+    coboundary), the coupled-block corrector of the degree-2
+    decomposition, and basis changes.  The elimination is done once on
+    rows of [m | identity]; each solve is then a handful of sparse dot
+    products.
     The returned solution is the particular solution with zeros in all
     free coordinates (exactly what per-call RREF of [m | b] would give).
     """

@@ -239,7 +239,10 @@ def parse_poly(text: str, params) -> Poly:
     """Parse an expression in +, -, *, ^, parentheses, rational and
     imaginary literals, and the declared parameter names."""
     parser = _Parser(_tokenize(text), tuple(params))
-    out = parser.expr()
+    try:
+        out = parser.expr()
+    except RecursionError:
+        raise ValueError("expression nested too deeply") from None
     if parser.pos != len(parser.tokens):
         leftover = parser.tokens[parser.pos][1]
         raise ValueError(f"unexpected token {leftover!r} after expression")

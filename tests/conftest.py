@@ -3,10 +3,36 @@
 import pytest
 
 from leibcoh.algebras import catalog
-from leibcoh.cochains import CochainScheme
+from leibcoh.cochains import CochainScheme, sym2_inclusion
+from leibcoh.linalg import Matrix, Subspace, kernel, vec_add_at
 from leibcoh.scalars import ONE, Scalar
 
 HALF = Scalar(1) / 2
+
+
+def symmetric_cocycle_space(scheme):
+    """Symmetric Leibniz 2-cocycles, embedded in tensor coordinates."""
+    incl = sym2_inclusion(scheme)
+    cols = [scheme.delta_apply(2, col) for col in incl.columns()]
+    composed = Matrix.from_columns(scheme.cochain_dim(3), cols)
+    return Subspace(scheme.cochain_dim(2),
+                    [incl.matvec(v) for v in kernel(composed).basis()])
+
+
+def split_degree2(scheme, data):
+    """Split a 2-cochain into its antisymmetric and symmetric parts."""
+    anti = {}
+    sym = {}
+    for idx, v in data.items():
+        k, (i, j) = scheme.unflatten(2, idx)
+        hv = HALF * v
+        for target, flip in ((anti, True), (sym, False)):
+            for key, w in (
+                (scheme.flat_index(k, (i, j)), hv),
+                (scheme.flat_index(k, (j, i)), -hv if flip else hv),
+            ):
+                vec_add_at(target, key, w)
+    return anti, sym
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,6 @@ from leibcoh.cochains import (
     lie_cohomology,
     sym2_basis,
     sym2_inclusion,
-    symmetric_cocycle_space,
     wedge_basis,
     wedge_inclusion,
 )
@@ -35,7 +34,7 @@ from leibcoh.koszul import decompose_degree2, koszul_data, uncoupling_report
 from leibcoh.linalg import Subspace, vec_add_scaled
 from leibcoh.polynomials import parse_poly
 from leibcoh.scalars import ONE, Scalar
-from tests.conftest import diamond_phi_basis
+from tests.conftest import diamond_phi_basis, symmetric_cocycle_space
 from tests.test_algebras import CATALOG_CASES
 
 _CACHE = {}

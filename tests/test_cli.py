@@ -144,6 +144,39 @@ def test_parse_error_names_field():
     assert "field 'bracket'" in result.stderr
 
 
+def _one_bracket_doc(left="x1", right="x2", basis="x1", coeff="1",
+                     params=None):
+    doc = {"dim": 2, "brackets": [{"left": left, "right": right,
+                                   "value": [{"basis": basis, "coeff": coeff}]}]}
+    if params is not None:
+        doc["params"] = params
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text,where", [
+    (_one_bracket_doc(left=["x1"]), "field 'brackets[0].left'"),
+    (_one_bracket_doc(right={"x": 1}), "field 'brackets[0].right'"),
+    (_one_bracket_doc(basis=["x1"]), "field 'brackets[0].value[0].basis'"),
+    ("[" * 100000 + "]" * 100000, "nested too deeply"),
+    (_one_bracket_doc(coeff="(" * 3000 + "t" + ")" * 3000, params=["t"]),
+     "field 'brackets[0].value[0].coeff'"),
+], ids=["list_left", "object_right", "list_basis", "deep_json", "deep_coeff"])
+def test_malformed_documents_exit_two_without_traceback(text, where):
+    result = run_cli(["validate"], text)
+    assert result.returncode == 2
+    assert where in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_deeply_nested_ideal_entry_is_a_usage_error():
+    nested = "(" * 3000 + "t" + ")" * 3000
+    result = run_cli(["versal", "--ideal", nested], _versal_doc())
+    assert result.returncode == 1
+    assert "--ideal entry" in result.stderr
+    assert "nested too deeply" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_unknown_catalog_name_lists_options():
     result = run_cli(["catalog", "nosuch"])
     assert result.returncode == 1

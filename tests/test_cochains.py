@@ -12,15 +12,14 @@ from leibcoh.cochains import (
     leibniz_cohomology,
     lie_cohomology,
     lie_delta_matrix,
-    split_degree2,
     sym2_inclusion,
-    symmetric_cocycle_space,
     wedge_basis,
     wedge_inclusion,
 )
 from leibcoh.linalg import (Echelon, Matrix, Subspace, image, kernel,
                             vec_add_scaled)
 from leibcoh.scalars import ONE, Scalar
+from tests.conftest import split_degree2, symmetric_cocycle_space
 
 
 def intersect(a, b):
@@ -218,6 +217,14 @@ def test_wedge_inclusion_example():
     incl = wedge_inclusion(scheme, 2)
     assert wedge_basis(3, 2) == [(0, 1), (0, 2), (1, 2)]
     assert incl.column(0) == {1: ONE, 3: -ONE}
+
+
+def test_wedge_inclusion_is_cached_per_degree():
+    scheme = CochainScheme(catalog("g54"), "adjoint")
+    assert wedge_inclusion(scheme, 2) is wedge_inclusion(scheme, 2)
+    assert wedge_inclusion(scheme, 1) is not wedge_inclusion(scheme, 2)
+    other = CochainScheme(catalog("g54"), "trivial")
+    assert wedge_inclusion(other, 2) is not wedge_inclusion(scheme, 2)
 
 
 def test_coboundary_preserves_antisymmetry_on_lie(diamond_adj, g54_triv):

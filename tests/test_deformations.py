@@ -1,6 +1,7 @@
 """Composition products, defect series, and order-by-order extension."""
 
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -24,7 +25,7 @@ from leibcoh.deformations import (
     mu0_cochain,
     verify_versal,
 )
-from leibcoh.linalg import Subspace, kernel, vec_add_scaled
+from leibcoh.linalg import Solver, Subspace, image, kernel, vec_add_scaled
 from leibcoh.scalars import ONE, Scalar
 from tests.conftest import diamond_phi_basis
 
@@ -299,6 +300,45 @@ def test_classify3_verdicts_and_witness():
     assert not scheme.is_cocycle(3, stray)
     open_case = classify3(scheme, stray, context)
     assert not open_case.closed and open_case.verdict is None
+
+
+def test_classify3_reads_the_built_context_without_eliminating(monkeypatch):
+    # The context eliminates once per matrix it needs: kernel(δ3) and
+    # image(δ2) for the cohomology, one Solver of δ2 for the witnesses.
+    # Classifying afterwards needs no elimination and no coboundary.
+    scheme = CochainScheme(catalog("diamond_e"), "adjoint")
+    phis = diamond_phi_basis(scheme)
+    solver_init = Solver.__init__
+    built = []
+
+    def counted(self, m):
+        built.append(m)
+        solver_init(self, m)
+
+    monkeypatch.setattr(Solver, "__init__", counted)
+    context = ObstructionContext(scheme)
+    assert built == [scheme.delta_matrix(2)]
+    cochains = [bracket2(scheme, phis[a], phis[b])
+                for a in phis for b in phis if a <= b]
+    cochains += [{}, scheme.delta_apply(2, {scheme.flat_index(0, (1, 2)): ONE}),
+                 {scheme.flat_index(0, (1, 2, 3)): ONE}]
+    expected = [classify3(scheme, chi, context) for chi in cochains]
+    assert {oc.verdict for oc in expected} == \
+        {"zero", "coboundary", "nontrivial", None}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("classify3 must not eliminate or apply δ")
+
+    monkeypatch.setattr(Solver, "__init__", forbidden)
+    monkeypatch.setattr(CochainScheme, "delta_apply", forbidden)
+    modules = [module for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "leibcoh"]
+    for original in (kernel, image):
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, forbidden)
+    assert [classify3(scheme, chi, context) for chi in cochains] == expected
 
 
 def test_classify3_verdict_stable_under_representative_shift():

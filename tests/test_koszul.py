@@ -12,10 +12,8 @@ from leibcoh.cochains import (
     CochainScheme,
     leibniz_cohomology,
     lie_cohomology,
-    split_degree2,
     sym2_basis,
     sym2_inclusion,
-    symmetric_cocycle_space,
     wedge_basis,
     wedge_inclusion,
 )
@@ -29,6 +27,7 @@ from leibcoh.koszul import (
 from leibcoh.formats import algebra_to_document, dumps_canonical
 from leibcoh.linalg import Matrix, Solver, Subspace
 from leibcoh.scalars import ONE, I, Scalar
+from tests.conftest import split_degree2, symmetric_cocycle_space
 
 LIE_CASES = [
     ("abelian", (3,)),

@@ -3,12 +3,14 @@
 Echelon invariants and its column-occupancy index after random insert
 sequences, kernel and image against sympy `DomainMatrix` RREF over QQ
 and QQ_I, the trusted arithmetic constructor against the coercing one,
-and the two sparse-accumulate primitives against dense arithmetic.
+the two sparse-accumulate primitives against dense arithmetic, and
+class coordinates against a solve over coboundaries and representatives.
 Runs are derandomized, so the suite stays deterministic.
 """
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -21,15 +23,22 @@ from sympy import QQ, QQ_I  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 import leibcoh  # noqa: E402
+from leibcoh.algebras import AlgebraSpec, catalog, change_basis  # noqa: E402
+from leibcoh.cochains import (  # noqa: E402
+    ClassCoordinates,
+    CochainScheme,
+    leibniz_cohomology,
+)
 from leibcoh.linalg import (  # noqa: E402
     Echelon,
     Matrix,
+    Solver,
     image,
     kernel,
     vec_add_at,
     vec_add_scaled,
 )
-from leibcoh.scalars import ONE, Scalar, format_scalar  # noqa: E402
+from leibcoh.scalars import I, ONE, ZERO, Scalar, format_scalar  # noqa: E402
 
 BACKEND = type(ONE.re)
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=150)
@@ -301,3 +310,73 @@ def test_accumulate_idiom_lives_only_in_linalg():
               for lineno, line in enumerate(path.read_text().splitlines(), 1)
               if ACCUMULATE.search(line)]
     assert copies == [], "accumulate into a sparse map with linalg.vec_add_at"
+
+
+def solver_coordinates(space):
+    """Class coordinates by one tracked elimination of [B basis | reps]:
+    the construction the pivot read-off must reproduce exactly."""
+    cols = space.coboundaries.basis() + [dict(r) for r in space.reps]
+    solver = Solver(Matrix.from_columns(space.cocycles.ambient_dim, cols))
+    offset = space.coboundaries.dim
+
+    def coords(vec):
+        sol = solver.solve(vec)
+        if sol is None:
+            return None
+        return [sol.get(offset + i, ZERO) for i in range(len(space.reps))]
+    return coords
+
+
+# diamond_e in the basis y_1 = e_1 + (1 + i) e_2, y_j = e_j otherwise:
+# Q(i) structure constants, cheaper to eliminate in degree 3 than a
+# shear of every basis vector.
+GAUSSIAN_DIAMOND = change_basis(catalog("diamond_e"), Matrix.from_columns(
+    4, [{0: ONE}, {1: ONE, 2: ONE + I}, {2: ONE}, {3: ONE}]))
+COORDINATE_ALGEBRAS = [
+    ("sl2", catalog("sl2")),
+    ("heisenberg 1", catalog("heisenberg", 1)),
+    ("diamond_e", catalog("diamond_e")),
+    ("one-sided square", AlgebraSpec(2, {(1, 1): {0: ONE}}, kind="leibniz")),
+    ("gaussian diamond_e", GAUSSIAN_DIAMOND),
+]
+COORDINATE_CASES = [(label, spec, coefficients, n)
+                    for label, spec in COORDINATE_ALGEBRAS
+                    for coefficients in ("adjoint", "trivial")
+                    for n in (2, 3)]
+
+
+@lru_cache(maxsize=None)
+def coordinate_case(case):
+    _, spec, coefficients, n = COORDINATE_CASES[case]
+    space = leibniz_cohomology(CochainScheme(spec, coefficients), n)
+    return space, ClassCoordinates(space), solver_coordinates(space)
+
+
+def combination(draw, vectors):
+    out = {}
+    if vectors:
+        picks = draw(st.lists(st.tuples(st.integers(0, len(vectors) - 1),
+                                        any_scalars), max_size=4))
+        for j, c in picks:
+            vec_add_scaled(out, vectors[j], c)
+    return out
+
+
+@PROPERTY
+@given(st.integers(0, len(COORDINATE_CASES) - 1), st.data())
+def test_class_coordinates_match_solver_reference(case, data):
+    space, classes, reference = coordinate_case(case)
+    cocycle = combination(data.draw, space.cocycles.basis())
+    vec_add_scaled(cocycle, combination(data.draw, space.reps), ONE)
+    got = classes.coords(cocycle)
+    assert got is not None
+    assert got == reference(cocycle)
+    # A random cochain: a cocycle plus a few basis cochains, so that
+    # both closed and non-closed inputs occur.
+    ambient = space.cocycles.ambient_dim
+    noise = data.draw(st.dictionaries(st.integers(0, ambient - 1),
+                                      any_scalars, max_size=3))
+    vec = dict(cocycle)
+    for j, c in noise.items():
+        vec_add_at(vec, j, c)
+    assert classes.coords(vec) == reference(vec)
