@@ -11,6 +11,7 @@ The convention throughout is the right Leibniz identity
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .linalg import (LinalgError, Matrix, Solver, Subspace, kernel,
                      vec_add_at, vec_add_scaled)
@@ -20,6 +21,7 @@ __all__ = [
     "AlgebraSpec",
     "StructureReport",
     "validate",
+    "is_right_leibniz",
     "catalog",
     "catalog_names",
     "change_basis",
@@ -110,6 +112,28 @@ class StructureReport:
         return "invalid"
 
 
+def is_right_leibniz(spec: AlgebraSpec) -> bool:
+    """Whether [[x,y],z] = [[x,z],y] + [x,[y,z]] on every basis triple."""
+    table = spec.table
+    for row in table:
+        for j, bij in enumerate(row):
+            for k, bjk in enumerate(table[j]):
+                bik = row[k]
+                if not (bij or bik or bjk):
+                    continue
+                # [[x,y],z] - [[x,z],y] - [x,[y,z]], x, y, z = e_i, e_j, e_k.
+                defect = {}
+                for m, c in bij.items():
+                    vec_add_scaled(defect, table[m][k], c)
+                for m, c in bik.items():
+                    vec_add_scaled(defect, table[m][j], -c)
+                for m, c in bjk.items():
+                    vec_add_scaled(defect, row[m], -c)
+                if defect:
+                    return False
+    return True
+
+
 def validate(spec: AlgebraSpec) -> StructureReport:
     """Check antisymmetry, Jacobi, and the right Leibniz identity, and
     compute the center and derived subalgebra.
@@ -130,34 +154,20 @@ def validate(spec: AlgebraSpec) -> StructureReport:
         if not anti:
             break
 
+    table = spec.table
     jacobi = True
-    leibniz = True
-    for i in range(d):
-        ei = {i: ONE}
-        for j in range(d):
-            ej = {j: ONE}
-            bij = spec.table[i][j]
-            for k in range(d):
-                ek = {k: ONE}
-                xy_z = spec.bracket_vec(bij, ek)
-                xz_y = spec.bracket_vec(spec.table[i][k], ej)
-                x_yz = spec.bracket_vec(ei, spec.table[j][k])
-                # Right Leibniz: [[x,y],z] - [[x,z],y] - [x,[y,z]] = 0.
-                defect = dict(xy_z)
-                for vec in (xz_y, x_yz):
-                    for m, v in vec.items():
-                        vec_add_at(defect, m, -v)
-                if defect:
-                    leibniz = False
-                if jacobi:
-                    yz_x = spec.bracket_vec(spec.table[j][k], ei)
-                    zx_y = spec.bracket_vec(spec.table[k][i], ej)
-                    cyc = dict(xy_z)
-                    for vec in (yz_x, zx_y):
-                        for m, v in vec.items():
-                            vec_add_at(cyc, m, v)
-                    if cyc:
-                        jacobi = False
+    for i, j, k in product(range(d), repeat=3):
+        bij, bjk, bki = table[i][j], table[j][k], table[k][i]
+        if not (bij or bjk or bki):
+            continue
+        # [[x,y],z] + [[y,z],x] + [[z,x],y], x, y, z = e_i, e_j, e_k.
+        cyc = {}
+        for cell, z in ((bij, k), (bjk, i), (bki, j)):
+            for m, c in cell.items():
+                vec_add_scaled(cyc, table[m][z], c)
+        if cyc:
+            jacobi = False
+            break
 
     # Center: x with [x, e_j] = [e_j, x] = 0 for all j.  Columns of the
     # constraint matrix are indexed by basis vectors, rows by the pair
@@ -180,7 +190,7 @@ def validate(spec: AlgebraSpec) -> StructureReport:
     return StructureReport(
         is_antisymmetric=anti,
         is_jacobi=jacobi,
-        is_leibniz=leibniz,
+        is_leibniz=is_right_leibniz(spec),
         center_basis=center,
         derived_basis=derived,
         p=d - derived.dim,

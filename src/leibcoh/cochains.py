@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
-from .linalg import (Matrix, Subspace, image, kernel, quotient_reps,
-                     vec_add_at, vec_add_scaled)
+from .algebras import is_right_leibniz
+from .linalg import (Matrix, Subspace, certified_kernel, image, kernel,
+                     quotient_reps, vec_add_at, vec_add_scaled)
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
@@ -42,12 +43,13 @@ class CochainScheme:
     """An algebra together with a coefficient choice, adjoint or trivial.
 
     Holds the flat-index conventions and caches coboundary matrices (of
-    the full and the antisymmetric complex), their kernels, and the
-    antisymmetric inclusions.
+    the full and the antisymmetric complex), their kernels and images,
+    and the antisymmetric inclusions.
     """
 
     __slots__ = ("spec", "coefficients", "dim", "adjoint", "_by_target",
-                 "_mats", "_lie_mats", "_wedge", "_cocycles")
+                 "_mats", "_lie_mats", "_wedge", "_cocycles",
+                 "_coboundaries", "_leibniz")
 
     def __init__(self, spec, coefficients="adjoint"):
         if coefficients not in ("adjoint", "trivial"):
@@ -65,6 +67,8 @@ class CochainScheme:
         self._lie_mats = {}
         self._wedge = {}
         self._cocycles = {}
+        self._coboundaries = {}
+        self._leibniz = None
 
     def cochain_dim(self, n: int) -> int:
         base = self.dim ** n
@@ -152,11 +156,31 @@ class CochainScheme:
         return mat
 
     def cocycles(self, n: int) -> Subspace:
-        """Kernel of the degree-n coboundary, cached; callers only read it."""
+        """Kernel of the degree-n coboundary, cached; callers only read it.
+
+        When the algebra satisfies the right Leibniz identity, checked
+        exactly once per scheme, delta o delta = 0 puts the coboundaries
+        inside the kernel, and `certified_kernel` takes them as known.
+        """
         z = self._cocycles.get(n)
         if z is None:
-            z = self._cocycles[n] = kernel(self.delta_matrix(n))
+            if self._leibniz is None:
+                self._leibniz = is_right_leibniz(self.spec)
+            if n >= 1 and self._leibniz:
+                z = certified_kernel(self.delta_matrix(n),
+                                     self.coboundaries(n))
+            else:
+                z = kernel(self.delta_matrix(n))
+            self._cocycles[n] = z
         return z
+
+    def coboundaries(self, n: int) -> Subspace:
+        """Image of the degree-(n-1) coboundary, cached; callers only
+        read it."""
+        b = self._coboundaries.get(n)
+        if b is None:
+            b = self._coboundaries[n] = image(self.delta_matrix(n - 1))
+        return b
 
     def is_cocycle(self, n: int, data: dict) -> bool:
         return not self.delta_apply(n, data)
@@ -321,9 +345,7 @@ def leibniz_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
     """Cocycles mod coboundaries of the full complex in degree n >= 1."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-    z = scheme.cocycles(n)
-    b = image(scheme.delta_matrix(n - 1))
-    return CohomologySpace(n, z, b)
+    return CohomologySpace(n, scheme.cocycles(n), scheme.coboundaries(n))
 
 
 def _embed(mat: Matrix, space: Subspace, ambient: int) -> Subspace:

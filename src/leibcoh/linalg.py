@@ -13,9 +13,15 @@ The canonical form used everywhere is the reduced row echelon form: a
 Subspace is identified with the unique RREF basis of its span, so two
 subspaces are equal exactly when their bases are identical.  Every
 "choose a representative" step higher up is made deterministic by this.
+
+`certified_kernel` also takes ranks modulo a fixed prime, on plain ints
+in maps of their own.  Such a rank never decides a result by itself: it
+only proves that a known exact subspace is a whole block of the kernel.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -26,6 +32,7 @@ __all__ = [
     "Subspace",
     "Solver",
     "kernel",
+    "certified_kernel",
     "image",
     "quotient_reps",
 ]
@@ -347,22 +354,179 @@ class Subspace:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """{v : m v = 0} as a canonical Subspace of the column space."""
-    ech = Echelon(m.ncols)
-    for r in m.rows:
+    """{v : m v = 0} as a canonical Subspace of the column space, by
+    exact elimination of every row; `certified_kernel` gives the same
+    Subspace with less exact work when a part of it is known."""
+    return Subspace._from_echelon(
+        m.ncols, _null_echelon(m.rows, range(m.ncols), m.ncols))
+
+
+def _null_echelon(rows, columns, ncols: int) -> Echelon:
+    """RREF echelon of the null space of `rows` inside the coordinates
+    `columns` (increasing), which hold every entry of every row."""
+    ech = Echelon(ncols)
+    for r in rows:
         ech.insert(r)
     pivot_rows = ech.pivot_rows
     # One free-column vector e_f - sum_p prow[f] e_p per non-pivot f,
     # filled by one pass over the rows, so each lists its pivots in
     # pivot_rows order.
-    free = {f: {f: ONE} for f in range(m.ncols) if f not in pivot_rows}
+    free = {f: {f: ONE} for f in columns if f not in pivot_rows}
     for p, prow in pivot_rows.items():
         for c, v in prow.items():
             if c != p:
                 free[c][p] = -v
-    out = Echelon(m.ncols)
+    out = Echelon(ncols)
     for v in free.values():
         out.insert(v)
+    return out
+
+
+# Reduction modulo PRIME sends i to PRIME_I.  PRIME is 1 mod 4, so -1 has
+# the square root PRIME_I and the map is a ring map on every Gaussian
+# rational whose denominators PRIME does not divide.
+PRIME = 1073741789
+PRIME_I = 933053945
+
+
+def _mod_prime(s: Scalar):
+    """Image of s modulo PRIME, or None if PRIME divides a denominator."""
+    re = s.re
+    x = int(re.numerator)
+    den = int(re.denominator)
+    if den != 1:
+        if not den % PRIME:
+            return None
+        x *= pow(den, -1, PRIME)
+    im = s.im
+    if im:
+        y = int(im.numerator) * PRIME_I
+        den = int(im.denominator)
+        if den != 1:
+            if not den % PRIME:
+                return None
+            y *= pow(den, -1, PRIME)
+        x += y
+    return x % PRIME
+
+
+def _rank_mod_prime_reaches(rows, target: int) -> bool:
+    """Whether the rank modulo PRIME of the rows, read shortest first,
+    reaches target before an entry without an image modulo PRIME is
+    read."""
+    if target <= 0:
+        return True
+    pivots = {}  # pivot column -> row, monic, zero left of the pivot
+    # Short rows make sparse pivot rows: on gl 3 in degree 3, reading
+    # the rows in matrix order took twice as long through fill-in.
+    for row in sorted(rows, key=len):
+        r = {}
+        for c, v in row.items():
+            x = _mod_prime(v)
+            if x is None:
+                return False
+            if x:
+                r[c] = x
+        while r:
+            p = min(r)
+            prow = pivots.get(p)
+            if prow is None:
+                inv = pow(r[p], -1, PRIME)
+                pivots[p] = {c: v * inv % PRIME for c, v in r.items()}
+                if len(pivots) == target:
+                    return True
+                break
+            factor = r.pop(p)
+            for c, v in prow.items():
+                if c != p:
+                    w = (r.get(c, 0) - factor * v) % PRIME
+                    if w:
+                        r[c] = w
+                    else:
+                        r.pop(c, None)
+    return False
+
+
+def _partition(m: Matrix, known: Subspace):
+    """Split m's columns into blocks and certify each block modulo PRIME.
+
+    The blocks are the connected components of the supports of m's
+    nonzero rows and of known's RREF rows, so ker m and known both split
+    by block.  A block b is certified when the rank of its rows modulo
+    PRIME reaches |b| - dim known_b.  Returns known's RREF rows on the
+    certified blocks, then m's rows and the increasing columns of all
+    the other blocks.
+    """
+    n = m.ncols
+    parent = list(range(n))
+    known_rows = known._ech.sorted_rows()
+    for row in chain(m.rows, known_rows):
+        if len(row) < 2:
+            continue
+        it = iter(row)
+        a = next(it)
+        # Union-find with path halving: parent[x] skips to its grandparent.
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        for c in it:
+            while parent[c] != c:
+                parent[c] = c = parent[parent[c]]
+            if c != a:
+                parent[c] = a
+    root = []
+    for c in range(n):
+        while parent[c] != c:
+            c = parent[c]
+        root.append(c)
+    block_cols, block_rows, block_known = {}, {}, {}
+    for c, b in enumerate(root):
+        block_cols.setdefault(b, []).append(c)
+    for r in m.rows:
+        if r:
+            block_rows.setdefault(root[next(iter(r))], []).append(r)
+    for r in known_rows:
+        block_known.setdefault(root[next(iter(r))], []).append(r)
+
+    kept, rows, columns = [], [], []
+    for b, cols in block_cols.items():
+        krows = block_known.get(b, ())
+        brows = block_rows.get(b, ())
+        if _rank_mod_prime_reaches(brows, len(cols) - len(krows)):
+            kept.extend(krows)
+        else:
+            rows.extend(brows)
+            columns.extend(cols)
+    columns.sort()
+    return kept, rows, columns
+
+
+def certified_kernel(m: Matrix, known: Subspace) -> Subspace:
+    """{v : m v = 0}, the same canonical Subspace as `kernel(m)`, given a
+    subspace `known` of it.
+
+    Precondition: m v = 0 for every v in `known`.  Nothing checks it
+    (the cochain schemes derive it from the right Leibniz identity);
+    without it the result can be wrong.
+
+    The certificate, on each block b of `_partition`: reduction modulo
+    PRIME is a ring map, so no rank modulo PRIME exceeds the exact rank
+    of the same rows, and dim ker m_b = |b| - rank m_b is at most |b|
+    minus any such rank.  Once that rank reaches |b| - dim known_b,
+    ker m_b has at most the dimension of known_b, which lies in it, so
+    ker m_b = known_b exactly and the block takes known's RREF rows.
+    Every other block is eliminated exactly on its own rows, with free
+    columns drawn from its own coordinates: a block with cohomology, and
+    one where an entry whose denominator PRIME divides was read before
+    the rank got there.  The RREF of a sum over disjoint coordinate
+    blocks is the union of the block RREFs, so the basis, and every
+    representative taken from it, is the one `kernel` gives.
+    """
+    if known.ambient_dim != m.ncols:
+        raise LinalgError("ambient dimension mismatch")
+    kept, rows, columns = _partition(m, known)
+    out = _null_echelon(rows, columns, m.ncols)
+    for r in kept:
+        out.insert(r)
     return Subspace._from_echelon(m.ncols, out)
 
 

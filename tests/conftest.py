@@ -2,7 +2,7 @@
 
 import pytest
 
-from leibcoh.algebras import catalog
+from leibcoh.algebras import catalog, change_basis
 from leibcoh.cochains import CochainScheme, sym2_inclusion
 from leibcoh.linalg import Matrix, Subspace, kernel, vec_add_at
 from leibcoh.scalars import ONE, Scalar
@@ -17,6 +17,13 @@ def symmetric_cocycle_space(scheme):
     composed = Matrix.from_columns(scheme.cochain_dim(3), cols)
     return Subspace(scheme.cochain_dim(2),
                     [incl.matvec(v) for v in kernel(composed).basis()])
+
+
+def shear(spec, a, b, c):
+    """spec in the basis y_a = e_a + c e_b, y_j = e_j otherwise."""
+    cols = [{j: ONE} for j in range(spec.dim)]
+    cols[a][b] = c
+    return change_basis(spec, Matrix.from_columns(spec.dim, cols))
 
 
 def split_degree2(scheme, data):

@@ -1,0 +1,103 @@
+"""The modular certificate behind `CochainScheme.cocycles`.
+
+A block of coordinates takes the coboundaries as its cocycles only when
+a rank modulo PRIME proves that nothing else is there.  These tests pin
+the fixed prime, how much the certificate covers, that it never claims
+a block whose rank modulo PRIME collapses or cannot be formed, and that
+the gate on the Leibniz identity keeps non-Leibniz tables on the exact
+path, where their missing delta o delta = 0 raises.
+"""
+
+from math import isqrt
+
+import pytest
+
+from leibcoh.algebras import AlgebraSpec, catalog, is_right_leibniz
+from leibcoh.cochains import CochainScheme, leibniz_cohomology
+from leibcoh.linalg import (PRIME, PRIME_I, LinalgError, _partition,
+                            certified_kernel, kernel)
+from leibcoh.scalars import ONE, Scalar
+
+
+def test_prime_is_one_mod_four_with_a_root_of_minus_one():
+    assert all(PRIME % q for q in range(2, isqrt(PRIME) + 1))
+    assert PRIME % 4 == 1
+    assert PRIME_I * PRIME_I % PRIME == PRIME - 1
+
+
+def certified_coordinates(scheme, n):
+    m = scheme.delta_matrix(n)
+    _, _, residual = _partition(m, scheme.coboundaries(n))
+    return m.ncols - len(residual)
+
+
+# (algebra, coefficients) -> certified coordinates in degrees 1, 2, 3,
+# out of 36, 216, 1296 (sl2_plus_abelian 3 adjoint), 6, 36, 216, and
+# 16, 64, 256 (diamond_e adjoint).  In each degree the rest is
+# cohomology or lies in one block with it.
+CERTIFIED = {
+    (("sl2_plus_abelian", 3), "adjoint"): (27, 189, 1215),
+    (("sl2_plus_abelian", 3), "trivial"): (3, 27, 189),
+    (("diamond_e",), "adjoint"): (9, 33, 129),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CERTIFIED), ids=str)
+def test_certified_coordinate_counts(key):
+    (name, *params), coefficients = key
+    scheme = CochainScheme(catalog(name, *params), coefficients)
+    got = tuple(certified_coordinates(scheme, n) for n in (1, 2, 3))
+    assert got == CERTIFIED[key]
+
+
+def scaled(spec, factor):
+    """Every bracket times factor: isomorphic to spec through x -> factor x."""
+    brackets = {(i, j): {k: factor * v for k, v in value.items()}
+                for i, j, value in spec.nonzero_brackets()}
+    return AlgebraSpec(spec.dim, brackets, kind=spec.kind, name=spec.name)
+
+
+# Scaled by PRIME, every coboundary entry is 0 modulo PRIME; scaled by
+# 1/PRIME, no entry has an image modulo PRIME.
+@pytest.mark.parametrize("factor", [Scalar(PRIME), ONE / PRIME],
+                         ids=["p", "1/p"])
+@pytest.mark.parametrize("name", ["diamond_e", "g54"])
+@pytest.mark.parametrize("coefficients", ["adjoint", "trivial"])
+def test_collapsed_ranks_certify_no_block(name, factor, coefficients):
+    base = CochainScheme(catalog(name), coefficients)
+    scheme = CochainScheme(scaled(catalog(name), factor), coefficients)
+    for n in (1, 2, 3):
+        m = scheme.delta_matrix(n)
+        kept, _, residual = _partition(m, scheme.coboundaries(n))
+        # Only blocks that the coboundaries fill may pass: they need no rank.
+        assert len(kept) == m.ncols - len(residual)
+        got = leibniz_cohomology(scheme, n)
+        want = leibniz_cohomology(base, n)
+        assert (got.z_dim, got.b_dim) == (want.z_dim, want.b_dim)
+        assert got.cocycles == kernel(m)
+
+
+# Tables that fail the right Leibniz identity, with the coefficient
+# choice and degree where the coboundaries leave the cocycles.  Taking
+# the coboundaries as known there would certify blocks that are wrong.
+TABLE_1 = {(0, 0): {1: Scalar(2)}, (0, 1): {1: ONE}}
+TABLE_2 = {(0, 0): {1: ONE}, (0, 2): {1: -ONE}, (2, 1): {1: -ONE}}
+NON_LEIBNIZ = [(TABLE_1, "adjoint", 1), (TABLE_1, "adjoint", 2),
+               (TABLE_1, "trivial", 2), (TABLE_2, "adjoint", 3),
+               (TABLE_2, "trivial", 3)]
+
+
+@pytest.mark.parametrize("table, coefficients, n", NON_LEIBNIZ)
+def test_non_leibniz_tables_still_raise(table, coefficients, n):
+    spec = AlgebraSpec(3, table, kind="leibniz")
+    assert not is_right_leibniz(spec)
+    scheme = CochainScheme(spec, coefficients)
+    with pytest.raises(LinalgError):
+        leibniz_cohomology(scheme, n)
+    assert scheme.cocycles(n) == kernel(scheme.delta_matrix(n))
+
+
+def test_certified_kernel_checks_the_ambient_dimension():
+    scheme = CochainScheme(catalog("sl2"), "adjoint")
+    with pytest.raises(LinalgError):
+        certified_kernel(scheme.delta_matrix(2), scheme.coboundaries(3))

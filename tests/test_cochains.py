@@ -18,8 +18,8 @@ from leibcoh.cochains import (
 )
 from leibcoh.linalg import (Echelon, Matrix, Subspace, image, kernel,
                             vec_add_scaled)
-from leibcoh.scalars import ONE, Scalar
-from tests.conftest import split_degree2, symmetric_cocycle_space
+from leibcoh.scalars import I, ONE, Scalar
+from tests.conftest import shear, split_degree2, symmetric_cocycle_space
 
 
 def intersect(a, b):
@@ -149,6 +149,8 @@ def test_delta_matrix_agrees_with_apply(diamond_adj, diamond_triv, g54_triv):
 
 
 def test_delta_squared_is_zero():
+    # The certified cocycles take the coboundaries as known cocycles, so
+    # this premise is checked on Q(i) structure constants too.
     rng = random.Random(9)
     cases = [
         (catalog("diamond_e"), "adjoint"),
@@ -156,10 +158,16 @@ def test_delta_squared_is_zero():
         (one_sided_square(), "adjoint"),
         (catalog("heisenberg", 3), "adjoint"),
         (catalog("gl", 2), "adjoint"),
+        (catalog("g54"), "adjoint"),
+        (catalog("g54"), "trivial"),
+        (catalog("sl2_plus_abelian", 3), "trivial"),
+        (shear(catalog("diamond_e"), 1, 2, ONE + I), "adjoint"),
+        (shear(catalog("g54"), 0, 3, Scalar(2, -1) / 3), "adjoint"),
+        (shear(one_sided_square(), 1, 0, I), "trivial"),
     ]
     for spec, coeffs in cases:
         scheme = CochainScheme(spec, coeffs)
-        for n in (0, 1, 2):
+        for n in (0, 1, 2, 3):
             for _ in range(3):
                 data = random_cochain(rng, scheme, n)
                 once = scheme.delta_apply(n, data)

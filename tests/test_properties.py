@@ -2,9 +2,11 @@
 
 Echelon invariants and its column-occupancy index after random insert
 sequences, kernel and image against sympy `DomainMatrix` RREF over QQ
-and QQ_I, the trusted arithmetic constructor against the coercing one,
-the two sparse-accumulate primitives against dense arithmetic, and
-class coordinates against a solve over coboundaries and representatives.
+and QQ_I, the certified kernel and the cochain schemes' cocycles against
+the plain kernel, the trusted arithmetic constructor against the
+coercing one, the two sparse-accumulate primitives against dense
+arithmetic, and class coordinates against a solve over coboundaries and
+representatives.
 Runs are derandomized, so the suite stays deterministic.
 """
 
@@ -23,22 +25,26 @@ from sympy import QQ, QQ_I  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 import leibcoh  # noqa: E402
-from leibcoh.algebras import AlgebraSpec, catalog, change_basis  # noqa: E402
+from leibcoh.algebras import AlgebraSpec, catalog  # noqa: E402
 from leibcoh.cochains import (  # noqa: E402
     ClassCoordinates,
     CochainScheme,
+    CohomologySpace,
     leibniz_cohomology,
 )
 from leibcoh.linalg import (  # noqa: E402
     Echelon,
     Matrix,
     Solver,
+    Subspace,
+    certified_kernel,
     image,
     kernel,
     vec_add_at,
     vec_add_scaled,
 )
 from leibcoh.scalars import I, ONE, ZERO, Scalar, format_scalar  # noqa: E402
+from tests.conftest import shear  # noqa: E402
 
 BACKEND = type(ONE.re)
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=150)
@@ -191,14 +197,20 @@ def dense(basis, n, conv):
 @pytest.mark.parametrize("gaussian", [False, True], ids=["QQ", "QQ_I"])
 def test_kernel_and_image_match_sympy(gaussian):
     @PROPERTY
-    @given(matrices(gaussian))
-    def check(m):
+    @given(matrices(gaussian), st.data())
+    def check(m, data):
         dm, conv = to_sympy(m, gaussian)
         null = dm.nullspace()
         want_kernel = rref_rows(null) if null.shape[0] else []
         ker = kernel(m)
         assert dense(ker.basis(), m.ncols, conv) == want_kernel
         assert layout(ker._ech) == layout(probe_kernel(m))
+        # Given any part of the kernel as known, the certified kernel is
+        # the same canonical subspace: none, some, or all of it.
+        basis = ker.basis()
+        part = [combination(data.draw, basis) for _ in range(len(basis))]
+        for known in ([], part, basis):
+            assert certified_kernel(m, Subspace(m.ncols, known)) == ker
         want_image = rref_rows(dm.transpose()) if m.ncols else []
         assert dense(image(m).basis(), m.nrows, conv) == want_image
 
@@ -330,8 +342,7 @@ def solver_coordinates(space):
 # diamond_e in the basis y_1 = e_1 + (1 + i) e_2, y_j = e_j otherwise:
 # Q(i) structure constants, cheaper to eliminate in degree 3 than a
 # shear of every basis vector.
-GAUSSIAN_DIAMOND = change_basis(catalog("diamond_e"), Matrix.from_columns(
-    4, [{0: ONE}, {1: ONE, 2: ONE + I}, {2: ONE}, {3: ONE}]))
+GAUSSIAN_DIAMOND = shear(catalog("diamond_e"), 1, 2, ONE + I)
 COORDINATE_ALGEBRAS = [
     ("sl2", catalog("sl2")),
     ("heisenberg 1", catalog("heisenberg", 1)),
@@ -380,3 +391,32 @@ def test_class_coordinates_match_solver_reference(case, data):
     for j, c in noise.items():
         vec_add_at(vec, j, c)
     assert classes.coords(vec) == reference(vec)
+
+
+def assert_cocycles_match_plain_kernel(spec, coefficients, n):
+    scheme = CochainScheme(spec, coefficients)
+    plain = kernel(scheme.delta_matrix(n))
+    assert scheme.cocycles(n) == plain
+    b = image(scheme.delta_matrix(n - 1))
+    assert scheme.coboundaries(n) == b
+    reps = leibniz_cohomology(scheme, n).reps
+    assert reps == CohomologySpace(n, plain, b).reps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("coefficients", ["adjoint", "trivial"])
+@pytest.mark.parametrize("label", [label for label, _ in COORDINATE_ALGEBRAS])
+def test_cocycles_match_plain_kernel(label, coefficients, n):
+    spec = dict(COORDINATE_ALGEBRAS)[label]
+    assert_cocycles_match_plain_kernel(spec, coefficients, n)
+
+
+@settings(deadline=None, derandomize=True, max_examples=12)
+@given(st.sampled_from([spec for _, spec in COORDINATE_ALGEBRAS]),
+       st.data(), gaussian_scalars.filter(bool),
+       st.sampled_from(["adjoint", "trivial"]), st.integers(1, 3))
+def test_cocycles_match_plain_kernel_after_gaussian_shears(
+        spec, data, c, coefficients, n):
+    a = data.draw(st.integers(0, spec.dim - 1))
+    b = data.draw(st.integers(0, spec.dim - 1).filter(lambda j: j != a))
+    assert_cocycles_match_plain_kernel(shear(spec, a, b, c), coefficients, n)

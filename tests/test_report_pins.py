@@ -3,10 +3,9 @@
 Replays the seed-0 requests of `bench/workloads.py` in-process and
 compares each report's digest with `bench/expected.json`, the table the
 benchmark's correctness gate uses; requests run through the benchmark's
-own `worker.call`.  The three costliest requests
-(`heisenberg 3` degree 3, `gl 3` and `sl2_plus_abelian 6`) are left to
-the benchmark itself.  Nothing under `bench/` is written: the modules
-are imported without bytecode caches.
+own `worker.call`, so every seed-0 report of every workload is pinned
+here too.  Nothing under `bench/` is written: the modules are imported
+without bytecode caches.
 """
 
 import importlib
@@ -18,10 +17,7 @@ import pytest
 from leibcoh import cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-SKIPPED = ("heisenberg 3|cohomology --deg 3", "gl 3|",
-           "sl2_plus_abelian 6|")
-# deg3's one request is sl2_plus_abelian 6, so it has nothing to replay.
-REPLAYED = ("ladder", "ledger", "gaussian")
+REPLAYED = ("ladder", "deg3", "ledger", "gaussian")
 
 
 def _bench_module(name):
@@ -44,15 +40,12 @@ EXPECTED = checks.load_expected()["digests"]
 @pytest.mark.parametrize("workload", REPLAYED)
 def test_seed0_reports_match_pinned_digests(workload):
     wrong = []
-    replayed = 0
-    for request in workloads.build(workload, 0):
-        if any(skip in request.rid for skip in SKIPPED):
-            continue
-        replayed += 1
+    requests = workloads.build(workload, 0)
+    for request in requests:
         _, code, out = worker.call(cli, request)
         if code != 0:
             wrong.append(f"{request.rid}: exit code {code}")
         elif checks.digest(out) != EXPECTED[request.rid]:
             wrong.append(f"{request.rid}: report digest differs")
-    assert replayed
+    assert requests
     assert not wrong, "\n".join(wrong)
