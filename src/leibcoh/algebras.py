@@ -33,10 +33,11 @@ class AlgebraSpec:
 
     `table[i][j]` is the sparse vector of [e_i, e_j]; indices are
     0-based internally, while basis names carry the 1-based labels used
-    in input files and reports.
+    in input files and reports.  The table is fixed at construction,
+    which lets `is_right_leibniz` keep its verdict on the spec.
     """
 
-    __slots__ = ("dim", "name", "kind", "basis_names", "table")
+    __slots__ = ("dim", "name", "kind", "basis_names", "table", "_leibniz")
 
     def __init__(self, dim, brackets, kind="lie", name="", basis_names=None):
         if kind not in ("lie", "leibniz"):
@@ -62,6 +63,7 @@ class AlgebraSpec:
                     cleaned[k] = coeff
             table[i][j] = cleaned
         self.table = table
+        self._leibniz = None
 
     def bracket(self, i: int, j: int) -> dict:
         """[e_i, e_j] as a sparse vector (do not mutate)."""
@@ -113,8 +115,16 @@ class StructureReport:
 
 
 def is_right_leibniz(spec: AlgebraSpec) -> bool:
-    """Whether [[x,y],z] = [[x,z],y] + [x,[y,z]] on every basis triple."""
-    table = spec.table
+    """Whether [[x,y],z] = [[x,z],y] + [x,[y,z]] on every basis triple.
+
+    Evaluated once per spec; later calls return the stored verdict.
+    """
+    if spec._leibniz is None:
+        spec._leibniz = _right_leibniz_holds(spec.table)
+    return spec._leibniz
+
+
+def _right_leibniz_holds(table) -> bool:
     for row in table:
         for j, bij in enumerate(row):
             for k, bjk in enumerate(table[j]):
@@ -244,8 +254,8 @@ def _anticommutative(pairs):
 
 
 def _abelian(n: int) -> AlgebraSpec:
-    if n < 0:
-        raise ValueError("abelian dimension must be nonnegative")
+    if n < 1:
+        raise ValueError("abelian dimension must be at least 1")
     return AlgebraSpec(n, {}, kind="lie", name=f"abelian({n})")
 
 

@@ -49,7 +49,7 @@ class CochainScheme:
 
     __slots__ = ("spec", "coefficients", "dim", "adjoint", "_by_target",
                  "_mats", "_lie_mats", "_wedge", "_cocycles",
-                 "_coboundaries", "_leibniz")
+                 "_coboundaries")
 
     def __init__(self, spec, coefficients="adjoint"):
         if coefficients not in ("adjoint", "trivial"):
@@ -68,7 +68,6 @@ class CochainScheme:
         self._wedge = {}
         self._cocycles = {}
         self._coboundaries = {}
-        self._leibniz = None
 
     def cochain_dim(self, n: int) -> int:
         base = self.dim ** n
@@ -159,14 +158,12 @@ class CochainScheme:
         """Kernel of the degree-n coboundary, cached; callers only read it.
 
         When the algebra satisfies the right Leibniz identity, checked
-        exactly once per scheme, delta o delta = 0 puts the coboundaries
-        inside the kernel, and `certified_kernel` takes them as known.
+        once per algebra, delta o delta = 0 puts the coboundaries inside
+        the kernel, and `certified_kernel` takes them as known.
         """
         z = self._cocycles.get(n)
         if z is None:
-            if self._leibniz is None:
-                self._leibniz = is_right_leibniz(self.spec)
-            if n >= 1 and self._leibniz:
+            if n >= 1 and is_right_leibniz(self.spec):
                 z = certified_kernel(self.delta_matrix(n),
                                      self.coboundaries(n))
             else:

@@ -137,9 +137,6 @@ class Matrix:
         m.rows = rows
         return m
 
-    def column(self, j: int) -> dict:
-        return {i: r[j] for i, r in enumerate(self.rows) if j in r}
-
     def columns(self):
         cols = [{} for _ in range(self.ncols)]
         for i, r in enumerate(self.rows):

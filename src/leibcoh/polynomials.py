@@ -113,10 +113,6 @@ class Poly:
             out = out * self
         return out
 
-    @property
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.coeffs), default=0)
-
     def evaluate(self, assignment) -> Scalar:
         """Exact value at a point; every parameter must be assigned."""
         missing = [p for p in self.params if p not in assignment]

@@ -133,9 +133,6 @@ class Scalar:
             return NotImplemented
         return other / self
 
-    def conjugate(self):
-        return _make(self.re, -self.im if self.im else _QZERO)
-
     def __str__(self):
         return format_scalar(self)
 

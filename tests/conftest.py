@@ -42,6 +42,11 @@ def split_degree2(scheme, data):
     return anti, sym
 
 
+def degree2_reps(dec):
+    """The representatives of all three blocks of a Degree2Decomposition."""
+    return dec.h2_reps + dec.symmetric_basis + dec.coupled_reps
+
+
 @pytest.fixture(scope="session")
 def diamond_adj():
     return CochainScheme(catalog("diamond_e"), "adjoint")

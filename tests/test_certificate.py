@@ -5,15 +5,19 @@ a rank modulo PRIME proves that nothing else is there.  These tests pin
 the fixed prime, how much the certificate covers, that it never claims
 a block whose rank modulo PRIME collapses or cannot be formed, and that
 the gate on the Leibniz identity keeps non-Leibniz tables on the exact
-path, where their missing delta o delta = 0 raises.
+path, where their missing delta o delta = 0 raises, and that the gate
+costs no second evaluation of the identity.
 """
 
+import io
 from math import isqrt
 
 import pytest
 
+from leibcoh import cli
 from leibcoh.algebras import AlgebraSpec, catalog, is_right_leibniz
 from leibcoh.cochains import CochainScheme, leibniz_cohomology
+from leibcoh.formats import algebra_to_document, dumps_canonical
 from leibcoh.linalg import (PRIME, PRIME_I, LinalgError, _partition,
                             certified_kernel, kernel)
 from leibcoh.scalars import ONE, Scalar
@@ -101,3 +105,33 @@ def test_certified_kernel_checks_the_ambient_dimension():
     scheme = CochainScheme(catalog("sl2"), "adjoint")
     with pytest.raises(LinalgError):
         certified_kernel(scheme.delta_matrix(2), scheme.coboundaries(3))
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--deg", "2"],
+    ["massey", "--generators", "1,2", "--order", "2"],
+])
+def test_leibniz_identity_is_evaluated_once_per_request(argv, monkeypatch,
+                                                        capsys):
+    # Validation and the cocycle gate both ask; only the first evaluates.
+    # Counted as passes over the rows of the bracket table, which the
+    # identity check alone iterates.
+    doc = dumps_canonical(algebra_to_document(catalog("diamond_e")))
+    passes = []
+
+    class CountedRows(list):
+        def __iter__(self):
+            passes.append(1)
+            return super().__iter__()
+
+    init = AlgebraSpec.__init__
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.table = CountedRows(self.table)
+
+    monkeypatch.setattr(AlgebraSpec, "__init__", counted_init)
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(passes) == 1

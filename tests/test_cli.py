@@ -184,6 +184,15 @@ def test_unknown_catalog_name_lists_options():
     assert "diamond_e" in result.stderr
 
 
+def test_catalog_rejects_an_empty_abelian_algebra():
+    # A dim 0 document is one that every other subcommand rejects.
+    result = run_cli(["catalog", "abelian", "0"])
+    assert result.returncode == 1
+    assert "abelian dimension must be at least 1" in result.stderr
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+
+
 def test_usage_errors_exit_one():
     assert run_cli(["nosuchcommand"]).returncode == 1
     assert run_cli(["cohomology", "--deg", "7"],

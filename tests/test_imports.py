@@ -52,3 +52,67 @@ def test_library_reads_every_name_it_imports():
     assert unread == []
     for path_name, name in KEPT:
         assert name in unread_imports((package / path_name).read_text())
+
+
+# Public methods and properties that neither the library nor the
+# benchmark reads, kept on purpose, with the reason.
+KEPT_METHODS = {
+    "MasseyReport.record": "the lookup of one ledger record by monomial, "
+                           "which the acceptance tests read the ledger with",
+}
+
+
+def public_methods(source: str):
+    """(class, method, line) for every public method or property of a
+    public top-level class."""
+    tree = ast.parse(source)
+    return [(cls.name, node.name, node.lineno)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")]
+
+
+def names_read(source: str) -> set:
+    """Attribute names, loaded names and string literals in the source.
+
+    A `def` binds its name without reading it, so a method's own
+    definition never counts; a string literal counts so that names
+    looked up by `getattr` from tables, such as the benchmark's span
+    lists, do.
+    """
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def test_unread_methods_are_caught():
+    source = ("class A:\n    def f(self): pass\n    def g(self): pass\n"
+              "    @property\n    def h(self): pass\n    def _i(self): pass\n"
+              "class _B:\n    def j(self): pass\n")
+    assert public_methods(source) == [("A", "f", 2), ("A", "g", 3),
+                                      ("A", "h", 5)]
+    assert names_read(source) == {"property"}
+    assert names_read("a.f()\nprint(g)\nx = 'h'\n") == {"f", "g", "h",
+                                                        "print", "a"}
+
+
+def test_library_reads_every_public_method():
+    package = Path(leibcoh.__file__).parent
+    bench = package.parents[1] / "bench"
+    read = set()
+    for path in [*package.glob("*.py"), *bench.glob("*.py")]:
+        read |= names_read(path.read_text())
+    unread = {f"{cls}.{name}": f"{path.name}:{line}"
+              for path in sorted(package.glob("*.py"))
+              for cls, name, line in public_methods(path.read_text())
+              if name not in read}
+    assert sorted(set(unread) - set(KEPT_METHODS)) == []
+    assert sorted(set(KEPT_METHODS) - set(unread)) == []

@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import sys
 
 import pytest
@@ -24,10 +25,14 @@ from leibcoh.koszul import (
     koszul_matrix,
     uncoupling_report,
 )
+from leibcoh.families import family_catalog, family_names, specialize
 from leibcoh.formats import algebra_to_document, dumps_canonical
 from leibcoh.linalg import Matrix, Solver, Subspace
 from leibcoh.scalars import ONE, I, Scalar
-from tests.conftest import split_degree2, symmetric_cocycle_space
+from tests.conftest import (degree2_reps, shear, split_degree2,
+                            symmetric_cocycle_space)
+from tests.test_algebras import CATALOG_CASES
+from tests.test_report_pins import EXPECTED, checks, worker, workloads
 
 LIE_CASES = [
     ("abelian", (3,)),
@@ -108,20 +113,80 @@ def test_g54_decompositions():
     spec = catalog("g54")
     triv = decompose_degree2(spec, "trivial")
     assert (triv.h2_dim, triv.symmetric_dim, triv.coupled_dim) == (3, 3, 1)
-    assert triv.full.z_dim == 10
-    assert triv.full.h_dim == 7
-    assert triv.lie.z_dim == 6
+    assert triv.hl2_dim == 7
+    full = leibniz_cohomology(triv.scheme, 2)
+    assert full.z_dim == 10
+    assert full.h_dim == 7
+    assert lie_cohomology(triv.scheme, 2).z_dim == 6
     adj = decompose_degree2(spec, "adjoint")
     assert (adj.h2_dim, adj.symmetric_dim, adj.coupled_dim) == (9, 6, 2)
-    assert adj.full.z_dim == 32
-    assert adj.lie.z_dim == 24
-    assert adj.full.h_dim == 17
+    assert adj.hl2_dim == 17
+    full = leibniz_cohomology(adj.scheme, 2)
+    assert full.z_dim == 32
+    assert lie_cohomology(adj.scheme, 2).z_dim == 24
+    assert full.h_dim == 17
 
 
 def test_diamond_adjoint_decomposition():
     dec = decompose_degree2(catalog("diamond_e"), "adjoint")
     assert (dec.h2_dim, dec.symmetric_dim, dec.coupled_dim) == (2, 1, 1)
     assert dec.hl2_dim == 4
+
+
+def theorem_cases():
+    """Catalog entries, two random Q(i) shears of each entry of dimension
+    2 to 5, and the Lie families at random integer points; seeded."""
+    rng = random.Random(2028)
+    cases = [(" ".join([name, *map(str, params)]), catalog(name, *params))
+             for name, params in CATALOG_CASES]
+    for label, spec in list(cases):
+        if 2 <= spec.dim <= 5:
+            for _ in range(2):
+                a, b = rng.sample(range(spec.dim), 2)
+                c = Scalar(rng.randint(-2, 2), rng.choice((-1, 1)))
+                cases.append((f"{label} y{a + 1}=e{a + 1}+({c})e{b + 1}",
+                              shear(spec, a, b, c)))
+    for name in family_names():
+        pa = family_catalog(name)
+        if pa.kind == "lie":
+            point = {p: rng.randint(-3, 3) for p in pa.params}
+            cases.append((f"family {name} {point}", specialize(pa, point)))
+    return cases
+
+
+THEOREM_CASES = theorem_cases()
+
+
+@pytest.mark.parametrize("spec", [spec for _, spec in THEOREM_CASES],
+                         ids=[label for label, _ in THEOREM_CASES])
+def test_hl2_dim_equals_the_full_complex(spec):
+    # hl2_dim is the theorem's sum of the three blocks; the full
+    # Leibniz complex is the independent reference.
+    report = validate(spec)
+    for coeffs in ("adjoint", "trivial"):
+        dec = decompose_degree2(spec, coeffs, report)
+        full = leibniz_cohomology(CochainScheme(spec, coeffs), 2)
+        assert dec.hl2_dim == full.h_dim, coeffs
+
+
+def test_decompose_builds_no_full_complex(monkeypatch):
+    # Every decompose request of the benchmark's seed-0 ladder and
+    # gaussian workloads, whose report digests were pinned before
+    # decompose stopped building the full complex, with the full
+    # complex's matrices, kernels and images out of reach.
+    def forbidden(*args):
+        raise AssertionError("decompose built the full Leibniz complex")
+
+    for name in ("delta_matrix", "cocycles", "coboundaries"):
+        monkeypatch.setattr(CochainScheme, name, forbidden)
+    requests = [request for workload in ("ladder", "gaussian")
+                for request in workloads.build(workload, 0)
+                if request.argv[0] == "decompose"]
+    assert len(requests) == 18
+    for request in requests:
+        _, code, out = worker.call(cli, request)
+        assert code == 0, request.rid
+        assert checks.digest(out) == EXPECTED[request.rid], request.rid
 
 
 @pytest.mark.parametrize("name,params,coeffs", [
@@ -135,15 +200,16 @@ def test_diamond_adjoint_decomposition():
 ])
 def test_blocks_are_a_direct_sum_spanning_cocycles(name, params, coeffs):
     dec = decompose_degree2(catalog(name, *params), coeffs)
-    span = Subspace(dec.scheme.cochain_dim(2), dec.full.coboundaries.basis())
-    count = dec.full.b_dim
-    for rep in dec.all_reps():
+    full = leibniz_cohomology(dec.scheme, 2)
+    span = Subspace(dec.scheme.cochain_dim(2), full.coboundaries.basis())
+    count = full.b_dim
+    for rep in degree2_reps(dec):
         assert dec.scheme.is_cocycle(2, rep)
         assert not span.contains(rep)
         span.insert(rep)
         count += 1
         assert span.dim == count
-    assert span == dec.full.cocycles
+    assert span == full.cocycles
 
 
 @pytest.mark.parametrize("name,params,coeffs", [
@@ -181,7 +247,8 @@ def test_g54_trivial_coupled_line_matches_known_class():
         else:
             del g1[k]
     assert scheme.is_cocycle(2, g1)
-    lower = Subspace(scheme.cochain_dim(2), dec.full.coboundaries.basis())
+    lower = Subspace(scheme.cochain_dim(2),
+                     leibniz_cohomology(scheme, 2).coboundaries.basis())
     for rep in dec.h2_reps + dec.symmetric_basis:
         lower.insert(rep)
     assert not lower.contains(g1)

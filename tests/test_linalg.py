@@ -204,5 +204,5 @@ def test_matrix_transpose_and_columns():
     t = m.transpose()
     assert t.nrows == 3 and t.ncols == 2
     assert t.rows[1].get(0) == S(2)
-    assert m.column(1) == {0: S(2), 1: S(3)}
+    assert m.columns()[1] == {0: S(2), 1: S(3)}
     assert Matrix.from_columns(2, m.columns()) == m

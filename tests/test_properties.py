@@ -223,7 +223,6 @@ ARITHMETIC = {
     "mul": lambda a, b: a * b,
     "div": lambda a, b: a / b,
     "neg": lambda a, b: -a,
-    "conjugate": lambda a, b: a.conjugate(),
     "int_mul": lambda a, b: 3 * a,
     "int_rsub": lambda a, b: 2 - a,
 }
@@ -244,8 +243,6 @@ def exact(name, a, b):
         return (ar * br + ai * bi) / n, (ai * br - ar * bi) / n
     if name == "neg":
         return -ar, -ai
-    if name == "conjugate":
-        return ar, -ai
     if name == "int_mul":
         return 3 * ar, 3 * ai
     return 2 - ar, -ai

@@ -49,17 +49,6 @@ def test_field_axioms_random():
         assert (a / d) * d == a
 
 
-def test_conjugation():
-    rng = random.Random(7)
-    for _ in range(50):
-        a = random_scalar(rng)
-        b = random_scalar(rng)
-        assert (a * b).conjugate() == a.conjugate() * b.conjugate()
-        n = a * a.conjugate()
-        assert n.im == 0
-        assert n.re >= 0
-
-
 def test_int_interop():
     s = Scalar(1, 1)
     assert 2 * s == Scalar(2, 2)
