@@ -52,10 +52,20 @@ class FormatError(ValueError):
         self.field = field
 
 
+def _unique_fields(pairs):
+    """Object hook: json.loads would keep only a repeated key's last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise FormatError("duplicate field", field=key)
+        obj[key] = value
+    return obj
+
+
 def load_document(text: str) -> dict:
-    """JSON text to a raw document object; syntax errors carry the line."""
+    """JSON text to a raw document object; errors carry a line or field."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
         raise FormatError(exc.msg, line=exc.lineno) from exc
     except RecursionError as exc:

@@ -13,6 +13,11 @@ The canonical form used everywhere is the reduced row echelon form: a
 Subspace is identified with the unique RREF basis of its span, so two
 subspaces are equal exactly when their bases are identical.  Every
 "choose a representative" step higher up is made deterministic by this.
+Nor does the RREF depend on the input order, so a matrix's elimination
+(`kernel`, `image`, `Solver`, ranks modulo p) reads vectors shortest
+first, the cheap form of Markowitz's fill-reducing order: over Q(i)
+intermediate fill-in, not the result, is what elimination pays for.
+`_null_echelon` also reverses the columns, to read the kernel off.
 
 `certified_kernel` also takes ranks modulo a fixed prime, on plain ints
 in maps of their own.  Such a rank never decides a result by itself: it
@@ -351,31 +356,33 @@ class Subspace:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """{v : m v = 0} as a canonical Subspace of the column space, by
-    exact elimination of every row; `certified_kernel` gives the same
-    Subspace with less exact work when a part of it is known."""
+    """{v : m v = 0} as a canonical Subspace of the column space, by one
+    exact elimination (`_null_echelon`); `certified_kernel` gives the
+    same Subspace with less exact work when a part of it is known."""
     return Subspace._from_echelon(
         m.ncols, _null_echelon(m.rows, range(m.ncols), m.ncols))
 
 
 def _null_echelon(rows, columns, ncols: int) -> Echelon:
     """RREF echelon of the null space of `rows` inside the coordinates
-    `columns` (increasing), which hold every entry of every row."""
+    `columns` (increasing), which hold every entry of every row.  One
+    elimination, shortest rows first with column c read as ncols - 1 - c,
+    leaves in pivot row p only free columns f < p: so e_f - sum_p
+    prow[f] e_p is 1 at f and zero at the other free columns, and these
+    vectors are the kernel's RREF as they stand."""
+    last = ncols - 1
     ech = Echelon(ncols)
-    for r in rows:
-        ech.insert(r)
-    pivot_rows = ech.pivot_rows
-    # One free-column vector e_f - sum_p prow[f] e_p per non-pivot f,
-    # filled by one pass over the rows, so each lists its pivots in
-    # pivot_rows order.
-    free = {f: {f: ONE} for f in columns if f not in pivot_rows}
-    for p, prow in pivot_rows.items():
-        for c, v in prow.items():
-            if c != p:
-                free[c][p] = -v
+    for r in sorted(rows, key=len):
+        ech.insert({last - c: v for c, v in r.items()})
+    free = {f: {f: ONE} for f in columns if last - f not in ech.pivot_rows}
     out = Echelon(ncols)
-    for v in free.values():
-        out.insert(v)
+    for q, prow in ech.pivot_rows.items():
+        for c, v in prow.items():
+            if c != q:
+                free[last - c][last - q] = -v
+        if len(prow) > 1:
+            out.occupancy[last - q] = {last - c for c in prow if c != q}
+    out.pivot_rows = free
     return out
 
 
@@ -414,8 +421,7 @@ def _rank_mod_prime_reaches(rows, target: int) -> bool:
     if target <= 0:
         return True
     pivots = {}  # pivot column -> row, monic, zero left of the pivot
-    # Short rows make sparse pivot rows: on gl 3 in degree 3, reading
-    # the rows in matrix order took twice as long through fill-in.
+    # Shortest first, the module's order; matrix order took 2x on gl 3.
     for row in sorted(rows, key=len):
         r = {}
         for c, v in row.items():
@@ -514,9 +520,10 @@ def certified_kernel(m: Matrix, known: Subspace) -> Subspace:
     Every other block is eliminated exactly on its own rows, with free
     columns drawn from its own coordinates: a block with cohomology, and
     one where an entry whose denominator PRIME divides was read before
-    the rank got there.  The RREF of a sum over disjoint coordinate
-    blocks is the union of the block RREFs, so the basis, and every
-    representative taken from it, is the one `kernel` gives.
+    the rank got there.  Their rows go through one `_null_echelon`, as
+    in `kernel`.  The RREF of a sum over disjoint coordinate blocks is
+    the union of the block RREFs, so the basis, and every representative
+    taken from it, is the one `kernel` gives.
     """
     if known.ambient_dim != m.ncols:
         raise LinalgError("ambient dimension mismatch")
@@ -530,7 +537,7 @@ def certified_kernel(m: Matrix, known: Subspace) -> Subspace:
 def image(m: Matrix) -> Subspace:
     """Column space as a canonical Subspace of the row-index space."""
     ech = Echelon(m.nrows)
-    for col in m.columns():
+    for col in sorted(m.columns(), key=len):
         ech.insert(col)
     return Subspace._from_echelon(m.nrows, ech)
 
@@ -553,11 +560,11 @@ class Solver:
 
     Serves the obstruction witnesses (solves against the degree-2
     coboundary), the coupled-block corrector of the degree-2
-    decomposition, and basis changes.  The elimination is done once on
-    rows of [m | identity]; each solve is then a handful of sparse dot
-    products.
-    The returned solution is the particular solution with zeros in all
-    free coordinates (exactly what per-call RREF of [m | b] would give).
+    decomposition, and basis changes.  The elimination is done once, on
+    the rows of [m | identity] shortest first; each solve is then a
+    handful of sparse dot products.  It returns the particular solution
+    with zeros in all free coordinates, the one per-call RREF of [m | b]
+    would give; it is unique, so the row order changes no answer.
     """
 
     __slots__ = ("nrows", "ncols", "rank", "_pivot_tracks", "_checks")
@@ -566,10 +573,8 @@ class Solver:
         self.nrows = m.nrows
         self.ncols = m.ncols
         ech = Echelon(m.ncols + m.nrows, pivot_limit=m.ncols)
-        for i, r in enumerate(m.rows):
-            row = dict(r)
-            row[m.ncols + i] = ONE
-            ech.insert(row)
+        for i in sorted(range(m.nrows), key=lambda i: len(m.rows[i])):
+            ech.insert({**m.rows[i], m.ncols + i: ONE})
         self.rank = ech.rank
 
         def track_part(row):

@@ -168,6 +168,30 @@ def test_malformed_documents_exit_two_without_traceback(text, where):
     assert "Traceback" not in result.stderr
 
 
+ABELIAN_AFTER_REPEAT = ('{"dim": 2, "brackets": [{"left": "x1", "right": "x2",'
+                        ' "value": [{"basis": "x2", "coeff": "1"}]}],'
+                        ' "brackets": []}')
+VALUE_REPEAT = ('{"dim": 2, "brackets": [{"left": "x1", "right": "x2",'
+                ' "value": [{"basis": "x2", "coeff": "1"}], "value": []}]}')
+FAMILY_REPEAT = ('{"dim": 2, "params": ["t"], "brackets": [{"left": "x1",'
+                 ' "right": "x2", "value": [{"basis": "x2", "coeff": "t",'
+                 ' "coeff": "0"}]}]}')
+
+
+@pytest.mark.parametrize("text,key", [
+    (ABELIAN_AFTER_REPEAT, "brackets"),
+    (VALUE_REPEAT, "value"),
+    (FAMILY_REPEAT, "coeff"),
+], ids=["top_level", "bracket_entry", "family"])
+def test_repeated_json_fields_exit_two(text, key):
+    # json.loads keeps the last value of a repeated key, so each of these
+    # would otherwise validate with a bracket silently dropped.
+    result = run_cli(["validate"], text)
+    assert result.returncode == 2
+    assert f"field '{key}': duplicate field" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_deeply_nested_ideal_entry_is_a_usage_error():
     nested = "(" * 3000 + "t" + ")" * 3000
     result = run_cli(["versal", "--ideal", nested], _versal_doc())

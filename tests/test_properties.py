@@ -5,8 +5,9 @@ sequences, kernel and image against sympy `DomainMatrix` RREF over QQ
 and QQ_I, the certified kernel and the cochain schemes' cocycles against
 the plain kernel, the trusted arithmetic constructor against the
 coercing one, the two sparse-accumulate primitives against dense
-arithmetic, and class coordinates against a solve over coboundaries and
-representatives.
+arithmetic, class coordinates against a solve over coboundaries and
+representatives, and kernels, images and solves unchanged when the input
+vectors are permuted, repeated and padded with zeros.
 Runs are derandomized, so the suite stays deterministic.
 """
 
@@ -204,7 +205,12 @@ def test_kernel_and_image_match_sympy(gaussian):
         want_kernel = rref_rows(null) if null.shape[0] else []
         ker = kernel(m)
         assert dense(ker.basis(), m.ncols, conv) == want_kernel
-        assert layout(ker._ech) == layout(probe_kernel(m))
+        # The same canonical rows as the two-pass reference; the rows' key
+        # order is no contract, the occupancy index is.
+        ref = Subspace._from_echelon(m.ncols, probe_kernel(m))
+        assert ker == ref
+        assert ker.pivots == ref.pivots
+        assert ker._ech.occupancy == recomputed_occupancy(ker._ech)
         # Given any part of the kernel as known, the certified kernel is
         # the same canonical subspace: none, some, or all of it.
         basis = ker.basis()
@@ -417,3 +423,53 @@ def test_cocycles_match_plain_kernel_after_gaussian_shears(
     a = data.draw(st.integers(0, spec.dim - 1))
     b = data.draw(st.integers(0, spec.dim - 1).filter(lambda j: j != a))
     assert_cocycles_match_plain_kernel(shear(spec, a, b, c), coefficients, n)
+
+
+def padded(draw, vectors):
+    """vectors, some repeated and some zero ones added, in a random
+    order; each entry is (source index or None, vector)."""
+    tagged = list(enumerate(vectors))
+    if vectors:
+        tagged += [(i, dict(vectors[i])) for i in draw(
+            st.lists(st.integers(0, len(vectors) - 1), max_size=3))]
+    tagged += [(None, {})] * draw(st.integers(0, 2))
+    return draw(st.permutations(tagged))
+
+
+@PROPERTY
+@given(st.booleans().flatmap(matrices), st.data())
+def test_rref_does_not_depend_on_input_order(m, data):
+    ker = kernel(m)
+    tagged = padded(data.draw, m.rows)
+    shuffled = Matrix(len(tagged), m.ncols, [r for _, r in tagged])
+    assert kernel(shuffled) == ker
+    basis = ker.basis()
+    part = [combination(data.draw, basis) for _ in range(len(basis))]
+    for known in ([], part, basis):
+        assert certified_kernel(shuffled, Subspace(m.ncols, known)) == ker
+    columns = [c for _, c in padded(data.draw, m.columns())]
+    assert image(Matrix.from_columns(m.nrows, columns)) == image(m)
+
+    # The solution with zeros at the free coordinates is unique, so both
+    # solvers give it, or both give None; a right-hand side b of m is
+    # b[i] on a copy of row i and zero on an added zero row.
+    solver, moved = Solver(m), Solver(shuffled)
+    x = data.draw(st.dictionaries(st.integers(0, m.ncols - 1), any_scalars,
+                                  max_size=m.ncols))
+    in_image = m.matvec(x)
+    sol = solver.solve(in_image)
+    assert sol is not None and m.matvec(sol) == in_image
+    noise = data.draw(st.dictionaries(st.integers(0, max(m.nrows - 1, 0)),
+                                      any_scalars, max_size=2))
+    anywhere = {i: v for i, v in noise.items() if i < m.nrows}
+    assert (solver.solve(anywhere) is None) != image(m).contains(anywhere)
+    for b in (in_image, anywhere):
+        moved_b = {k: b[i] for k, (i, _) in enumerate(tagged) if i in b}
+        assert moved.solve(moved_b) == solver.solve(b)
+
+    # Growing a kernel keeps the occupancy index the new reading built.
+    v = data.draw(st.dictionaries(st.integers(0, m.ncols - 1), any_scalars,
+                                  max_size=3))
+    ker.insert(v)
+    assert ker == Subspace(m.ncols, basis + [v])
+    assert ker._ech.occupancy == recomputed_occupancy(ker._ech)
