@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .linalg import (LinalgError, Matrix, Solver, Subspace, kernel,
-                     vec_add_at, vec_add_scaled)
+                     vec_add_at, vec_add_scaled, vec_combine)
 from .scalars import ONE, ZERO, Scalar, scalar
 
 __all__ = [
@@ -226,18 +226,11 @@ def change_basis(spec: AlgebraSpec, t: Matrix, name="", basis_names=None) -> Alg
         inv_cols.append(col)
     if solver.rank < d:
         raise LinalgError("basis-change matrix is singular")
-
-    def to_new(vec):
-        out = {}
-        for i, v in vec.items():
-            vec_add_scaled(out, inv_cols[i], v)
-        return out
-
     cols = t.columns()
     brackets = {}
     for a in range(d):
         for b in range(d):
-            val = to_new(spec.bracket_vec(cols[a], cols[b]))
+            val = vec_combine(inv_cols, spec.bracket_vec(cols[a], cols[b]))
             if val:
                 brackets[(a, b)] = val
     return AlgebraSpec(d, brackets, kind=spec.kind, name=name or spec.name,

@@ -8,10 +8,11 @@ short combination of basis cochains one degree up, so both the matrix
 of the coboundary and its matrix-free application come from the same
 push-forward column.
 
-The antisymmetric subcomplex (for Lie algebras) is reached through
-explicit inclusion and projection matrices over the basis of increasing
-index tuples, and the symmetric degree-2 subspace over the basis of
-weakly increasing pairs.
+The antisymmetric subcomplex (for Lie algebras) has the basis of
+increasing index tuples, and the symmetric degree-2 subspace that of
+weakly increasing pairs.  Each is included in tensor coordinates as the
+list of its basis cochains, so a vector w of either subspace embeds as
+`vec_combine(inclusion, w)`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import combinations, permutations, product
 
 from .algebras import is_right_leibniz
 from .linalg import (Matrix, Subspace, certified_kernel, image, kernel,
-                     quotient_reps, vec_add_at, vec_add_scaled)
+                     quotient_reps, vec_add_at, vec_add_scaled, vec_combine)
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
@@ -42,9 +43,10 @@ __all__ = [
 class CochainScheme:
     """An algebra together with a coefficient choice, adjoint or trivial.
 
-    Holds the flat-index conventions and caches coboundary matrices (of
-    the full and the antisymmetric complex), their kernels and images,
-    and the antisymmetric inclusions.
+    Holds the flat-index conventions and caches the coboundary matrices
+    of the full complex with their kernels and images, the coboundary
+    matrices of the antisymmetric complex, and the lists of included
+    antisymmetric basis cochains.
     """
 
     __slots__ = ("spec", "coefficients", "dim", "adjoint", "_by_target",
@@ -230,48 +232,46 @@ def _heads(scheme):
     return range(scheme.dim) if scheme.adjoint else (None,)
 
 
-def wedge_inclusion(scheme: CochainScheme, n: int) -> Matrix:
-    """Antisymmetric cochains into tensor coordinates.
+def wedge_inclusion(scheme: CochainScheme, n: int) -> list:
+    """The antisymmetric basis cochains of degree n, in tensor coordinates.
 
-    The column for (k, i_1 < .. < i_n) is the signed sum over all
+    The one for (k, i_1 < .. < i_n) is the signed sum over all
     arrangements, with coefficient +1 on the increasing one.  Cached on
-    the scheme; callers only read the matrix.
+    the scheme; callers only read the list.
     """
-    mat = scheme._wedge.get(n)
-    if mat is not None:
-        return mat
+    incl = scheme._wedge.get(n)
+    if incl is not None:
+        return incl
     combs = wedge_basis(scheme.dim, n)
-    cols = []
+    incl = []
     for k in _heads(scheme):
         for comb in combs:
-            col = {}
-            for perm in permutations(range(n)):
-                u = tuple(comb[p] for p in perm)
-                col[scheme.flat_index(k, u)] = Scalar(_perm_sign(perm))
-            cols.append(col)
-    mat = scheme._wedge[n] = Matrix.from_columns(scheme.cochain_dim(n), cols)
-    return mat
+            incl.append({
+                scheme.flat_index(k, tuple(comb[p] for p in perm)):
+                    Scalar(_perm_sign(perm))
+                for perm in permutations(range(n))})
+    scheme._wedge[n] = incl
+    return incl
 
 
 def sym2_basis(dim: int):
     return [(i, j) for i in range(dim) for j in range(i, dim)]
 
 
-def sym2_inclusion(scheme: CochainScheme) -> Matrix:
-    """Symmetric 2-cochains into tensor coordinates.
+def sym2_inclusion(scheme: CochainScheme) -> list:
+    """The symmetric basis 2-cochains, in tensor coordinates.
 
-    The column for i < j is the symmetrized pair with both coefficients
-    1; the diagonal column is the plain square term.
+    The one for i < j is the symmetrized pair with both coefficients 1;
+    the diagonal one is the plain square term.
     """
-    pairs = sym2_basis(scheme.dim)
-    cols = []
+    incl = []
     for k in _heads(scheme):
-        for i, j in pairs:
-            col = {scheme.flat_index(k, (i, j)): ONE}
+        for i, j in sym2_basis(scheme.dim):
+            vec = {scheme.flat_index(k, (i, j)): ONE}
             if i != j:
-                col[scheme.flat_index(k, (j, i))] = ONE
-            cols.append(col)
-    return Matrix.from_columns(scheme.cochain_dim(2), cols)
+                vec[scheme.flat_index(k, (j, i))] = ONE
+            incl.append(vec)
+    return incl
 
 
 def _wedge_flat(scheme, ncombs, k, pos):
@@ -282,9 +282,8 @@ def lie_delta_matrix(scheme: CochainScheme, n: int) -> Matrix:
     """Coboundary on antisymmetric cochains, in increasing-tuple coordinates.
 
     Meaningful when the algebra is Lie, where the coboundary preserves
-    antisymmetry; columns are computed by including, applying the full
-    coboundary, and reading the increasing coordinates back.  Cached on
-    the scheme.
+    antisymmetry; the column of a basis cochain is its full coboundary
+    read back at the increasing coordinates.  Cached on the scheme.
     """
     mat = scheme._lie_mats.get(n)
     if mat is not None:
@@ -293,7 +292,7 @@ def lie_delta_matrix(scheme: CochainScheme, n: int) -> Matrix:
     out_pos = {c: i for i, c in enumerate(out_combs)}
     nout = len(out_combs)
     cols = []
-    for vec in wedge_inclusion(scheme, n).columns():
+    for vec in wedge_inclusion(scheme, n):
         col = {}
         for idx, v in scheme.delta_apply(n, vec).items():
             k2, t = scheme.unflatten(n + 1, idx)
@@ -345,24 +344,31 @@ def leibniz_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
     return CohomologySpace(n, scheme.cocycles(n), scheme.coboundaries(n))
 
 
-def _embed(mat: Matrix, space: Subspace, ambient: int) -> Subspace:
-    return Subspace(ambient, [mat.matvec(v) for v in space.basis()])
-
-
 def lie_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
     """Cohomology of the antisymmetric subcomplex, embedded in tensor
     coordinates so the result is directly comparable with the full
     complex.  Requires a Lie algebra.
+
+    Z is the kernel of the antisymmetric delta(n) and B the image of
+    delta(n-1); for a Lie algebra delta o incl = incl o delta, so B is
+    the full coboundary of the antisymmetric (n-1)-cochains.  Embedding
+    keeps each RREF as it stands: within a head, every arrangement of a
+    later increasing tuple has a larger flat index than an earlier
+    increasing tuple, so an embedded row's pivot is the flat index of
+    its pivot tuple, and the row keeps its wedge coordinates at the
+    increasing tuples, so it is zero at the other pivots.  The Subspaces
+    built from the embedded rows reduce nothing.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
     ambient = scheme.cochain_dim(n)
     incl = wedge_inclusion(scheme, n)
-    z = _embed(incl, kernel(lie_delta_matrix(scheme, n)), ambient)
-    incl_prev = wedge_inclusion(scheme, n - 1)
-    b = Subspace(ambient,
-                 [scheme.delta_apply(n - 1, col) for col in incl_prev.columns()])
-    return CohomologySpace(n, z, b)
+
+    def embed(space):
+        return Subspace(ambient, [vec_combine(incl, w) for w in space.basis()])
+
+    return CohomologySpace(n, embed(kernel(lie_delta_matrix(scheme, n))),
+                           embed(image(lie_delta_matrix(scheme, n - 1))))
 
 
 class ClassCoordinates:

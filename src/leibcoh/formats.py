@@ -52,12 +52,19 @@ class FormatError(ValueError):
         self.field = field
 
 
-def _unique_fields(pairs):
-    """Object hook: json.loads would keep only a repeated key's last value."""
-    obj = {}
+class _Object(dict):
+    """A JSON object that remembers its first repeated key, which
+    json.loads would otherwise drop in favor of the last value."""
+
+    __slots__ = ("repeated",)
+
+
+def _record_repeats(pairs):
+    obj = _Object()
+    obj.repeated = None
     for key, value in pairs:
-        if key in obj:
-            raise FormatError("duplicate field", field=key)
+        if key in obj and obj.repeated is None:
+            obj.repeated = key
         obj[key] = value
     return obj
 
@@ -65,7 +72,7 @@ def _unique_fields(pairs):
 def load_document(text: str) -> dict:
     """JSON text to a raw document object; errors carry a line or field."""
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_fields)
+        doc = json.loads(text, object_pairs_hook=_record_repeats)
     except json.JSONDecodeError as exc:
         raise FormatError(exc.msg, line=exc.lineno) from exc
     except RecursionError as exc:
@@ -76,6 +83,11 @@ def load_document(text: str) -> dict:
 
 
 def _check_keys(mapping, allowed, path):
+    """Reject a repeated or unknown field, named by its full path."""
+    repeated = getattr(mapping, "repeated", None)
+    if repeated is not None:
+        raise FormatError("duplicate field",
+                          field=f"{path}.{repeated}" if path else repeated)
     for key in mapping:
         if key not in allowed:
             full = f"{path}.{key}" if path else str(key)

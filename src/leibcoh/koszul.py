@@ -24,7 +24,8 @@ from .cochains import (
     wedge_inclusion,
 )
 from .linalg import (Matrix, Solver, Subspace, image, kernel, quotient_reps,
-                     vec_add_at, vec_add_scaled)
+                     vec_add_at, vec_add_scaled, vec_combine)
+from .scalars import ONE
 
 __all__ = [
     "KoszulData",
@@ -55,9 +56,7 @@ def invariant_forms(spec: AlgebraSpec) -> Subspace:
                     vec_add_at(row, pos[(x, m) if x <= m else (m, x)], c)
                 if row:
                     rows.append(row)
-    m = Matrix.zero(len(rows), len(pairs))
-    m.rows = rows
-    return kernel(m)
+    return kernel(Matrix(len(rows), len(pairs), rows))
 
 
 def koszul_matrix(spec: AlgebraSpec) -> Matrix:
@@ -75,9 +74,7 @@ def koszul_matrix(spec: AlgebraSpec) -> Matrix:
         for m, coeff in spec.table[a][b].items():
             vec_add_at(row, pos[(m, c) if m <= c else (c, m)], coeff)
         rows.append(row)
-    m = Matrix.zero(len(combs), len(pairs))
-    m.rows = rows
-    return m
+    return Matrix(len(combs), len(pairs), rows)
 
 
 @dataclass
@@ -105,14 +102,8 @@ def koszul_data(spec: AlgebraSpec, report=None) -> KoszulData:
     ambient3 = len(wedge_basis(spec.dim, 3))
     im = Subspace(ambient3, images)
     combos = kernel(Matrix.from_columns(ambient3, images))
-    npairs = len(sym2_basis(spec.dim))
-    kern_vecs = []
-    for lam in combos.basis():
-        vec = {}
-        for i, coeff in lam.items():
-            vec_add_scaled(vec, basis[i], coeff)
-        kern_vecs.append(vec)
-    kern = Subspace(npairs, kern_vecs)
+    kern = Subspace(len(sym2_basis(spec.dim)),
+                    [vec_combine(basis, lam) for lam in combos.basis()])
     return KoszulData(
         forms=forms,
         matrix=kmat,
@@ -187,24 +178,20 @@ def _exact_combinations(scheme: CochainScheme, kos: KoszulData, heads):
 
     Returns the complement forms, the candidate image columns (head-major)
     and the Subspace of candidate coefficient vectors with an exact image;
-    its dimension is the coupled count.
+    its dimension is the coupled count.  The residue modulo B3 is linear
+    and zero exactly on B3, so sum c_i g_i is exact when sum c_i r_i = 0
+    for the residues r_i of the candidates.
     """
     w_reps = quotient_reps(kos.forms, kos.kernel)
     ncombs3 = len(wedge_basis(scheme.dim, 3))
     images3 = [kos.matrix.matvec(w) for w in w_reps]
     g_cols = [_tensor_head(z, iw, ncombs3) for z in heads for iw in images3]
-    ncand = len(g_cols)
-    coeff_vecs = []
-    if g_cols:
-        b3_wedge = image(lie_delta_matrix(scheme, 2))
-        stacked = Matrix.from_columns(
-            b3_wedge.ambient_dim, g_cols + b3_wedge.basis()
-        )
-        for vec in kernel(stacked).basis():
-            head = {i: v for i, v in vec.items() if i < ncand}
-            if head:
-                coeff_vecs.append(head)
-    return w_reps, g_cols, Subspace(ncand, coeff_vecs)
+    if not g_cols:
+        return w_reps, g_cols, Subspace(0)
+    b3 = image(lie_delta_matrix(scheme, 2))
+    residues = [b3.reduce(g) for g in g_cols]
+    return w_reps, g_cols, kernel(Matrix.from_columns(b3.ambient_dim,
+                                                      residues))
 
 
 def decompose_degree2(spec: AlgebraSpec, coefficients="adjoint",
@@ -223,7 +210,7 @@ def decompose_degree2(spec: AlgebraSpec, coefficients="adjoint",
     heads = kos.center.basis() if adjoint else [None]
     tensor_base = spec.dim ** 2
 
-    kernel_blocks = [sym_incl.matvec(q) for q in kos.kernel.basis()]
+    kernel_blocks = [vec_combine(sym_incl, q) for q in kos.kernel.basis()]
     symmetric_basis = [
         _tensor_head(z, blk, tensor_base) for z in heads for blk in kernel_blocks
     ]
@@ -233,7 +220,7 @@ def decompose_degree2(spec: AlgebraSpec, coefficients="adjoint",
     # corrector solved on the antisymmetric complex.
     w_reps, g_cols, coeff_space = _exact_combinations(scheme, kos, heads)
     s_cols = [
-        _tensor_head(z, sym_incl.matvec(w), tensor_base)
+        _tensor_head(z, vec_combine(sym_incl, w), tensor_base)
         for z in heads
         for w in w_reps
     ]
@@ -242,17 +229,11 @@ def decompose_degree2(spec: AlgebraSpec, coefficients="adjoint",
         solver = Solver(lie_delta_matrix(scheme, 2))
         incl2 = wedge_inclusion(scheme, 2)
         for u in coeff_space.basis():
-            s_part = {}
-            v_wedge = {}
-            for i, coeff in u.items():
-                vec_add_scaled(s_part, s_cols[i], coeff)
-                vec_add_scaled(v_wedge, g_cols[i], coeff)
-            omega = solver.solve(v_wedge)
+            omega = solver.solve(vec_combine(g_cols, u))
             if omega is None:
                 raise AssertionError("exactness certificate failed to solve")
-            rep = dict(s_part)
-            for key, v in incl2.matvec(omega).items():
-                vec_add_at(rep, key, v)
+            rep = vec_combine(s_cols, u)
+            vec_add_scaled(rep, vec_combine(incl2, omega), ONE)
             if not scheme.is_cocycle(2, rep):
                 raise AssertionError("coupled representative is not a cocycle")
             coupled_reps.append(rep)

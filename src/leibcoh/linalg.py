@@ -4,6 +4,7 @@ Vectors are sparse maps {coordinate: Scalar} with no zero values stored.
 `vec_add_at` and `vec_add_scaled` are the only writers that add into
 such a map and keep that invariant; every accumulation in the library
 goes through them, except the back-substitution loops inside `Echelon`.
+`vec_combine` builds a linear combination of vectors on the second.
 Matrices are logically dense rows x cols grids but keep their rows sparse,
 since the coboundary operators that dominate the workload are very sparse
 and dense elimination on a few thousand rows of Python objects would be
@@ -83,6 +84,15 @@ def vec_add_scaled(acc: dict, vec: dict, factor: Scalar) -> None:
             acc.pop(c, None)
 
 
+def vec_combine(vectors, coeffs: dict) -> dict:
+    """sum_j coeffs[j] * vectors[j], for a sparse map of coefficients
+    over the positions of `vectors`."""
+    out = {}
+    for j, c in coeffs.items():
+        vec_add_scaled(out, vectors[j], c)
+    return out
+
+
 def vec_dot(a: dict, b: dict):
     """Sparse dot product; returns a Scalar (the shared ZERO when disjoint)."""
     if len(b) < len(a):
@@ -115,10 +125,6 @@ class Matrix:
             if len(rows) != nrows:
                 raise LinalgError("row count mismatch")
             self.rows = [vec_clean(r) for r in rows]
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls(nrows, ncols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":

@@ -4,7 +4,7 @@ import pytest
 
 from leibcoh.algebras import catalog, change_basis
 from leibcoh.cochains import CochainScheme, sym2_inclusion
-from leibcoh.linalg import Matrix, Subspace, kernel, vec_add_at
+from leibcoh.linalg import Matrix, Subspace, kernel, vec_add_at, vec_combine
 from leibcoh.scalars import ONE, Scalar
 
 HALF = Scalar(1) / 2
@@ -13,10 +13,10 @@ HALF = Scalar(1) / 2
 def symmetric_cocycle_space(scheme):
     """Symmetric Leibniz 2-cocycles, embedded in tensor coordinates."""
     incl = sym2_inclusion(scheme)
-    cols = [scheme.delta_apply(2, col) for col in incl.columns()]
+    cols = [scheme.delta_apply(2, vec) for vec in incl]
     composed = Matrix.from_columns(scheme.cochain_dim(3), cols)
     return Subspace(scheme.cochain_dim(2),
-                    [incl.matvec(v) for v in kernel(composed).basis()])
+                    [vec_combine(incl, v) for v in kernel(composed).basis()])
 
 
 def shear(spec, a, b, c):

@@ -31,7 +31,7 @@ from leibcoh.deformations import (
 )
 from leibcoh.families import family_catalog, jacobi_defect, specialize
 from leibcoh.koszul import decompose_degree2, koszul_data, uncoupling_report
-from leibcoh.linalg import Subspace, vec_add_scaled
+from leibcoh.linalg import Subspace, vec_add_scaled, vec_combine
 from leibcoh.polynomials import parse_poly
 from leibcoh.scalars import ONE, Scalar
 from tests.conftest import diamond_phi_basis, symmetric_cocycle_space
@@ -337,9 +337,10 @@ def test_criterion_6_g54_dimensions_and_coupled_class():
     # invariant form pairing x1 with x5, x2 with -x4, x3 with x3.
     scheme = triv.scheme
     b = _pair_coords(5, {(0, 4): ONE, (1, 3): -ONE, (2, 2): ONE})
-    candidate = sym2_inclusion(scheme).matvec(b)
+    candidate = vec_combine(sym2_inclusion(scheme), b)
     omega15 = {wedge_basis(5, 2).index((0, 4)): ONE}
-    vec_add_scaled(candidate, wedge_inclusion(scheme, 2).matvec(omega15), ONE)
+    vec_add_scaled(candidate, vec_combine(wedge_inclusion(scheme, 2), omega15),
+                   ONE)
     lower = Subspace(scheme.cochain_dim(2), triv_full.coboundaries.basis())
     for rep in triv.h2_reps + triv.symmetric_basis:
         lower.insert(rep)
@@ -397,8 +398,8 @@ def test_criterion_8_structural_properties():
         incl3 = wedge_inclusion(triv, 3)
         ok = True
         for b in data.forms.basis():
-            lhs = triv.delta_apply(2, incl2.matvec(b))
-            rhs = incl3.matvec(data.matrix.matvec(b))
+            lhs = triv.delta_apply(2, vec_combine(incl2, b))
+            rhs = vec_combine(incl3, data.matrix.matvec(b))
             ok = ok and lhs == {k: -v for k, v in rhs.items()}
         clauses.append((f"{label}: delta_C on invariant forms = -I", ok))
         p = report.p

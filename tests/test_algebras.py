@@ -32,7 +32,7 @@ def random_invertible(rng, n):
             rows[i] = {c: unit * v for c, v in rows[i].items()}
         elif kind == 2:
             rows[i], rows[j] = rows[j], rows[i]
-    m = Matrix.zero(n, n)
+    m = Matrix(n, n)
     m.rows = rows
     return m
 
@@ -171,7 +171,7 @@ def test_change_basis_identity_and_singular():
     same = change_basis(spec, Matrix.identity(4))
     assert same.table == spec.table
     with pytest.raises(LinalgError):
-        change_basis(spec, Matrix.zero(4, 4))
+        change_basis(spec, Matrix(4, 4))
 
 
 def test_bracket_vec_bilinear():

@@ -180,8 +180,8 @@ FAMILY_REPEAT = ('{"dim": 2, "params": ["t"], "brackets": [{"left": "x1",'
 
 @pytest.mark.parametrize("text,key", [
     (ABELIAN_AFTER_REPEAT, "brackets"),
-    (VALUE_REPEAT, "value"),
-    (FAMILY_REPEAT, "coeff"),
+    (VALUE_REPEAT, "brackets[0].value"),
+    (FAMILY_REPEAT, "brackets[0].value[0].coeff"),
 ], ids=["top_level", "bracket_entry", "family"])
 def test_repeated_json_fields_exit_two(text, key):
     # json.loads keeps the last value of a repeated key, so each of these

@@ -58,7 +58,7 @@ def test_rref_identity():
 
 
 def test_rref_zero():
-    ech = row_echelon(Matrix.zero(2, 5))
+    ech = row_echelon(Matrix(2, 5))
     assert ech.sorted_rows() == []
     assert ech.sorted_pivots() == []
     assert ech.rank == 0
@@ -84,7 +84,7 @@ def test_rref_idempotent_random():
 
 def test_kernel_identity_and_zero():
     assert kernel(Matrix.identity(4)).dim == 0
-    k = kernel(Matrix.zero(3, 3))
+    k = kernel(Matrix(3, 3))
     assert k.dim == 3
     assert k == Subspace(3, [{0: ONE}, {1: ONE}, {2: ONE}])
 
@@ -100,7 +100,7 @@ def test_rank_nullity_random():
 
 
 def test_image_examples():
-    assert image(Matrix.zero(4, 2)).dim == 0
+    assert image(Matrix(4, 2)).dim == 0
     # Rank-1 outer product of (1,2,-1) and (2,3).
     outer = from_dense([[S(2), S(3)], [S(4), S(6)], [S(-2), S(-3)]])
     assert image(outer).dim == 1

@@ -43,6 +43,7 @@ from leibcoh.linalg import (  # noqa: E402
     kernel,
     vec_add_at,
     vec_add_scaled,
+    vec_combine,
 )
 from leibcoh.scalars import I, ONE, ZERO, Scalar, format_scalar  # noqa: E402
 from tests.conftest import shear  # noqa: E402
@@ -277,6 +278,8 @@ sparse_vectors = st.dictionaries(st.integers(0, NCOORDS - 1),
 accumulate_steps = st.lists(st.one_of(
     st.tuples(st.just("at"), st.integers(0, NCOORDS - 1), entries(True)),
     st.tuples(st.just("scaled"), sparse_vectors, entries(True)),
+    st.tuples(st.just("combine"), st.lists(sparse_vectors, max_size=2),
+              st.lists(entries(True), max_size=2)),
 ), max_size=8)
 
 
@@ -288,6 +291,7 @@ def pair(s):
 @given(sparse_vectors, accumulate_steps)
 @example({0: ONE}, [("at", 3, Scalar(0)), ("at", 0, -ONE)])
 @example({}, [("scaled", {0: Scalar(0)}, ONE)])
+@example({1: ONE}, [("combine", [{1: ONE}, {2: I}], [Scalar(0), -ONE])])
 def test_sparse_accumulate_matches_dense(start, steps):
     acc = dict(start)
     want = [(Fraction(0), Fraction(0))] * NCOORDS
@@ -296,17 +300,22 @@ def test_sparse_accumulate_matches_dense(start, steps):
     for kind, arg, value in steps:
         if kind == "at":
             vec_add_at(acc, arg, value)
-            terms = {arg: pair(value)}
-        else:
+            scaled = [({arg: ONE}, value)]
+        elif kind == "scaled":
             vec_add_scaled(acc, arg, value)
-            fr, fi = pair(value)
-            terms = {}
-            for j, v in arg.items():
+            scaled = [(arg, value)]
+        else:
+            # acc itself at position 0, coefficients on a prefix of arg.
+            coeffs = dict(enumerate(value[: len(arg)]))
+            acc = vec_combine([acc, *arg], {0: ONE, **{
+                j + 1: c for j, c in coeffs.items()}})
+            scaled = [(arg[j], c) for j, c in coeffs.items()]
+        for vec, factor in scaled:
+            fr, fi = pair(factor)
+            for j, v in vec.items():
                 vr, vi = pair(v)
-                terms[j] = (fr * vr - fi * vi, fr * vi + fi * vr)
-        for j, (tr, ti) in terms.items():
-            wr, wi = want[j]
-            want[j] = (wr + tr, wi + ti)
+                wr, wi = want[j]
+                want[j] = (wr + fr * vr - fi * vi, wi + fr * vi + fi * vr)
         assert all(acc.values())
         assert {j: pair(v) for j, v in acc.items()} == {
             j: w for j, w in enumerate(want) if any(w)}
