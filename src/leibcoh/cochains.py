@@ -8,6 +8,13 @@ short combination of basis cochains one degree up, so both the matrix
 of the coboundary and its matrix-free application come from the same
 push-forward column.
 
+That column is read off a stencil, built once per degree from the
+structure constants with every sign applied: each term inserts one
+index j at a position p of t (and may replace one slot), so its flat
+index is an integer offset from t's own, worked out from the flat
+indices of t's prefix and suffix with no index tuple built.  The matrix
+scatters the columns straight into its rows, in column order.
+
 The antisymmetric subcomplex (for Lie algebras) has the basis of
 increasing index tuples, and the symmetric degree-2 subspace that of
 weakly increasing pairs.  Each is included in tensor coordinates as the
@@ -18,7 +25,7 @@ list of its basis cochains, so a vector w of either subspace embeds as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 from .algebras import is_right_leibniz
 from .linalg import (Matrix, Subspace, certified_kernel, image, kernel,
@@ -43,14 +50,14 @@ __all__ = [
 class CochainScheme:
     """An algebra together with a coefficient choice, adjoint or trivial.
 
-    Holds the flat-index conventions and caches the coboundary matrices
-    of the full complex with their kernels and images, the coboundary
-    matrices of the antisymmetric complex, and the lists of included
-    antisymmetric basis cochains.
+    Holds the flat-index conventions and caches the coboundary stencils
+    and matrices of the full complex with their kernels and images, the
+    coboundary matrices of the antisymmetric complex, and the lists of
+    included antisymmetric basis cochains.
     """
 
     __slots__ = ("spec", "coefficients", "dim", "adjoint", "_by_target",
-                 "_mats", "_lie_mats", "_wedge", "_cocycles",
+                 "_stencils", "_mats", "_lie_mats", "_wedge", "_cocycles",
                  "_coboundaries")
 
     def __init__(self, spec, coefficients="adjoint"):
@@ -65,6 +72,7 @@ class CochainScheme:
             for m, c in value.items():
                 by_target[m].append((a, b, c))
         self._by_target = by_target
+        self._stencils = {}
         self._mats = {}
         self._lie_mats = {}
         self._wedge = {}
@@ -91,69 +99,118 @@ class CochainScheme:
         k = idx if self.adjoint else None
         return k, tuple(t)
 
-    def basis_iter(self, n: int):
-        """Yield (k, t) in flat-index order; k is None for trivial coefficients."""
-        heads = range(self.dim) if self.adjoint else (None,)
-        for k in heads:
-            for t in product(range(self.dim), repeat=n):
-                yield k, t
+    def _stencil(self, n: int):
+        """The degree-n coboundary's terms, signed and offset once.
 
-    def _delta_column(self, k, t) -> dict:
-        """Push-forward of the basis cochain at (k, t) under the coboundary:
-        its column of the coboundary matrix, one degree up."""
-        n = len(t)
+        The flat index of the argument tuple t with j inserted at
+        position p is base[p] + j*d^(n-p), where base[p] is that of t
+        with 0 inserted there (see `_delta_column`).  So every term is a
+        triple (p, offset, signed constant), and only base[p] depends on
+        the column:
+        - actions[k] holds, for head k, [e_j, e_k] at p = 0 and
+          (-1)^(p+1) [e_k, e_j] at p = 1 .. n, each with offset
+          j*d^(n-p) + m*d^(n+1) for the output head m;
+        - brackets[i-1][s] holds, for slot i holding s, the terms
+          (-1)^p [e_a, e_b]_s with b inserted at p = i .. n: a
+          replacing s in slot i adds (a - s)*d^(n+1-i) to the index.
+        Both keep the order of the coboundary formula's terms, so a
+        column's keys come out in one fixed order.  Cached per degree.
+        """
+        stencil = self._stencils.get(n)
+        if stencil is not None:
+            return stencil
         d = self.dim
         table = self.spec.table
-        flat = self.flat_index
-        col = {}
+        top = d ** (n + 1)
+        actions = []
         if self.adjoint:
-            # [X_1, psi(X_2 .. X_{n+1})]
-            for j in range(d):
-                cell = table[j][k]
-                if cell:
-                    u = (j,) + t
-                    for m, c in cell.items():
-                        vec_add_at(col, flat(m, u), c)
-            # (-1)^i [psi(.. hat X_i ..), X_i] for i = 2 .. n+1
-            row = table[k]
-            for pos in range(1, n + 1):
-                positive = pos % 2 == 1
-                for j in range(d):
-                    cell = row[j]
-                    if not cell:
-                        continue
-                    u = t[:pos] + (j,) + t[pos:]
-                    for m, c in cell.items():
-                        vec_add_at(col, flat(m, u), c if positive else -c)
-        # (-1)^(j+1) psi(.., [X_i, X_j] in slot i, .., hat X_j, ..)
+            for k in range(d):
+                terms = [(0, j * d ** n + m * top, c)
+                         for j in range(d) for m, c in table[j][k].items()]
+                for p in range(1, n + 1):
+                    step = d ** (n - p)
+                    terms += [(p, j * step + m * top, c if p % 2 else -c)
+                              for j in range(d)
+                              for m, c in table[k][j].items()]
+                actions.append(terms)
+        brackets = []
         for i in range(1, n + 1):
-            hits = self._by_target[t[i - 1]]
-            if not hits:
-                continue
-            w = list(t)
-            for a, b, c in hits:
-                w[i - 1] = a
-                for j in range(i + 1, n + 2):
-                    u = tuple(w[: j - 1]) + (b,) + tuple(w[j - 1 :])
-                    vec_add_at(col, flat(k, u), c if j % 2 == 1 else -c)
+            shift = d ** (n + 1 - i)
+            brackets.append([
+                [(p, (a - s) * shift + b * d ** (n - p),
+                  -c if p % 2 else c)
+                 for a, b, c in hits for p in range(i, n + 1)]
+                for s, hits in enumerate(self._by_target)])
+        stencil = self._stencils[n] = (actions, brackets)
+        return stencil
+
+    def _delta_column(self, n: int, idx: int) -> dict:
+        """Push-forward of the degree-n basis cochain at flat index idx
+        under the coboundary: its column of the coboundary matrix.
+
+        With t's prefix t[:p] at flat index hi and suffix t[p:] at lo,
+        base[p] = hi*d^(n+1-p) + lo; the bracket terms also carry the
+        output head k*d^(n+1).  Colliding terms are summed exactly and
+        a sum that cancels is dropped, so every value is nonzero.
+        """
+        actions, brackets = self._stencil(n)
+        d = self.dim
+        k, tail = divmod(idx, d ** n) if self.adjoint else (None, idx)
+        base = [0] * (n + 1)
+        slots = [0] * n
+        q = 1
+        for p in range(n, -1, -1):
+            hi, lo = divmod(tail, q)
+            base[p] = hi * q * d + lo
+            if p:
+                slots[p - 1] = hi % d
+            q *= d
+        groups = []
+        if k is not None:
+            groups.append((base, actions[k]))
+            head = k * q  # q is now d^(n+1)
+            base = [head + b for b in base]
+        groups += [(base, terms[s]) for terms, s in zip(brackets, slots)]
+        col = {}
+        get = col.get
+        for bases, terms in groups:
+            # vec_add_at, inlined: this runs once per coboundary entry.
+            for p, off, v in terms:
+                key = bases[p] + off
+                w = get(key)
+                if w is None:
+                    col[key] = v
+                else:
+                    w = w + v
+                    if w:
+                        col[key] = w
+                    else:
+                        del col[key]
         return col
 
     def delta_apply(self, n: int, data: dict) -> dict:
         """Coboundary of a degree-n cochain, matrix-free."""
         out = {}
         for idx, coeff in data.items():
-            k, t = self.unflatten(n, idx)
-            vec_add_scaled(out, self._delta_column(k, t), coeff)
+            vec_add_scaled(out, self._delta_column(n, idx), coeff)
         return out
 
     def delta_matrix(self, n: int) -> Matrix:
-        """Matrix of the coboundary CL^n -> CL^(n+1), cached."""
+        """Matrix of the coboundary CL^n -> CL^(n+1), cached.
+
+        Each column is scattered into its rows in column order, so every
+        row's keys ascend; the columns hold only nonzero Scalars.
+        """
         mat = self._mats.get(n)
         if mat is not None:
             return mat
-        cols = [self._delta_column(k, t) for k, t in self.basis_iter(n)]
-        mat = Matrix.from_columns(self.cochain_dim(n + 1), cols)
-        self._mats[n] = mat
+        ncols = self.cochain_dim(n)
+        rows = [{} for _ in range(self.cochain_dim(n + 1))]
+        column = self._delta_column
+        for j in range(ncols):
+            for i, v in column(n, j).items():
+                rows[i][j] = v
+        mat = self._mats[n] = Matrix._trusted(len(rows), ncols, rows)
         return mat
 
     def cocycles(self, n: int) -> Subspace:

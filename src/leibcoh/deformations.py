@@ -320,10 +320,6 @@ class MasseyReport:
                 return rec
         raise KeyError(f"no record for monomial {monomial}")
 
-    def defined(self, degree=None):
-        return [r for r in self.records
-                if r.status == "defined" and (degree is None or r.degree == degree)]
-
 
 def massey_products(scheme: CochainScheme, generators, order: int,
                     params=None) -> MasseyReport:

@@ -3,7 +3,8 @@
 Vectors are sparse maps {coordinate: Scalar} with no zero values stored.
 `vec_add_at` and `vec_add_scaled` are the only writers that add into
 such a map and keep that invariant; every accumulation in the library
-goes through them, except the back-substitution loops inside `Echelon`.
+goes through them, except the back-substitution loops inside `Echelon`
+and the coboundary column of `cochains`, which inline `vec_add_at`.
 `vec_combine` builds a linear combination of vectors on the second.
 Matrices are logically dense rows x cols grids but keep their rows sparse,
 since the coboundary operators that dominate the workload are very sparse
@@ -127,8 +128,14 @@ class Matrix:
             self.rows = [vec_clean(r) for r in rows]
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [{i: ONE} for i in range(n)])
+    def _trusted(cls, nrows: int, ncols: int, rows) -> "Matrix":
+        """Trusted constructor: rows must already be sparse maps of
+        nonzero Scalars over range(ncols), nrows of them."""
+        m = cls.__new__(cls)
+        m.nrows = nrows
+        m.ncols = ncols
+        m.rows = rows
+        return m
 
     @classmethod
     def from_columns(cls, nrows: int, columns) -> "Matrix":
@@ -142,11 +149,7 @@ class Matrix:
                     if not 0 <= i < nrows:
                         raise LinalgError(f"row index {i} out of range")
                     rows[i][j] = v
-        m = cls.__new__(cls)
-        m.nrows = nrows
-        m.ncols = len(columns)
-        m.rows = rows
-        return m
+        return cls._trusted(nrows, len(columns), rows)
 
     def columns(self):
         cols = [{} for _ in range(self.ncols)]

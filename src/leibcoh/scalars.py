@@ -67,6 +67,10 @@ class Scalar:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        # A real Scalar equals its rational part, so it hashes like it
+        # (and like an equal int, Fraction or mpq).
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __neg__(self):

@@ -1,4 +1,7 @@
-"""Shared fixtures: cached cochain schemes and hand-entered cochains."""
+"""Shared fixtures: cached cochain schemes and hand-entered cochains,
+and a tuple-building coboundary oracle."""
+
+from itertools import product
 
 import pytest
 
@@ -8,6 +11,61 @@ from leibcoh.linalg import Matrix, Subspace, kernel, vec_add_at, vec_combine
 from leibcoh.scalars import ONE, Scalar
 
 HALF = Scalar(1) / 2
+
+
+def oracle_delta_column(scheme, by_target, k, t) -> dict:
+    """Push-forward of the basis cochain at (k, t) under the coboundary,
+    built term by term on explicit index tuples; by_target[m] lists the
+    (a, b, c) with c the e_m coefficient of [e_a, e_b]."""
+    n = len(t)
+    d = scheme.dim
+    table = scheme.spec.table
+    flat = scheme.flat_index
+    col = {}
+    if scheme.adjoint:
+        # [X_1, psi(X_2 .. X_{n+1})]
+        for j in range(d):
+            cell = table[j][k]
+            if cell:
+                u = (j,) + t
+                for m, c in cell.items():
+                    vec_add_at(col, flat(m, u), c)
+        # (-1)^i [psi(.. hat X_i ..), X_i] for i = 2 .. n+1
+        row = table[k]
+        for pos in range(1, n + 1):
+            positive = pos % 2 == 1
+            for j in range(d):
+                cell = row[j]
+                if not cell:
+                    continue
+                u = t[:pos] + (j,) + t[pos:]
+                for m, c in cell.items():
+                    vec_add_at(col, flat(m, u), c if positive else -c)
+    # (-1)^(j+1) psi(.., [X_i, X_j] in slot i, .., hat X_j, ..)
+    for i in range(1, n + 1):
+        hits = by_target[t[i - 1]]
+        if not hits:
+            continue
+        w = list(t)
+        for a, b, c in hits:
+            w[i - 1] = a
+            for j in range(i + 1, n + 2):
+                u = tuple(w[: j - 1]) + (b,) + tuple(w[j - 1 :])
+                vec_add_at(col, flat(k, u), c if j % 2 == 1 else -c)
+    return col
+
+
+def oracle_delta_matrix(scheme, n) -> Matrix:
+    """The degree-n coboundary matrix from the oracle's columns, in
+    flat-index order."""
+    by_target = [[] for _ in range(scheme.dim)]
+    for a, b, value in scheme.spec.nonzero_brackets():
+        for m, c in value.items():
+            by_target[m].append((a, b, c))
+    heads = range(scheme.dim) if scheme.adjoint else (None,)
+    cols = [oracle_delta_column(scheme, by_target, k, t)
+            for k in heads for t in product(range(scheme.dim), repeat=n)]
+    return Matrix.from_columns(scheme.cochain_dim(n + 1), cols)
 
 
 def symmetric_cocycle_space(scheme):

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from leibcoh.algebras import AlgebraSpec, catalog
+from leibcoh.algebras import AlgebraSpec, catalog, is_right_leibniz
 from leibcoh.cochains import (
     CochainScheme,
     CohomologySpace,
@@ -17,10 +17,14 @@ from leibcoh.cochains import (
     wedge_basis,
     wedge_inclusion,
 )
+from leibcoh.families import family_catalog, family_names, specialize
 from leibcoh.linalg import (Echelon, Matrix, Subspace, image, kernel,
                             vec_add_scaled, vec_combine)
 from leibcoh.scalars import I, ONE, Scalar
-from tests.conftest import shear, split_degree2, symmetric_cocycle_space
+from tests.conftest import (oracle_delta_matrix, shear, split_degree2,
+                            symmetric_cocycle_space)
+from tests.test_algebras import CATALOG_CASES
+from tests.test_koszul import sheared
 
 
 def intersect(a, b):
@@ -106,6 +110,24 @@ def random_cochain(rng, scheme, n, entries=6):
     return data
 
 
+def family_point(name):
+    """The family at every parameter equal to 1 + i."""
+    pa = family_catalog(name)
+    return specialize(pa, {p: "1+i" for p in pa.params})
+
+
+STENCIL_ALGEBRAS = (
+    [(" ".join([name, *map(str, params)]), catalog(name, *params))
+     for name, params in CATALOG_CASES]
+    + [(name, family_point(name)) for name in family_names()]
+    + [("one-sided square", one_sided_square()),
+       ("sheared diamond_e", sheared("diamond_e")),
+       ("sheared g54", sheared("g54"))])
+STENCIL_CASES = [(label, spec, coeffs)
+                 for label, spec in STENCIL_ALGEBRAS
+                 for coeffs in ("adjoint", "trivial")]
+
+
 ORACLE_CASES = [
     (catalog("diamond_e"), "adjoint", (0, 1, 2, 3)),
     (catalog("diamond_e"), "trivial", (0, 1, 2, 3)),
@@ -147,6 +169,14 @@ def test_delta_matrix_agrees_with_apply(diamond_adj, diamond_triv, g54_triv):
         for _ in range(5):
             data = random_cochain(rng, scheme, n)
             assert mat.matvec(data) == scheme.delta_apply(n, data)
+    for label, spec, coeffs in STENCIL_CASES:
+        scheme = CochainScheme(spec, coeffs)
+        for n in range(4 if spec.dim <= 5 else 3):
+            mat = scheme.delta_matrix(n)
+            for _ in range(4):
+                data = random_cochain(rng, scheme, n)
+                assert mat.matvec(data) == scheme.delta_apply(n, data), (
+                    label, coeffs, n)
 
 
 def test_delta_squared_is_zero():
@@ -173,6 +203,43 @@ def test_delta_squared_is_zero():
                 data = random_cochain(rng, scheme, n)
                 once = scheme.delta_apply(n, data)
                 assert scheme.delta_apply(n + 1, once) == {}
+
+
+@pytest.mark.parametrize("label,spec,coeffs", STENCIL_CASES,
+                         ids=[f"{label} {coeffs}"
+                              for label, _, coeffs in STENCIL_CASES])
+def test_delta_matrix_matches_the_tuple_oracle(label, spec, coeffs):
+    # Rows equal as dicts and in key order: an elimination reads them in
+    # that order.
+    scheme = CochainScheme(spec, coeffs)
+    top = 3 if spec.dim <= 5 else 2
+    for n in range(top + 1):
+        got = scheme.delta_matrix(n)
+        want = oracle_delta_matrix(scheme, n)
+        assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+        assert got.rows == want.rows, (label, coeffs, n)
+        assert [list(r) for r in got.rows] == [list(r) for r in want.rows]
+
+
+LEIBNIZ_CASES = [case for case in STENCIL_CASES if case[1].kind == "leibniz"]
+
+
+@pytest.mark.parametrize("label,spec,coeffs", LEIBNIZ_CASES,
+                         ids=[f"{label} {coeffs}"
+                              for label, _, coeffs in LEIBNIZ_CASES])
+def test_delta_matrices_compose_to_zero(label, spec, coeffs):
+    # Lie algebras are checked on random cochains in
+    # test_delta_squared_is_zero; these are not Lie.
+    assert is_right_leibniz(spec)
+    scheme = CochainScheme(spec, coeffs)
+    for n in range(3):
+        first = scheme.delta_matrix(n)
+        second = scheme.delta_matrix(n + 1)
+        for row in second.rows:
+            prod = {}
+            for j, v in row.items():
+                vec_add_scaled(prod, first.rows[j], v)
+            assert prod == {}, (label, coeffs, n)
 
 
 def test_flat_index_round_trip():

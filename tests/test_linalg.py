@@ -25,6 +25,11 @@ def from_dense(grid):
                   [dict(enumerate(r)) for r in grid])
 
 
+def identity(n):
+    """The n x n identity matrix."""
+    return Matrix.from_columns(n, [{i: ONE} for i in range(n)])
+
+
 def random_matrix(rng, nrows, ncols, density=0.5):
     rows = []
     for _ in range(nrows):
@@ -51,8 +56,8 @@ def row_echelon(m):
 
 
 def test_rref_identity():
-    ech = row_echelon(Matrix.identity(3))
-    assert ech.sorted_rows() == Matrix.identity(3).rows
+    ech = row_echelon(identity(3))
+    assert ech.sorted_rows() == identity(3).rows
     assert ech.sorted_pivots() == [0, 1, 2]
     assert ech.rank == 3
 
@@ -83,7 +88,7 @@ def test_rref_idempotent_random():
 
 
 def test_kernel_identity_and_zero():
-    assert kernel(Matrix.identity(4)).dim == 0
+    assert kernel(identity(4)).dim == 0
     k = kernel(Matrix(3, 3))
     assert k.dim == 3
     assert k == Subspace(3, [{0: ONE}, {1: ONE}, {2: ONE}])
@@ -151,7 +156,7 @@ def test_quotient_reps_random():
 
 
 def test_solve_identity_and_inconsistent():
-    m = Matrix.identity(3)
+    m = identity(3)
     rhs = {0: S(5), 2: S(-1)}
     assert Solver(m).solve(rhs) == rhs
     # x + y = 1 and x + y = 2 cannot both hold.

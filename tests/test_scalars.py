@@ -129,3 +129,20 @@ def test_hash_consistency():
     assert hash(Scalar(2, 0)) == hash(Scalar("4/2"))
     d = {Scalar(1, 1): "a"}
     assert d[Scalar("2/2", "3/3")] == "a"
+
+
+@pytest.mark.parametrize("value", [0, 1, -3, 2 ** 70, Fraction(1, 2),
+                                   Fraction(-7, 3), Fraction(6, 3)])
+def test_real_scalars_hash_like_the_rationals_they_equal(value):
+    s = Scalar(value)
+    assert hash(s) == hash(value)
+    if s == value:
+        assert len({s, value}) == 1
+    assert len({ONE, 1}) == 1
+
+
+def test_non_real_scalars_keep_a_hash_of_both_parts():
+    s = Scalar(1, 2)
+    assert hash(s) == hash(parse_scalar("1+2*i"))
+    assert len({s, parse_scalar("1+2i"), 1}) == 2
+    assert s != 1 and hash(Scalar(0, 1)) == hash(I)
