@@ -6,6 +6,9 @@ claims to be (lie or leibniz).  Claims are validated, never assumed: the
 same code path handles antisymmetric and genuinely one-sided brackets.
 The convention throughout is the right Leibniz identity
 [[x,y],z] = [[x,z],y] + [x,[y,z]], whose antisymmetric case is Jacobi.
+It and antisymmetry are each written once, in `leibniz_defect` and
+`skew_residue`, over a bracket accessor that serves the Scalar tables
+here and the Poly tables of `families` alike.
 """
 
 from __future__ import annotations
@@ -28,6 +31,19 @@ __all__ = [
 ]
 
 
+def checked_basis_names(dim: int, kind: str, basis_names) -> list:
+    """The basis names of a table of the given kind, x1..x<dim> when
+    None; raises ValueError on an unknown kind or on names that are not
+    distinct, one per dimension."""
+    if kind not in ("lie", "leibniz"):
+        raise ValueError(f"unknown algebra kind {kind!r}")
+    if basis_names is None:
+        basis_names = [f"x{i+1}" for i in range(dim)]
+    if len(basis_names) != dim or len(set(basis_names)) != dim:
+        raise ValueError("basis names must be distinct, one per dimension")
+    return list(basis_names)
+
+
 class AlgebraSpec:
     """A finite-dimensional algebra given by structure constants.
 
@@ -40,16 +56,10 @@ class AlgebraSpec:
     __slots__ = ("dim", "name", "kind", "basis_names", "table", "_leibniz")
 
     def __init__(self, dim, brackets, kind="lie", name="", basis_names=None):
-        if kind not in ("lie", "leibniz"):
-            raise ValueError(f"unknown algebra kind {kind!r}")
+        self.basis_names = checked_basis_names(dim, kind, basis_names)
         self.dim = dim
         self.name = name
         self.kind = kind
-        if basis_names is None:
-            basis_names = [f"x{i+1}" for i in range(dim)]
-        if len(basis_names) != dim or len(set(basis_names)) != dim:
-            raise ValueError("basis names must be distinct, one per dimension")
-        self.basis_names = list(basis_names)
         table = [[{} for _ in range(dim)] for _ in range(dim)]
         for (i, j), value in brackets.items():
             if not (0 <= i < dim and 0 <= j < dim):
@@ -120,28 +130,44 @@ def is_right_leibniz(spec: AlgebraSpec) -> bool:
     Evaluated once per spec; later calls return the stored verdict.
     """
     if spec._leibniz is None:
-        spec._leibniz = _right_leibniz_holds(spec.table)
+        spec._leibniz = _right_leibniz_holds(spec)
     return spec._leibniz
 
 
-def _right_leibniz_holds(table) -> bool:
-    for row in table:
-        for j, bij in enumerate(row):
-            for k, bjk in enumerate(table[j]):
-                bik = row[k]
-                if not (bij or bik or bjk):
-                    continue
-                # [[x,y],z] - [[x,z],y] - [x,[y,z]], x, y, z = e_i, e_j, e_k.
-                defect = {}
-                for m, c in bij.items():
-                    vec_add_scaled(defect, table[m][k], c)
-                for m, c in bik.items():
-                    vec_add_scaled(defect, table[m][j], -c)
-                for m, c in bjk.items():
-                    vec_add_scaled(defect, row[m], -c)
-                if defect:
-                    return False
-    return True
+def _right_leibniz_holds(spec: AlgebraSpec) -> bool:
+    bracket = spec.bracket
+    return not any(leibniz_defect(bracket, i, j, k)
+                   for i, j, k in product(range(spec.dim), repeat=3))
+
+
+def skew_residue(bracket, i: int, j: int) -> dict:
+    """[e_i,e_j] + [e_j,e_i] for i < j, and [e_i,e_i] itself for i = j:
+    zero on every pair exactly when the table is antisymmetric.
+
+    `bracket(a, b)` returns [e_a, e_b] as a sparse vector with Scalar or
+    Poly coefficients; the result is a new sparse vector.
+    """
+    residue = dict(bracket(i, j))
+    if i != j:
+        for k, v in bracket(j, i).items():
+            vec_add_at(residue, k, v)
+    return residue
+
+
+def leibniz_defect(bracket, i: int, j: int, k: int) -> dict:
+    """[[x,y],z] - [[x,z],y] - [x,[y,z]] at x, y, z = e_i, e_j, e_k, as a
+    sparse vector over the same `bracket` accessor as skew_residue."""
+    bij, bik, bjk = bracket(i, j), bracket(i, k), bracket(j, k)
+    if not (bij or bik or bjk):
+        return {}
+    defect = {}
+    for m, c in bij.items():
+        vec_add_scaled(defect, bracket(m, k), c)
+    for m, c in bik.items():
+        vec_add_scaled(defect, bracket(m, j), -c)
+    for m, c in bjk.items():
+        vec_add_scaled(defect, bracket(i, m), -c)
+    return defect
 
 
 def validate(spec: AlgebraSpec) -> StructureReport:
@@ -151,18 +177,8 @@ def validate(spec: AlgebraSpec) -> StructureReport:
     Failed identities are reported in the result, not raised.
     """
     d = spec.dim
-    anti = True
-    for i in range(d):
-        for j in range(i, d):
-            lhs = spec.table[i][j]
-            rhs = spec.table[j][i]
-            if any(lhs.get(k, ZERO) != -v for k, v in rhs.items()) or any(
-                k not in rhs and v for k, v in lhs.items()
-            ):
-                anti = False
-                break
-        if not anti:
-            break
+    anti = not any(skew_residue(spec.bracket, i, j)
+                   for i in range(d) for j in range(i, d))
 
     table = spec.table
     jacobi = True

@@ -12,9 +12,10 @@ algebra from the main catalog.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .algebras import AlgebraSpec
-from .linalg import vec_add_at, vec_add_scaled
+from .algebras import (AlgebraSpec, checked_basis_names, leibniz_defect,
+                       skew_residue)
 from .polynomials import Poly, parse_poly
 from .scalars import format_scalar, scalar
 
@@ -38,13 +39,11 @@ class ParamAlgebra:
                  basis_names=None, notes=()):
         if dim < 1:
             raise ValueError("dimension must be positive")
+        self.basis_names = tuple(checked_basis_names(dim, kind, basis_names))
         self.dim = dim
         self.params = tuple(params)
         self.kind = kind
         self.name = name
-        self.basis_names = tuple(basis_names or (f"x{i+1}" for i in range(dim)))
-        if len(self.basis_names) != dim:
-            raise ValueError("one basis name per dimension")
         self.notes = tuple(notes)
         self.table = {}
         for (i, j), value in brackets.items():
@@ -72,19 +71,6 @@ class ParamAlgebra:
     def bracket(self, i: int, j: int) -> dict:
         return self.table.get((i, j), {})
 
-    def bracket_vec(self, x: dict, y: dict) -> dict:
-        """Bracket of two vectors with Poly coefficients."""
-        out = {}
-        for i, a in x.items():
-            if not a:
-                continue
-            for j, b in y.items():
-                cell = self.table.get((i, j))
-                if not cell or not b:
-                    continue
-                vec_add_scaled(out, cell, a * b)
-        return out
-
 
 @dataclass
 class DefectTerm:
@@ -100,39 +86,18 @@ def leibniz_defect_sym(pa: ParamAlgebra) -> list:
     """Nonzero components of [[x,y],z] - [[x,z],y] - [x,[y,z]] over all
     basis triples, as polynomials; empty means the right Leibniz
     identity holds for every parameter value."""
-    out = []
-    for x in range(pa.dim):
-        for y in range(pa.dim):
-            for z in range(pa.dim):
-                acc = {}
-                for vec, sign in (
-                    (pa.bracket_vec(pa.bracket(x, y), {z: 1}), 1),
-                    (pa.bracket_vec(pa.bracket(x, z), {y: 1}), -1),
-                    (pa.bracket_vec({x: 1}, pa.bracket(y, z)), -1),
-                ):
-                    for k, poly in vec.items():
-                        vec_add_at(acc, k, poly if sign == 1 else -poly)
-                for k in sorted(acc):
-                    out.append(DefectTerm("identity", (x, y, z), k, acc[k]))
-    return out
+    return [DefectTerm("identity", (x, y, z), k, poly)
+            for x, y, z in product(range(pa.dim), repeat=3)
+            for k, poly in sorted(leibniz_defect(pa.bracket, x, y, z).items())]
 
 
 def jacobi_defect(pa: ParamAlgebra) -> list:
     """Antisymmetry residues plus identity defects; empty exactly when
     the table is a Lie algebra for every parameter value."""
-    zero = Poly.zero(pa.params)
-    out = []
-    for i in range(pa.dim):
-        for j in range(i, pa.dim):
-            forward = pa.bracket(i, j)
-            backward = pa.bracket(j, i)
-            for k in sorted(set(forward) | set(backward)):
-                residue = forward.get(k, zero) + backward.get(k, zero)
-                if i == j:
-                    residue = forward.get(k, zero)
-                if residue:
-                    out.append(DefectTerm("skew", (i, j), k, residue))
-    return out + leibniz_defect_sym(pa)
+    return [DefectTerm("skew", (i, j), k, poly)
+            for i in range(pa.dim) for j in range(i, pa.dim)
+            for k, poly in sorted(skew_residue(pa.bracket, i, j).items())
+            ] + leibniz_defect_sym(pa)
 
 
 def specialize(pa: ParamAlgebra, assignment) -> AlgebraSpec:
@@ -158,21 +123,13 @@ def specialize(pa: ParamAlgebra, assignment) -> AlgebraSpec:
 
 def _skew(dim, params, pairs, **kwargs) -> ParamAlgebra:
     """Build with both orientations filled in from one-sided data."""
-    brackets = {}
-    for (i, j), value in pairs.items():
-        brackets[(i, j)] = dict(value)
-        flipped = {}
-        for k, poly in value.items():
-            flipped[k] = (parse_poly(f"-({poly})", params)
-                          if isinstance(poly, str) else -_as(params, poly))
-        brackets[(j, i)] = flipped
-    return ParamAlgebra(dim, params, brackets, **kwargs)
-
-
-def _as(params, value):
-    if isinstance(value, Poly):
-        return value
-    return Poly.constant(params, value)
+    pa = ParamAlgebra(dim, params, pairs, **kwargs)
+    table = {}
+    for (i, j), cell in pa.table.items():
+        table[(i, j)] = cell
+        table[(j, i)] = {k: -poly for k, poly in cell.items()}
+    pa.table = table
+    return pa
 
 
 def _diamond_family() -> ParamAlgebra:

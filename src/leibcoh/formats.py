@@ -15,7 +15,7 @@ import json
 
 from .algebras import AlgebraSpec
 from .families import ParamAlgebra
-from .polynomials import format_poly, parse_poly
+from .polynomials import Poly, format_poly, parse_poly
 from .scalars import format_scalar, parse_scalar
 
 __all__ = [
@@ -181,6 +181,15 @@ def document_to_family(doc: dict) -> ParamAlgebra:
         parse_poly("0", params)
     except ValueError as exc:
         raise FormatError(str(exc), field="params") from exc
+    for k, p in enumerate(params):
+        # A name counts only if a coefficient can spell it.
+        try:
+            named = parse_poly(p, params) == Poly.variable(params, p)
+        except ValueError:
+            named = False
+        if not named:
+            raise FormatError(f"{p!r} cannot be written as a parameter in "
+                              f"a coefficient", field=f"params[{k}]")
     dim, kind, basis, name, brackets = _structure(
         doc, lambda s: parse_poly(s, params), "polynomial")
     return ParamAlgebra(dim, params, brackets, kind=kind, name=name,

@@ -132,6 +132,88 @@ def test_validate_parameterized_failure_reports_polynomial():
     assert any("t" in p for p in report["validate"]["problems"])
 
 
+def _bracket(left, right, *value):
+    return {"left": left, "right": right,
+            "value": [{"basis": k, "coeff": c} for k, c in value]}
+
+
+LIE_FAMILY_FAILING_BOTH = {"dim": 3, "kind": "lie", "params": ["s", "t"],
+                           "brackets": [
+    _bracket("x1", "x2", ("x3", "t")),
+    _bracket("x2", "x1", ("x3", "1-t")),
+    _bracket("x1", "x3", ("x1", "s"), ("x2", "1")),
+    _bracket("x3", "x1", ("x1", "-s"), ("x2", "-1")),
+    _bracket("x2", "x3", ("x1", "s*t")),
+    _bracket("x3", "x2", ("x1", "-s*t")),
+    _bracket("x3", "x3", ("x2", "s^2")),
+]}
+LEIBNIZ_FAMILY_FAILING = {"dim": 2, "kind": "leibniz", "params": ["t"],
+                          "brackets": [
+    _bracket("x1", "x1", ("x2", "t")),
+    _bracket("x2", "x1", ("x2", "1+i*t")),
+    _bracket("x1", "x2", ("x1", "t^2")),
+]}
+CONCRETE_NOT_ANTISYMMETRIC = {"dim": 3, "kind": "lie", "brackets": [
+    _bracket("x1", "x2", ("x3", "1")),
+    _bracket("x2", "x1", ("x3", "1")),
+    _bracket("x3", "x3", ("x1", "1/2")),
+    _bracket("x1", "x3", ("x1", "1")),
+    _bracket("x3", "x1", ("x1", "-1")),
+]}
+SKEW = "skew-symmetry fails at"
+IDENTITY = "structure identity fails at"
+
+
+@pytest.mark.parametrize("doc,problems", [
+    (LIE_FAMILY_FAILING_BOTH, [
+        f"{SKEW} (x1, x2) in x3: 1",
+        f"{SKEW} (x3, x3) in x2: s^2",
+        f"{IDENTITY} (x1, x1, x3) in x3: -1",
+        f"{IDENTITY} (x1, x2, x1) in x1: -s",
+        f"{IDENTITY} (x1, x2, x1) in x2: -1",
+        f"{IDENTITY} (x1, x2, x3) in x2: s^2*t",
+        f"{IDENTITY} (x1, x2, x3) in x3: -s*t",
+        f"{IDENTITY} (x1, x3, x1) in x3: 1",
+        f"{IDENTITY} (x1, x3, x2) in x2: -s^2*t",
+        f"{IDENTITY} (x1, x3, x2) in x3: s*t",
+        f"{IDENTITY} (x1, x3, x3) in x3: -s^2*t",
+        f"{IDENTITY} (x2, x1, x2) in x1: -s*t",
+        f"{IDENTITY} (x2, x1, x3) in x2: s^2 - s^2*t",
+        f"{IDENTITY} (x2, x1, x3) in x3: -s + s*t",
+        f"{IDENTITY} (x2, x2, x3) in x3: -s*t",
+        f"{IDENTITY} (x2, x3, x1) in x2: -s^2 + s^2*t",
+        f"{IDENTITY} (x2, x3, x1) in x3: s - s*t",
+        f"{IDENTITY} (x2, x3, x2) in x3: s*t",
+        f"{IDENTITY} (x3, x1, x2) in x2: -s^2*t",
+        f"{IDENTITY} (x3, x1, x2) in x3: -s*t",
+        f"{IDENTITY} (x3, x1, x3) in x3: -s^2 + s^2*t",
+        f"{IDENTITY} (x3, x2, x1) in x2: -s^2 + s^2*t",
+        f"{IDENTITY} (x3, x2, x1) in x3: s*t",
+        f"{IDENTITY} (x3, x3, x1) in x3: s^2 - s^2*t",
+        f"{IDENTITY} (x3, x3, x3) in x1: s^3*t",
+    ]),
+    (LEIBNIZ_FAMILY_FAILING, [
+        f"{IDENTITY} (x1, x1, x1) in x1: -t^3",
+        f"{IDENTITY} (x1, x1, x2) in x2: -2*t^3",
+        f"{IDENTITY} (x1, x2, x1) in x1: -t^2 - i*t^3",
+        f"{IDENTITY} (x1, x2, x1) in x2: t^3",
+        f"{IDENTITY} (x2, x1, x2) in x2: -t^2 - i*t^3",
+    ]),
+    (CONCRETE_NOT_ANTISYMMETRIC, [
+        "declared lie but the table is not antisymmetric",
+        "declared lie but the Jacobi identity fails",
+    ]),
+], ids=["lie_family", "leibniz_family", "concrete"])
+def test_validate_pins_every_problem_in_order(doc, problems):
+    # Skew residues before identity defects, each in index order, with
+    # the polynomial text exactly as the report prints it.
+    result = run_cli(["validate"], json.dumps(doc))
+    assert result.returncode == 2, result.stderr
+    report = json.loads(result.stdout)
+    jsonschema.validate(report, report_schema())
+    assert report["validate"] == {"ok": False, "problems": problems}
+
+
 def test_parse_error_names_line():
     result = run_cli(["validate"], '{\n  "dim": 2,\n  "basis": [,]\n}')
     assert result.returncode == 2
@@ -160,7 +242,13 @@ def _one_bracket_doc(left="x1", right="x2", basis="x1", coeff="1",
     ("[" * 100000 + "]" * 100000, "nested too deeply"),
     (_one_bracket_doc(coeff="(" * 3000 + "t" + ")" * 3000, params=["t"]),
      "field 'brackets[0].value[0].coeff'"),
-], ids=["list_left", "object_right", "list_basis", "deep_json", "deep_coeff"])
+    (_one_bracket_doc(coeff="0", params=[""]), "field 'params[0]'"),
+    (_one_bracket_doc(coeff="0", params=["t", "1"]), "field 'params[1]'"),
+    (_one_bracket_doc(coeff="0", params=["a b"]), "field 'params[0]'"),
+    (_one_bracket_doc(coeff="0", params=["t", "\u03bb"]),
+     "field 'params[1]'"),
+], ids=["list_left", "object_right", "list_basis", "deep_json", "deep_coeff",
+        "empty_param", "number_param", "spaced_param", "non_ascii_param"])
 def test_malformed_documents_exit_two_without_traceback(text, where):
     result = run_cli(["validate"], text)
     assert result.returncode == 2

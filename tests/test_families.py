@@ -1,10 +1,12 @@
 """Parameterized families: symbolic identity checks and specialization."""
 
 import random
+from itertools import product
 
 import pytest
 
-from leibcoh.algebras import catalog, change_basis, validate
+from leibcoh.algebras import (AlgebraSpec, catalog, change_basis,
+                              leibniz_defect, skew_residue, validate)
 from leibcoh.families import (
     ParamAlgebra,
     family_catalog,
@@ -13,9 +15,9 @@ from leibcoh.families import (
     leibniz_defect_sym,
     specialize,
 )
-from leibcoh.linalg import Matrix
+from leibcoh.linalg import Matrix, vec_add_scaled
 from leibcoh.polynomials import parse_poly
-from leibcoh.scalars import ONE, Scalar
+from leibcoh.scalars import ONE, ZERO, Scalar
 
 LIE_FAMILIES = [
     "diamond_family",
@@ -60,12 +62,18 @@ def test_empty_defect_means_every_specialization_validates():
         assert report.is_leibniz
 
 
-def test_perturbed_family_fails_symbolically_and_pointwise():
+def perturbed_family1():
+    """g54_family1 with the (x3, x5) coefficient on x3 moved from p to
+    p + 1 on both orientations: antisymmetric, but not Lie."""
     base = family_catalog("g54_family1")
     brackets = {key: dict(cell) for key, cell in base.table.items()}
     brackets[(2, 4)] = {2: parse_poly("p+1", base.params), 0: ONE}
     brackets[(4, 2)] = {2: parse_poly("-p-1", base.params), 0: -ONE}
-    broken = ParamAlgebra(5, base.params, brackets)
+    return ParamAlgebra(5, base.params, brackets)
+
+
+def test_perturbed_family_fails_symbolically_and_pointwise():
+    broken = perturbed_family1()
     defects = jacobi_defect(broken)
     assert defects
     # Find a point where some defect polynomial is nonzero and confirm
@@ -77,6 +85,62 @@ def test_perturbed_family_fails_symbolically_and_pointwise():
             break
     report = validate(specialize(broken, point))
     assert not (report.is_antisymmetric and report.is_jacobi)
+
+
+@pytest.mark.parametrize("pa", [family_catalog(name) for name in family_names()]
+                         + [perturbed_family1()],
+                         ids=family_names() + ["perturbed_g54_family1"])
+def test_symbolic_defects_evaluate_to_the_pointwise_ones(pa):
+    # Each DefectTerm polynomial, evaluated at a Q(i) point, is the same
+    # component of the evaluator run on the specialized Scalar table,
+    # which in turn matches the identity spelled out with bracket_vec
+    # (and the residue spelled out from both orientations).
+    terms = {(t.law, t.where, t.component): t.poly for t in jacobi_defect(pa)}
+    r = range(pa.dim)
+    rng = random.Random(11)
+    for _ in range(2):
+        point = random_point(rng, pa.params)
+        spec = specialize(pa, point)
+        bracket, vec = spec.bracket, spec.bracket_vec
+
+        def symbolic(key):
+            poly = terms.get(key)
+            return ZERO if poly is None else poly.evaluate(point)
+
+        for i in r:
+            for j in range(i, pa.dim):
+                residue = skew_residue(bracket, i, j)
+                spelled = dict(bracket(i, j))
+                if i != j:
+                    vec_add_scaled(spelled, bracket(j, i), ONE)
+                assert residue == spelled
+                for k in r:
+                    assert symbolic(("skew", (i, j), k)) == residue.get(k, ZERO)
+        for x, y, z in product(r, repeat=3):
+            defect = leibniz_defect(bracket, x, y, z)
+            ex, ey, ez = {x: ONE}, {y: ONE}, {z: ONE}
+            spelled = vec(vec(ex, ey), ez)
+            vec_add_scaled(spelled, vec(vec(ex, ez), ey), -ONE)
+            vec_add_scaled(spelled, vec(ex, vec(ey, ez)), -ONE)
+            assert defect == spelled
+            for k in r:
+                assert (symbolic(("identity", (x, y, z), k))
+                        == defect.get(k, ZERO)), (x, y, z, k)
+
+
+def test_param_algebra_checks_kind_and_basis_names_like_algebra_spec():
+    for kwargs, message in (
+            ({"kind": "bogus"}, "unknown algebra kind 'bogus'"),
+            ({"basis_names": ("a", "a")},
+             "basis names must be distinct, one per dimension"),
+            ({"basis_names": ("a",)},
+             "basis names must be distinct, one per dimension")):
+        with pytest.raises(ValueError, match=message):
+            AlgebraSpec(2, {}, **kwargs)
+        with pytest.raises(ValueError, match=message):
+            ParamAlgebra(2, ("t",), {}, **kwargs)
+    with pytest.raises(ValueError, match="unknown algebra kind"):
+        ParamAlgebra(2, ("t",), {}, kind="bogus", basis_names=("a", "a"))
 
 
 def test_diamond_family_specializes_to_diamond():
