@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
-from .algebras import is_right_leibniz
+from .algebras import is_right_leibniz, skew_residue
 from .linalg import (Matrix, Subspace, certified_kernel, image, kernel,
                      quotient_reps, vec_add_at, vec_add_scaled, vec_combine)
 from .scalars import ONE, ZERO, Scalar
@@ -214,20 +214,20 @@ class CochainScheme:
         return mat
 
     def cocycles(self, n: int) -> Subspace:
-        """Kernel of the degree-n coboundary, cached; callers only read it.
-
-        When the algebra satisfies the right Leibniz identity, checked
-        once per algebra, delta o delta = 0 puts the coboundaries inside
-        the kernel, and `certified_kernel` takes them as known.
+        """Kernel of the degree-n coboundary for n >= 1, cached; callers
+        only read it.  delta o delta = 0 holds exactly when the table is
+        right Leibniz (a verdict kept on the spec), so any other table is
+        refused before a matrix is built; on a complex the coboundaries
+        lie in the kernel, and `certified_kernel` takes them as known.
         """
         z = self._cocycles.get(n)
         if z is None:
-            if n >= 1 and is_right_leibniz(self.spec):
-                z = certified_kernel(self.delta_matrix(n),
-                                     self.coboundaries(n))
-            else:
-                z = kernel(self.delta_matrix(n))
-            self._cocycles[n] = z
+            if n < 1:
+                raise ValueError("degree must be at least 1")
+            if not is_right_leibniz(self.spec):
+                raise ValueError("not a complex: not right Leibniz")
+            z = self._cocycles[n] = certified_kernel(self.delta_matrix(n),
+                                                     self.coboundaries(n))
         return z
 
     def coboundaries(self, n: int) -> Subspace:
@@ -338,13 +338,19 @@ def _wedge_flat(scheme, ncombs, k, pos):
 def lie_delta_matrix(scheme: CochainScheme, n: int) -> Matrix:
     """Coboundary on antisymmetric cochains, in increasing-tuple coordinates.
 
-    Meaningful when the algebra is Lie, where the coboundary preserves
-    antisymmetry; the column of a basis cochain is its full coboundary
-    read back at the increasing coordinates.  Cached on the scheme.
+    A complex exactly when the algebra is Lie (antisymmetric and right
+    Leibniz); any other table is refused before anything is built.  The
+    column of a basis cochain is its full coboundary read back at the
+    increasing coordinates.  Cached on the scheme.
     """
     mat = scheme._lie_mats.get(n)
     if mat is not None:
         return mat
+    spec, d = scheme.spec, scheme.dim
+    if not is_right_leibniz(spec) or any(
+            skew_residue(spec.bracket, i, j)
+            for i in range(d) for j in range(i, d)):
+        raise ValueError("not a complex: not a Lie algebra")
     out_combs = wedge_basis(scheme.dim, n + 1)
     out_pos = {c: i for i, c in enumerate(out_combs)}
     nout = len(out_combs)
@@ -367,10 +373,10 @@ class CohomologySpace:
     """Cocycles, coboundaries, and chosen representatives in one degree.
 
     All three live in tensor coordinates of the ambient cochain space,
-    also for the antisymmetric subcomplex.  The representatives are
-    always `quotient_reps(cocycles, coboundaries)`, which also checks
-    that the coboundaries lie in the cocycles; `ClassCoordinates`
-    relies on both.
+    also for the antisymmetric subcomplex.  The coboundaries lie in the
+    cocycles because both come from a complex, checked where it is
+    built; the representatives are always `quotient_reps(cocycles,
+    coboundaries)`, and `ClassCoordinates` relies on both.
     """
 
     degree: int
@@ -396,15 +402,13 @@ class CohomologySpace:
 
 def leibniz_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
     """Cocycles mod coboundaries of the full complex in degree n >= 1."""
-    if n < 1:
-        raise ValueError("degree must be at least 1")
     return CohomologySpace(n, scheme.cocycles(n), scheme.coboundaries(n))
 
 
 def lie_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
     """Cohomology of the antisymmetric subcomplex, embedded in tensor
     coordinates so the result is directly comparable with the full
-    complex.  Requires a Lie algebra.
+    complex.  `lie_delta_matrix` refuses a table that is not Lie.
 
     Z is the kernel of the antisymmetric delta(n) and B the image of
     delta(n-1); for a Lie algebra delta o incl = incl o delta, so B is

@@ -205,36 +205,32 @@ def parse_document(text: str):
     return document_to_algebra(doc)
 
 
-def algebra_to_document(spec: AlgebraSpec) -> dict:
-    doc = {"dim": spec.dim, "kind": spec.kind,
-           "basis": list(spec.basis_names)}
-    if spec.name:
-        doc["name"] = spec.name
-    names = spec.basis_names
+def _to_document(alg, cells, coeff_text, params=None) -> dict:
+    """The document of a concrete or parameterized table, one bracket per
+    (i, j, cell) of `cells`, each coefficient written by `coeff_text`."""
+    doc = {"dim": alg.dim, "kind": alg.kind}
+    if params is not None:
+        doc["params"] = list(params)
+    doc["basis"] = list(alg.basis_names)
+    if alg.name:
+        doc["name"] = alg.name
+    names = alg.basis_names
     doc["brackets"] = [
         {"left": names[i], "right": names[j],
-         "value": [{"basis": names[k], "coeff": format_scalar(cell[k])}
+         "value": [{"basis": names[k], "coeff": coeff_text(cell[k])}
                    for k in sorted(cell)]}
-        for i, j, cell in spec.nonzero_brackets()
+        for i, j, cell in cells
     ]
     return doc
 
 
+def algebra_to_document(spec: AlgebraSpec) -> dict:
+    return _to_document(spec, spec.nonzero_brackets(), format_scalar)
+
+
 def family_to_document(pa: ParamAlgebra) -> dict:
-    doc = {"dim": pa.dim, "kind": pa.kind, "params": list(pa.params),
-           "basis": list(pa.basis_names)}
-    if pa.name:
-        doc["name"] = pa.name
-    names = pa.basis_names
-    brackets = []
-    for (i, j) in sorted(pa.table):
-        cell = pa.table[(i, j)]
-        brackets.append(
-            {"left": names[i], "right": names[j],
-             "value": [{"basis": names[k], "coeff": format_poly(cell[k])}
-                       for k in sorted(cell)]})
-    doc["brackets"] = brackets
-    return doc
+    cells = [(i, j, pa.table[(i, j)]) for i, j in sorted(pa.table)]
+    return _to_document(pa, cells, format_poly, pa.params)
 
 
 def dumps_canonical(doc) -> str:

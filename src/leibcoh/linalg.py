@@ -516,9 +516,9 @@ def certified_kernel(m: Matrix, known: Subspace) -> Subspace:
     """{v : m v = 0}, the same canonical Subspace as `kernel(m)`, given a
     subspace `known` of it.
 
-    Precondition: m v = 0 for every v in `known`.  Nothing checks it
-    (the cochain schemes derive it from the right Leibniz identity);
-    without it the result can be wrong.
+    Precondition: m v = 0 for every v in `known`; without it the result
+    can be wrong.  `CochainScheme.cocycles`, the one caller, passes the
+    coboundaries of a complex, which it checks before building it.
 
     The certificate, on each block b of `_partition`: reduction modulo
     PRIME is a ring map, so no rank modulo PRIME exceeds the exact rank
@@ -552,14 +552,12 @@ def image(m: Matrix) -> Subspace:
 
 
 def quotient_reps(a: Subspace, b: Subspace):
-    """Vectors of a whose classes form a basis of a/b.
+    """Vectors of a whose classes form a basis of a/b, for b inside a:
+    each caller's b lies in a by construction, and nothing re-checks it.
 
     Deterministic choice: the RREF basis rows of a whose pivot columns
-    are not pivot columns of b (non-pivot completion).  Containment of b
-    in a is checked.
+    are not pivot columns of b (non-pivot completion).
     """
-    if not a.contains_subspace(b):
-        raise LinalgError("not a subspace: quotient denominator not contained")
     bpiv = set(b.pivots)
     return [r for p, r in zip(a.pivots, a.basis()) if p not in bpiv]
 

@@ -135,7 +135,8 @@ class Poly:
         return f"Poly({self.params!r}, {format_poly(self)!r})"
 
 
-_NUMBER = _re.compile(r"[0-9]+(?:/[0-9]+)?")
+# A number written straight before a lone i is one literal: "1/2i" is i/2.
+_NUMBER = _re.compile(r"[0-9]+(?:/[0-9]+)?(?:i(?![A-Za-z_0-9]))?")
 _NAME = _re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
@@ -208,7 +209,7 @@ class _Parser:
             kind, value = self.take() if self.pos < len(self.tokens) else (None, None)
         else:
             return base
-        if kind != "number" or "/" in value:
+        if kind != "number" or not value.isdigit():
             raise ValueError("exponent must be a plain non-negative integer")
         return base ** int(value)
 
@@ -233,7 +234,7 @@ class _Parser:
 
 def parse_poly(text: str, params) -> Poly:
     """Parse an expression in +, -, *, ^, parentheses, rational and
-    imaginary literals, and the declared parameter names."""
+    imaginary literals (``i``, ``2i``), and the declared parameters."""
     parser = _Parser(_tokenize(text), tuple(params))
     try:
         out = parser.expr()

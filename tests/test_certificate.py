@@ -3,10 +3,11 @@
 A block of coordinates takes the coboundaries as its cocycles only when
 a rank modulo PRIME proves that nothing else is there.  These tests pin
 the fixed prime, how much the certificate covers, that it never claims
-a block whose rank modulo PRIME collapses or cannot be formed, and that
-the gate on the Leibniz identity keeps non-Leibniz tables on the exact
-path, where their missing delta o delta = 0 raises, and that the gate
-costs no second evaluation of the identity.
+a block whose rank modulo PRIME collapses or cannot be formed, that a
+table without delta o delta = 0 is refused before any coboundary matrix
+is built, by the full complex unless it is right Leibniz and by the
+antisymmetric one unless it is Lie, and that the check costs no second
+evaluation of the identity.
 """
 
 import io
@@ -16,11 +17,13 @@ import pytest
 
 from leibcoh import algebras, cli
 from leibcoh.algebras import AlgebraSpec, catalog, is_right_leibniz
-from leibcoh.cochains import CochainScheme, leibniz_cohomology
+from leibcoh.cochains import (CochainScheme, leibniz_cohomology,
+                              lie_cohomology)
 from leibcoh.formats import algebra_to_document, dumps_canonical
 from leibcoh.linalg import (PRIME, PRIME_I, LinalgError, _partition,
                             certified_kernel, kernel)
 from leibcoh.scalars import ONE, Scalar
+from tests.test_cochains import one_sided_square
 
 
 def test_prime_is_one_mod_four_with_a_root_of_minus_one():
@@ -81,14 +84,25 @@ def test_collapsed_ranks_certify_no_block(name, factor, coefficients):
         assert got.cocycles == kernel(m)
 
 
-# Tables that fail the right Leibniz identity, with the coefficient
-# choice and degree where the coboundaries leave the cocycles.  Taking
-# the coboundaries as known there would certify blocks that are wrong.
+# Tables that fail the right Leibniz identity.  The first five cases are
+# the coefficient choices and degrees where the coboundaries of tables 1
+# and 2 would leave the cocycles; in the others, trivial degree 1 among
+# them, a plain kernel would answer, but it would not be the cohomology
+# of a complex.
 TABLE_1 = {(0, 0): {1: Scalar(2)}, (0, 1): {1: ONE}}
 TABLE_2 = {(0, 0): {1: ONE}, (0, 2): {1: -ONE}, (2, 1): {1: -ONE}}
-NON_LEIBNIZ = [(TABLE_1, "adjoint", 1), (TABLE_1, "adjoint", 2),
-               (TABLE_1, "trivial", 2), (TABLE_2, "adjoint", 3),
-               (TABLE_2, "trivial", 3)]
+# Antisymmetric, but the Jacobi sum at (e_0, e_1, e_2) is -e_2.
+SKEW_NOT_JACOBI = {(0, 1): {2: ONE}, (1, 0): {2: -ONE},
+                   (1, 2): {1: ONE}, (2, 1): {1: -ONE}}
+LEAKS = [(TABLE_1, "adjoint", 1), (TABLE_1, "adjoint", 2),
+         (TABLE_1, "trivial", 2), (TABLE_2, "adjoint", 3),
+         (TABLE_2, "trivial", 3)]
+NON_LEIBNIZ = LEAKS + [
+    case for case in [(table, coefficients, n)
+                      for table in (TABLE_1, TABLE_2, SKEW_NOT_JACOBI)
+                      for coefficients in ("adjoint", "trivial")
+                      for n in (1, 2, 3)]
+    if case not in LEAKS]
 
 
 @pytest.mark.parametrize("table, coefficients, n", NON_LEIBNIZ)
@@ -96,9 +110,30 @@ def test_non_leibniz_tables_still_raise(table, coefficients, n):
     spec = AlgebraSpec(3, table, kind="leibniz")
     assert not is_right_leibniz(spec)
     scheme = CochainScheme(spec, coefficients)
-    with pytest.raises(LinalgError):
+    with pytest.raises(ValueError, match="not right Leibniz"):
         leibniz_cohomology(scheme, n)
-    assert scheme.cocycles(n) == kernel(scheme.delta_matrix(n))
+    with pytest.raises(ValueError, match="not right Leibniz"):
+        scheme.cocycles(n)
+    assert not scheme._mats
+
+
+NON_LIE = {
+    "one-sided square": one_sided_square(),
+    "table 1": AlgebraSpec(3, TABLE_1, kind="leibniz"),
+    "table 2": AlgebraSpec(3, TABLE_2, kind="leibniz"),
+    "skew, not Jacobi": AlgebraSpec(3, SKEW_NOT_JACOBI, kind="leibniz"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(NON_LIE))
+@pytest.mark.parametrize("coefficients", ["adjoint", "trivial"])
+def test_lie_cohomology_refuses_tables_that_are_not_lie(label, coefficients):
+    scheme = CochainScheme(NON_LIE[label], coefficients)
+    for n in (1, 2, 3):
+        with pytest.raises(ValueError, match="not a Lie algebra"):
+            lie_cohomology(scheme, n)
+    assert not scheme._lie_mats
+    assert not scheme._mats
 
 
 def test_certified_kernel_checks_the_ambient_dimension():

@@ -109,6 +109,23 @@ def test_validate_parameterized_family():
     assert report["algebra"]["params"] == ["lam", "mu"]
 
 
+def test_family_documents_take_the_concrete_scalar_syntax():
+    # "3/4-1/2i" is valid in a concrete document, so in a family too.
+    doc = json.dumps({
+        "dim": 2,
+        "kind": "lie",
+        "params": ["t"],
+        "brackets": [
+            {"left": "x1", "right": "x2",
+             "value": [{"basis": "x2", "coeff": "3/4-1/2i"}]},
+            {"left": "x2", "right": "x1",
+             "value": [{"basis": "x2", "coeff": "-3/4+1/2i"}]},
+        ],
+    })
+    report = check_report(run_cli(["validate"], doc))
+    assert report["validate"] == {"ok": True, "problems": []}
+
+
 def test_validate_parameterized_failure_reports_polynomial():
     doc = json.dumps({
         "dim": 3,

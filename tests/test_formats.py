@@ -1,10 +1,11 @@
 """Algebra document round-trips, canonical output, and error reporting."""
 
+import hashlib
 import json
 
 import pytest
 
-from leibcoh.algebras import AlgebraSpec, catalog, validate
+from leibcoh.algebras import AlgebraSpec, catalog, catalog_names, validate
 from leibcoh.cochains import CochainScheme
 from leibcoh.deformations import family_deformation, verify_versal
 from leibcoh.families import ParamAlgebra, family_catalog, family_names, jacobi_defect
@@ -235,3 +236,79 @@ def test_family_deformation_survives_document_round_trip():
     pa = _versal_family()
     back = parse_document(dumps_canonical(family_to_document(pa)))
     assert family_deformation(back).terms == family_deformation(pa).terms
+
+
+# SHA-256 of dumps_canonical for every catalog document (the
+# parameterized entries at 1, 2, 3) and every family-catalog document,
+# so that a change to the writers cannot move a byte unnoticed.
+CATALOG_SHA256 = {
+    "abelian 1":
+        "a9e744b24686977734193892cc0097f4de54384fa0b99aff3dde1d0e2d84ad8e",
+    "abelian 2":
+        "b0d7d7abce3c7fe16ceaad9be889ed3294d07191b50e3ce3a8955ded399db16d",
+    "abelian 3":
+        "b260bbb3b0e984ba620820beaba6f3441c2ad27609d78f0f21de1d4ab11a2a80",
+    "diamond_e":
+        "046de7380b4669d40e9e344d816d91ee187b7c99cb798bac787e2caa8775db25",
+    "diamond_x":
+        "c35c2a18cb24b8170a1e1478d98fd26d5f417add56b7f1024da1a8bbd8b6d26a",
+    "g54":
+        "4dbeaf9f735233d4591d1cdc7011bad3036a986e3d7c9daa78bc81bd7467ec07",
+    "gl 1":
+        "410f926cdfbad1e426b25a4202e569c47e624813d862fe2e8c42288c62c15a94",
+    "gl 2":
+        "398b234d0a0e39e10eef95e4959f1b111b4e1738c8756add6bc233c36d818b81",
+    "gl 3":
+        "5f8e5ed6d686e33b61a022ca2f6026dd1c1d3754af59a30dad122ce75e7c303e",
+    "heisenberg 1":
+        "a9aa257a095ab3618f596222db95386fd4244f73881b2208c747dc6cb862b1c2",
+    "heisenberg 2":
+        "c301afa958004d8a242613f425e575dc086b1f79ede38a6a654ef04ca6d6210d",
+    "heisenberg 3":
+        "7ab84cf5a10b9a6eb740ad95226cdef1094305a7652da1836b5f806fafd4e972",
+    "sl2":
+        "24b55dad1d630844d492e3ec06f6bba0dd84f9727b5eb2a2eaa9aae5d194eec0",
+    "sl2_plus_abelian 1":
+        "70e22060d5a535d7aed17d3e9c1385c75126ebaa5f2e080bd6efeb1c4f4e1d0d",
+    "sl2_plus_abelian 2":
+        "0419da6ce14dc119e0eff68e08114b82746b28230a93ac66e587bceddd20d287",
+    "sl2_plus_abelian 3":
+        "b8fd9ee27de1160964f423a7aa034d74e3d06d5e891a45e1672c627ea6d300af",
+}
+FAMILY_SHA256 = {
+    "diamond_family":
+        "589f957ee1aa62b9c1d425c5a0f151a2aead8cee67b65efe69a70b9253ab1976",
+    "diamond_leibniz_line":
+        "6dc79cf127fb64c5c138c16da8e517dec64dada50d129b7aa82d1b34c6bb2e5e",
+    "diamond_sl2_line":
+        "4f33402d51e8121fa7ac4b349dbdba0f656fa53442d639a99785e1c5ae57fe76",
+    "g54_family1":
+        "4f5959ebd4e9623a1e5bba9a651663f6778eaff09c67cb6c29e9ea1642fb4f5b",
+    "g54_family2":
+        "53c72d4804256c03a817cef74a4d98e6d152f668358ba674fc188511e4c64cfa",
+    "g54_family3":
+        "009cc2a9359c8e3cfff1430abeb635edec1cbf714dc489cebe612b2441dfa27e",
+    "g54_family4":
+        "3d9e85386369a8190ae5dc4f3f7a9d787844464b8b335d7760d6bb00a5a069e5",
+    "g54_family5":
+        "ac2c430addbb3bb7770cfa7623249c89000ab4147577a7e17b64ce6c62d4a647",
+}
+
+
+def _sha256(doc):
+    return hashlib.sha256(dumps_canonical(doc).encode()).hexdigest()
+
+
+def test_catalog_documents_keep_their_bytes():
+    assert {key.split()[0] for key in CATALOG_SHA256} == set(catalog_names())
+    for key, digest in CATALOG_SHA256.items():
+        name, *params = key.split()
+        doc = algebra_to_document(catalog(name, *map(int, params)))
+        assert _sha256(doc) == digest, key
+
+
+def test_family_documents_keep_their_bytes():
+    assert set(FAMILY_SHA256) == set(family_names())
+    for name, digest in FAMILY_SHA256.items():
+        assert _sha256(family_to_document(family_catalog(name))) == digest, \
+            name

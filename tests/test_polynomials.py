@@ -5,7 +5,7 @@ import random
 import pytest
 
 from leibcoh.polynomials import Poly, format_poly, parse_poly
-from leibcoh.scalars import ONE, Scalar
+from leibcoh.scalars import ONE, Scalar, format_scalar, parse_scalar
 
 PARAMS = ("t", "s", "u", "w")
 
@@ -67,6 +67,26 @@ def test_hand_parsed_expressions():
     assert parse_poly("-(t+s)", PARAMS) == -(t + s)
 
 
+def test_scalar_literals_parse_as_in_concrete_documents():
+    # A number immediately followed by i is one imaginary literal, as
+    # parse_scalar reads it; "3/4-1/2i" is the README's example.
+    rng = random.Random(7)
+    texts = ["3/4-1/2i", "2i", "-1/2i", "i", "-i", "1+i"]
+    for _ in range(20):
+        text = format_scalar(Scalar(
+            f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}",
+            f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}"))
+        texts += [text, text.replace("*", "")]
+    for text in texts:
+        assert parse_poly(text, PARAMS) == \
+            Poly.constant(PARAMS, parse_scalar(text)), text
+    t = Poly.variable(PARAMS, "t")
+    assert parse_poly("2i*t - 1/3i", PARAMS) == \
+        t * Scalar(0, 2) - Poly.constant(PARAMS, Scalar(0, "1/3"))
+    # The literal binds before ^, as a single number does.
+    assert parse_poly("2i^2", PARAMS) == Poly.constant(PARAMS, -4)
+
+
 def test_format_round_trip():
     rng = random.Random(6)
     for _ in range(30):
@@ -95,7 +115,8 @@ def test_evaluate_requires_all_parameters():
 
 
 def test_parse_errors():
-    for bad in ("t +", "(t", "t^-1", "t^s", "q", "t $ s", "", "t s"):
+    for bad in ("t +", "(t", "t^-1", "t^s", "q", "t $ s", "", "t s", "2it",
+                "t^2i"):
         with pytest.raises(ValueError):
             parse_poly(bad, PARAMS)
     with pytest.raises(ValueError):

@@ -3,7 +3,8 @@
 Echelon invariants and its column-occupancy index after random insert
 sequences, kernel and image against sympy `DomainMatrix` RREF over QQ
 and QQ_I, the certified kernel and the cochain schemes' cocycles against
-the plain kernel, the trusted arithmetic constructor against the
+the plain kernel, coboundaries inside cocycles with representatives
+the non-pivot completion, the trusted arithmetic constructor against the
 coercing one, the two sparse-accumulate primitives against dense
 arithmetic, class coordinates against a solve over coboundaries and
 representatives, and kernels, images and solves unchanged when the input
@@ -32,6 +33,7 @@ from leibcoh.cochains import (  # noqa: E402
     CochainScheme,
     CohomologySpace,
     leibniz_cohomology,
+    lie_cohomology,
 )
 from leibcoh.linalg import (  # noqa: E402
     Echelon,
@@ -47,6 +49,7 @@ from leibcoh.linalg import (  # noqa: E402
 )
 from leibcoh.scalars import I, ONE, ZERO, Scalar, format_scalar  # noqa: E402
 from tests.conftest import shear  # noqa: E402
+from tests.test_algebras import CATALOG_CASES  # noqa: E402
 
 BACKEND = type(ONE.re)
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=150)
@@ -498,6 +501,47 @@ def test_cocycles_match_plain_kernel_after_gaussian_shears(
     a = data.draw(st.integers(0, spec.dim - 1))
     b = data.draw(st.integers(0, spec.dim - 1).filter(lambda j: j != a))
     assert_cocycles_match_plain_kernel(shear(spec, a, b, c), coefficients, n)
+
+
+def assert_spaces_nest(spec, coefficients):
+    """In degrees 1-3 of the full complex, and of the antisymmetric one
+    for a Lie table: B lies in Z, so B's pivots are among Z's, and the
+    representatives are Z's RREF rows at the other pivots, h of them."""
+    scheme = CochainScheme(spec, coefficients)
+    builds = [leibniz_cohomology]
+    if spec.kind == "lie":
+        builds.append(lie_cohomology)
+    for n in (1, 2, 3):
+        for build in builds:
+            space = build(scheme, n)
+            z, b = space.cocycles, space.coboundaries
+            assert z.contains_subspace(b)
+            rest = set(z.pivots) - set(b.pivots)
+            assert len(rest) == space.h_dim
+            assert space.reps == [r for r in z.basis() if min(r) in rest]
+
+
+NESTING_ALGEBRAS = (
+    [(" ".join([name, *map(str, params)]), catalog(name, *params))
+     for name, params in CATALOG_CASES]
+    + [("one-sided square", dict(COORDINATE_ALGEBRAS)["one-sided square"])])
+
+
+@pytest.mark.parametrize("coefficients", ["adjoint", "trivial"])
+@pytest.mark.parametrize("label", [label for label, _ in NESTING_ALGEBRAS])
+def test_coboundaries_lie_in_cocycles(label, coefficients):
+    assert_spaces_nest(dict(NESTING_ALGEBRAS)[label], coefficients)
+
+
+@settings(deadline=None, derandomize=True, max_examples=12)
+@given(st.sampled_from([spec for _, spec in NESTING_ALGEBRAS]),
+       st.data(), gaussian_scalars.filter(bool),
+       st.sampled_from(["adjoint", "trivial"]))
+def test_coboundaries_lie_in_cocycles_after_gaussian_shears(
+        spec, data, c, coefficients):
+    a = data.draw(st.integers(0, spec.dim - 1))
+    b = data.draw(st.integers(0, spec.dim - 1).filter(lambda j: j != a))
+    assert_spaces_nest(shear(spec, a, b, c), coefficients)
 
 
 def padded(draw, vectors):
