@@ -403,23 +403,13 @@ PRIME_I = 933053945
 
 
 def _mod_prime(s: Scalar):
-    """Image of s modulo PRIME, or None if PRIME divides a denominator."""
-    re = s.re
-    x = int(re.numerator)
-    den = int(re.denominator)
-    if den != 1:
-        if not den % PRIME:
+    """Image of s modulo PRIME, or None if PRIME divides its denominator."""
+    x = s.a + s.b * PRIME_I
+    d = s.d
+    if d != 1:
+        if not d % PRIME:
             return None
-        x *= pow(den, -1, PRIME)
-    im = s.im
-    if im:
-        y = int(im.numerator) * PRIME_I
-        den = int(im.denominator)
-        if den != 1:
-            if not den % PRIME:
-                return None
-            y *= pow(den, -1, PRIME)
-        x += y
+        x *= pow(d, -1, PRIME)
     return x % PRIME
 
 

@@ -135,8 +135,9 @@ class Poly:
         return f"Poly({self.params!r}, {format_poly(self)!r})"
 
 
-# A number written straight before a lone i is one literal: "1/2i" is i/2.
-_NUMBER = _re.compile(r"[0-9]+(?:/[0-9]+)?(?:i(?![A-Za-z_0-9]))?")
+# A number written before a lone i is one literal: "1/2i" is i/2.  As in
+# parse_scalar, spaces may stand around the / and before the i.
+_NUMBER = _re.compile(r"[0-9]+(?:\s*/\s*[0-9]+)?(?:\s*i(?![A-Za-z_0-9]))?")
 _NAME = _re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 

@@ -1,135 +1,221 @@
 """Exact scalars: the Gaussian rationals Q(i).
 
 Every rank decision in this library rides on these numbers, so they are
-exact by construction.  The rational parts are gmpy2.mpq when gmpy2 is
-importable (it is a dependency, and much faster) and fractions.Fraction
-otherwise; both reduce to lowest terms automatically and hash identically,
-so Scalar never normalizes anything itself.
+exact by construction.  A Scalar is three Python ints ``(a, b, d)``
+meaning ``(a + b*i)/d``, always in canonical form: d > 0 and
+gcd(a, b, d) = 1, so zero is (0, 0, 1) and two Scalars are equal exactly
+when their triples are.  Each arithmetic operation works on the ints in
+its own frame, with at most one ``math.gcd`` of the result and no
+intermediate rational object.  The package needs nothing outside the
+standard library.
 
-Invariant: ``re`` and ``im`` are always instances of the backend rational
-type.  The public ``Scalar(...)`` constructor coerces its arguments to
-establish it (and refuses floats, which are not exact).  Arithmetic
-results already are backend rationals, so they are built by the private
-``_make``, which sets the slots without coercion; real results share the
-one backend zero ``_QZERO`` as their imaginary part.  Equality, hashes
-and ``format_scalar`` therefore cannot tell the two constructions apart.
+The public ``Scalar(re, im)`` constructor coerces its arguments (and
+refuses floats, which are not exact); ``re`` and ``im`` read the two
+parts back as ``fractions.Fraction``.  Arithmetic results are canonical
+by construction, so they are built with ``object.__new__`` and their
+slots set directly, inline in each operation.  Equality, hashes and
+``format_scalar`` therefore cannot tell the two constructions apart.
 """
 
 from __future__ import annotations
 
 import re as _re
-
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:
-    from fractions import Fraction as _Q
-
-_QTYPE = type(_Q(0))
-_QZERO = _Q(0)
+from fractions import Fraction
+from math import gcd, lcm
 
 
-def _to_q(value):
-    """Coerce an int, rational, Decimal or numeric string to the backend
-    rational.  Floats are refused: they are not exact."""
-    if isinstance(value, (_QTYPE, int)):
-        return _Q(value)
+def _to_q(value) -> Fraction:
+    """Coerce an int, Fraction, Decimal or numeric string to a Fraction.
+    Floats are refused: they are not exact."""
     if isinstance(value, str):
-        return _Q(value.strip())
+        return Fraction(value.strip())
     if isinstance(value, float):
         raise TypeError(f"float {value!r} is not exact; pass an int, a "
                         f"rational, a Decimal or a string")
-    # Last resort: anything the backend itself accepts (e.g. Fraction
-    # values when the backend is mpq, or Decimal values).
-    return _Q(value)
+    return Fraction(value)
 
 
 class Scalar:
-    """An immutable Gaussian rational ``re + im*i``.
+    """An immutable Gaussian rational ``(a + b*i)/d``.
 
-    Supports mixed arithmetic with plain ints, which keeps call sites like
-    ``2 * s`` and ``s / 4`` readable.  Treat instances as frozen; they are
-    hashed and used as dict values throughout the sparse linear algebra.
+    ``a``, ``b`` and ``d`` are the canonical triple (see the module
+    docstring); ``re`` and ``im`` are the parts as Fractions.  Supports
+    mixed arithmetic with ints and Fractions, which keeps call sites like
+    ``2 * s`` and ``s / 4`` readable.  Treat instances as frozen; they
+    are hashed and used as dict values throughout the sparse linear
+    algebra.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = _to_q(re)
-        self.im = _to_q(im)
+        re = _to_q(re)
+        im = _to_q(im)
+        # Both parts are in lowest terms, so no prime dividing the common
+        # denominator divides both numerators: the triple is canonical.
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.a != 0 or self.b != 0
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
         # A real Scalar equals its rational part, so it hashes like it
-        # (and like an equal int, Fraction or mpq).
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # (and like an equal int or Fraction).
+        if self.b:
+            return hash((self.re, self.im))
+        return hash(self.re)
 
     def __neg__(self):
-        return _make(-self.re, -self.im if self.im else _QZERO)
+        s = _new(Scalar)
+        s.a = -self.a
+        s.b = -self.b
+        s.d = self.d
+        return s
 
     def __pos__(self):
         return self
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self.im and not other.im:
-            return _make(self.re + other.re, _QZERO)
-        return _make(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d = self.d
+        f = other.d
+        if d == f:
+            a = self.a + other.a
+            b = self.b + other.b
+        else:
+            a = self.a * f + other.a * d
+            b = self.b * f + other.b * d
+            d *= f
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a //= g
+                b //= g
+                d //= g
+        s = _new(Scalar)
+        s.a = a
+        s.b = b
+        s.d = d
+        return s
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self.im and not other.im:
-            return _make(self.re - other.re, _QZERO)
-        return _make(self.re - other.re, self.im - other.im)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d = self.d
+        f = other.d
+        if d == f:
+            a = self.a - other.a
+            b = self.b - other.b
+        else:
+            a = self.a * f - other.a * d
+            b = self.b * f - other.b * d
+            d *= f
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a //= g
+                b //= g
+                d //= g
+        s = _new(Scalar)
+        s.a = a
+        s.b = b
+        s.d = d
+        return s
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _make(other.re - self.re, other.im - self.im)
+        return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        # Structure constants are usually real, so the 1-multiply path
-        # is worth having.
-        if not self.im and not other.im:
-            return _make(self.re * other.re, _QZERO)
-        return _make(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a = self.a
+        b = self.b
+        c = other.a
+        e = other.b
+        # Structure constants are usually real, so the 2-multiply path is
+        # worth having.
+        if e:
+            a, b = a * c - b * e, a * e + b * c
+        else:
+            a *= c
+            b *= c
+        d = self.d * other.d
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a //= g
+                b //= g
+                d //= g
+        s = _new(Scalar)
+        s.a = a
+        s.b = b
+        s.d = d
+        return s
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other.im:
-            im = self.im / other.re if self.im else _QZERO
-            return _make(self.re / other.re, im)
-        n = other.re * other.re + other.im * other.im
-        return _make(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        c = other.a
+        e = other.b
+        # (a + b*i)/d divided by (c + e*i)/f is
+        # (a + b*i)(c - e*i)*f / (d*(c*c + e*e)).
+        if e:
+            a = self.a
+            b = self.b
+            f = other.d
+            a, b = (a * c + b * e) * f, (b * c - a * e) * f
+            d = self.d * (c * c + e * e)
+        elif c:
+            f = other.d if c > 0 else -other.d
+            a = self.a * f
+            b = self.b * f
+            d = self.d * (c if c > 0 else -c)
+        else:
+            raise ZeroDivisionError("Scalar division by zero")
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+        s = _new(Scalar)
+        s.a = a
+        s.b = b
+        s.d = d
+        return s
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -147,19 +233,23 @@ class Scalar:
 _new = object.__new__
 
 
-def _make(re, im):
-    """Trusted constructor: re and im must already be backend rationals."""
+def _make(a, b, d):
+    """Trusted constructor: (a, b, d) must already be canonical."""
     s = _new(Scalar)
-    s.re = re
-    s.im = im
+    s.a = a
+    s.b = b
+    s.d = d
     return s
 
 
 def _coerce(value):
-    if type(value) is Scalar or isinstance(value, Scalar):
+    """value as a Scalar, or None when it is not a Scalar, int or Fraction."""
+    if isinstance(value, Scalar):
         return value
-    if isinstance(value, (int, _QTYPE)):
-        return Scalar(value)
+    if isinstance(value, int):
+        return _make(int(value), 0, 1)
+    if isinstance(value, Fraction):
+        return _make(value.numerator, 0, value.denominator)
     return None
 
 
@@ -200,8 +290,8 @@ def parse_scalar(text: str) -> Scalar:
             terms.append(compact[start:pos])
             start = pos
     terms.append(compact[start:])
-    re_part = _Q(0)
-    im_part = _Q(0)
+    re_part = Fraction(0)
+    im_part = Fraction(0)
     for term in terms:
         sign = 1
         body = term
@@ -214,7 +304,7 @@ def parse_scalar(text: str) -> Scalar:
             den = int(m.group(2)) if m.group(2) is not None else 1
             if den == 0:
                 raise ValueError(f"zero denominator in scalar: {text!r}")
-            im_part += sign * _Q(num, den)
+            im_part += sign * Fraction(num, den)
             continue
         m = _TERM.match(body)
         if m is not None:
@@ -222,31 +312,39 @@ def parse_scalar(text: str) -> Scalar:
             den = int(m.group(2)) if m.group(2) is not None else 1
             if den == 0:
                 raise ValueError(f"zero denominator in scalar: {text!r}")
-            re_part += sign * _Q(num, den)
+            re_part += sign * Fraction(num, den)
             continue
         raise ValueError(f"cannot parse scalar term {term!r} in {text!r}")
     return Scalar(re_part, im_part)
 
 
-def _qstr(q) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _qstr(n: int, d: int) -> str:
+    """n/d in lowest terms; d > 0."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    if d == 1:
+        return str(n)
+    return f"{n}/{d}"
 
 
 def format_scalar(s: Scalar) -> str:
     """Canonical text form; parse_scalar round-trips it."""
-    if not s.im:
-        return _qstr(s.re)
-    if s.im == 1:
+    a = s.a
+    b = s.b
+    d = s.d
+    if not b:
+        return str(a) if d == 1 else _qstr(a, d)
+    if b == d:
         itxt = "i"
-    elif s.im == -1:
+    elif b == -d:
         itxt = "-i"
-    elif s.im > 0:
-        itxt = f"{_qstr(s.im)}*i"
+    elif b > 0:
+        itxt = f"{_qstr(b, d)}*i"
     else:
-        itxt = f"-{_qstr(-s.im)}*i"
-    if not s.re:
+        itxt = f"-{_qstr(-b, d)}*i"
+    if not a:
         return itxt
-    joiner = "" if itxt.startswith("-") else "+"
-    return f"{_qstr(s.re)}{joiner}{itxt}"
+    joiner = "" if b < 0 else "+"
+    return f"{_qstr(a, d)}{joiner}{itxt}"

@@ -1,5 +1,6 @@
 """Shared fixtures: cached cochain schemes and hand-entered cochains,
-and a tuple-building coboundary oracle."""
+a tuple-building coboundary oracle, and Fraction-based oracles for the
+two readers of a Scalar's integer triple."""
 
 from itertools import product
 
@@ -7,10 +8,58 @@ import pytest
 
 from leibcoh.algebras import catalog, change_basis
 from leibcoh.cochains import CochainScheme, sym2_inclusion
-from leibcoh.linalg import Matrix, Subspace, kernel, vec_add_at, vec_combine
+from leibcoh.linalg import (PRIME, PRIME_I, Matrix, Subspace, kernel,
+                            vec_add_at, vec_combine)
 from leibcoh.scalars import ONE, Scalar
 
 HALF = Scalar(1) / 2
+
+
+def fraction_mod_prime(s):
+    """Image of s modulo PRIME read from its Fraction parts, or None if
+    PRIME divides a denominator: the reference for linalg._mod_prime."""
+    re = s.re
+    x = re.numerator
+    den = re.denominator
+    if den != 1:
+        if not den % PRIME:
+            return None
+        x *= pow(den, -1, PRIME)
+    im = s.im
+    if im:
+        y = im.numerator * PRIME_I
+        den = im.denominator
+        if den != 1:
+            if not den % PRIME:
+                return None
+            y *= pow(den, -1, PRIME)
+        x += y
+    return x % PRIME
+
+
+def _fraction_text(q) -> str:
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
+
+
+def fraction_format_scalar(s) -> str:
+    """Canonical text of s read from its Fraction parts: the reference
+    for scalars.format_scalar."""
+    if not s.im:
+        return _fraction_text(s.re)
+    if s.im == 1:
+        itxt = "i"
+    elif s.im == -1:
+        itxt = "-i"
+    elif s.im > 0:
+        itxt = f"{_fraction_text(s.im)}*i"
+    else:
+        itxt = f"-{_fraction_text(-s.im)}*i"
+    if not s.re:
+        return itxt
+    joiner = "" if itxt.startswith("-") else "+"
+    return f"{_fraction_text(s.re)}{joiner}{itxt}"
 
 
 def oracle_delta_column(scheme, by_target, k, t) -> dict:

@@ -85,6 +85,17 @@ def test_scalar_literals_parse_as_in_concrete_documents():
         t * Scalar(0, 2) - Poly.constant(PARAMS, Scalar(0, "1/3"))
     # The literal binds before ^, as a single number does.
     assert parse_poly("2i^2", PARAMS) == Poly.constant(PARAMS, -4)
+    # Spaces around the / and before a trailing i, which parse_scalar
+    # ignores, stay inside the one literal; a name before i does not.
+    spaced = ["3 / 4", "2 i", "3/4 i", "1 /2 i", "3/ 4-1 / 2 i", "- 2 i"]
+    for text in spaced:
+        assert parse_poly(text, PARAMS) == \
+            Poly.constant(PARAMS, parse_scalar(text)), text
+    assert parse_poly("2 i*t - 1 / 3", PARAMS) == \
+        t * Scalar(0, 2) - Poly.constant(PARAMS, Scalar("1/3"))
+    for bad in ("t i", "t / 2", "2 i t", "2 it"):
+        with pytest.raises(ValueError):
+            parse_poly(bad, PARAMS)
 
 
 def test_format_round_trip():

@@ -4,8 +4,9 @@ Echelon invariants and its column-occupancy index after random insert
 sequences, kernel and image against sympy `DomainMatrix` RREF over QQ
 and QQ_I, the certified kernel and the cochain schemes' cocycles against
 the plain kernel, coboundaries inside cocycles with representatives
-the non-pivot completion, the trusted arithmetic constructor against the
-coercing one, the two sparse-accumulate primitives against dense
+the non-pivot completion, the integer-triple arithmetic against the
+coercing constructor, the modular image and the text form against their
+Fraction-based references, the two sparse-accumulate primitives against dense
 arithmetic, class coordinates against a solve over coboundaries and
 representatives, and kernels, images and solves unchanged when the input
 vectors are permuted, repeated and padded with zeros.
@@ -15,6 +16,7 @@ Runs are derandomized, so the suite stays deterministic.
 import ast
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -36,10 +38,12 @@ from leibcoh.cochains import (  # noqa: E402
     lie_cohomology,
 )
 from leibcoh.linalg import (  # noqa: E402
+    PRIME,
     Echelon,
     Matrix,
     Solver,
     Subspace,
+    _mod_prime,
     certified_kernel,
     image,
     kernel,
@@ -48,10 +52,13 @@ from leibcoh.linalg import (  # noqa: E402
     vec_combine,
 )
 from leibcoh.scalars import I, ONE, ZERO, Scalar, format_scalar  # noqa: E402
-from tests.conftest import shear  # noqa: E402
+from tests.conftest import (  # noqa: E402
+    fraction_format_scalar,
+    fraction_mod_prime,
+    shear,
+)
 from tests.test_algebras import CATALOG_CASES  # noqa: E402
 
-BACKEND = type(ONE.re)
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=150)
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
@@ -235,6 +242,8 @@ ARITHMETIC = {
     "neg": lambda a, b: -a,
     "int_mul": lambda a, b: 3 * a,
     "int_rsub": lambda a, b: 2 - a,
+    "int_div": lambda a, b: a / -3,
+    "int_rdiv": lambda a, b: 2 / a,
 }
 
 
@@ -242,13 +251,17 @@ def exact(name, a, b):
     """The same operation on (re, im) pairs of plain Fractions."""
     ar, ai = Fraction(a.re), Fraction(a.im)
     br, bi = Fraction(b.re), Fraction(b.im)
+    if name == "int_div":
+        br, bi = Fraction(-3), Fraction(0)
+    if name == "int_rdiv":
+        ar, ai, br, bi = Fraction(2), Fraction(0), ar, ai
     if name == "add":
         return ar + br, ai + bi
     if name == "sub":
         return ar - br, ai - bi
     if name == "mul":
         return ar * br - ai * bi, ar * bi + ai * br
-    if name == "div":
+    if name in ("div", "int_div", "int_rdiv"):
         n = br * br + bi * bi
         return (ar * br + ai * bi) / n, (ai * br - ar * bi) / n
     if name == "neg":
@@ -258,20 +271,74 @@ def exact(name, a, b):
     return 2 - ar, -ai
 
 
+def assert_canonical(s):
+    """s is the triple (a + b*i)/d of ints with d > 0 and
+    gcd(a, b, d) = 1."""
+    assert type(s.a) is int and type(s.b) is int and type(s.d) is int
+    assert s.d > 0
+    assert gcd(s.a, s.b, s.d) == 1
+
+
 @PROPERTY
 @given(st.one_of(real_scalars, gaussian_scalars),
        st.one_of(real_scalars, gaussian_scalars),
        st.sampled_from(sorted(ARITHMETIC)))
 def test_fast_arithmetic_matches_coercing_constructor(a, b, name):
-    if name == "div" and not b:
+    assert_canonical(a)
+    assert_canonical(b)
+    if (name == "div" and not b) or (name == "int_rdiv" and not a):
         return
     got = ARITHMETIC[name](a, b)
-    coerced = Scalar(*exact(name, a, b))
+    re, im = exact(name, a, b)
+    coerced = Scalar(re, im)
     assert type(got) is Scalar
-    assert type(got.re) is BACKEND and type(got.im) is BACKEND
+    assert_canonical(got)
+    assert (got.a, got.b, got.d) == (coerced.a, coerced.b, coerced.d)
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert (got.re, got.im) == (re, im)
     assert got == coerced
     assert hash(got) == hash(coerced)
     assert format_scalar(got) == format_scalar(coerced)
+    # Equality with ints and Fractions, from either side.
+    assert (got == 1) == (1 == got) == (re == 1 and not im)
+    assert (got != 1) == (re != 1 or bool(im))
+    assert (got == re) == (re == got) == (not im)
+
+
+def test_division_by_zero_raises():
+    zeros = [ZERO, Scalar(0, 0), -ZERO, ZERO * I, Scalar("1/2") - ONE / 2]
+    for dividend in (ONE, Scalar("1/2", -3), I, ZERO, 2, Fraction(1, 3)):
+        divisors = zeros + [0] if isinstance(dividend, Scalar) else zeros
+        for zero in divisors:
+            with pytest.raises(ZeroDivisionError):
+                dividend / zero
+
+
+# Numerators large enough to wrap modulo PRIME, and denominators that
+# PRIME divides, where the modular image must be None.
+residue_numerators = st.one_of(st.integers(-9, 9),
+                               st.integers(-PRIME ** 2, PRIME ** 2))
+residue_denominators = st.one_of(
+    st.integers(1, 12), st.sampled_from([PRIME, 2 * PRIME, PRIME ** 2]),
+    st.integers(1, PRIME ** 2))
+residue_rationals = st.builds(Fraction, residue_numerators,
+                              residue_denominators)
+
+
+@PROPERTY
+@given(residue_rationals, residue_rationals)
+@example(Fraction(1, 2), Fraction(1, 3))
+@example(Fraction(3, 4), Fraction(-1, 6))
+@example(Fraction(1, PRIME), Fraction(0))
+@example(Fraction(1, 2), Fraction(1, PRIME))
+@example(Fraction(0), Fraction(-5, 2 * PRIME))
+def test_triple_readers_match_fraction_references(re, im):
+    s = Scalar(re, im)
+    assert_canonical(s)
+    assert _mod_prime(s) == fraction_mod_prime(s)
+    assert format_scalar(s) == fraction_format_scalar(s)
+    assert (_mod_prime(s) is None) == (re.denominator % PRIME == 0
+                                       or im.denominator % PRIME == 0)
 
 
 NCOORDS = 6
