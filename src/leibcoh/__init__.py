@@ -30,8 +30,6 @@ from .deformations import (
     bracket2,
     classify3,
     comp2,
-    defect,
-    extend_order,
     family_deformation,
     massey_products,
     mu0_cochain,
@@ -49,7 +47,6 @@ from .formats import (
     FormatError,
     algebra_to_document,
     cochain_entries,
-    cochain_from_entries,
     dumps_canonical,
     family_to_document,
     parse_document,
@@ -91,8 +88,6 @@ __all__ = [
     "bracket2",
     "classify3",
     "comp2",
-    "defect",
-    "extend_order",
     "family_deformation",
     "massey_products",
     "mu0_cochain",
@@ -106,7 +101,6 @@ __all__ = [
     "FormatError",
     "algebra_to_document",
     "cochain_entries",
-    "cochain_from_entries",
     "dumps_canonical",
     "family_to_document",
     "parse_document",

@@ -25,6 +25,8 @@ __all__ = [
     "StructureReport",
     "validate",
     "is_right_leibniz",
+    "is_antisymmetric",
+    "is_lie",
     "catalog",
     "catalog_names",
     "change_basis",
@@ -50,10 +52,11 @@ class AlgebraSpec:
     `table[i][j]` is the sparse vector of [e_i, e_j]; indices are
     0-based internally, while basis names carry the 1-based labels used
     in input files and reports.  The table is fixed at construction,
-    which lets `is_right_leibniz` keep its verdict on the spec.
+    which lets the identity checks keep their verdicts on the spec.
     """
 
-    __slots__ = ("dim", "name", "kind", "basis_names", "table", "_leibniz")
+    __slots__ = ("dim", "name", "kind", "basis_names", "table", "_leibniz",
+                 "_antisymmetric")
 
     def __init__(self, dim, brackets, kind="lie", name="", basis_names=None):
         self.basis_names = checked_basis_names(dim, kind, basis_names)
@@ -74,6 +77,7 @@ class AlgebraSpec:
             table[i][j] = cleaned
         self.table = table
         self._leibniz = None
+        self._antisymmetric = None
 
     def bracket(self, i: int, j: int) -> dict:
         """[e_i, e_j] as a sparse vector (do not mutate)."""
@@ -140,6 +144,21 @@ def _right_leibniz_holds(spec: AlgebraSpec) -> bool:
                    for i, j, k in product(range(spec.dim), repeat=3))
 
 
+def is_antisymmetric(spec: AlgebraSpec) -> bool:
+    """Whether [e_j, e_i] = -[e_i, e_j] on every basis pair, evaluated
+    once per spec like `is_right_leibniz`."""
+    if spec._antisymmetric is None:
+        d = spec.dim
+        spec._antisymmetric = not any(skew_residue(spec.bracket, i, j)
+                                      for i in range(d) for j in range(i, d))
+    return spec._antisymmetric
+
+
+def is_lie(spec: AlgebraSpec) -> bool:
+    """Antisymmetric and right Leibniz, i.e. Jacobi for such a table."""
+    return is_antisymmetric(spec) and is_right_leibniz(spec)
+
+
 def skew_residue(bracket, i: int, j: int) -> dict:
     """[e_i,e_j] + [e_j,e_i] for i < j, and [e_i,e_i] itself for i = j:
     zero on every pair exactly when the table is antisymmetric.
@@ -177,9 +196,6 @@ def validate(spec: AlgebraSpec) -> StructureReport:
     Failed identities are reported in the result, not raised.
     """
     d = spec.dim
-    anti = not any(skew_residue(spec.bracket, i, j)
-                   for i in range(d) for j in range(i, d))
-
     table = spec.table
     jacobi = True
     for i, j, k in product(range(d), repeat=3):
@@ -214,7 +230,7 @@ def validate(spec: AlgebraSpec) -> StructureReport:
         derived.insert(value)
 
     return StructureReport(
-        is_antisymmetric=anti,
+        is_antisymmetric=is_antisymmetric(spec),
         is_jacobi=jacobi,
         is_leibniz=is_right_leibniz(spec),
         center_basis=center,

@@ -12,6 +12,7 @@ this module; text mode prints the same values line by line.
 """
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -51,7 +52,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process."""
     parser = _Parser(prog="leibcoh",
                      description="Exact Leibniz and Lie cohomology, the "
                                  "symmetric-antisymmetric degree-2 "
@@ -130,13 +133,18 @@ def build_parser() -> _Parser:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    where = "stdin" if path == "-" else path
     try:
+        if path == "-":
+            text = sys.stdin.read()
+            text.encode("utf-8")  # lone surrogates from an escaping stdin
+            return text
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+        raise InputError(f"cannot read {where}: {exc.strerror}") from exc
+    except UnicodeError as exc:
+        raise InputError(f"cannot read {where}: not UTF-8 text") from exc
 
 
 def _parse_input(path: str):
@@ -477,11 +485,14 @@ _RUNNERS = {
 
 
 def _write_output(text: str, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out_path}: {exc.strerror}") from exc
 
 
 def main(argv=None) -> int:

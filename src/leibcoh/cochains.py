@@ -27,16 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
-from .algebras import is_right_leibniz, skew_residue
+from .algebras import is_lie, is_right_leibniz
 from .linalg import (Matrix, Subspace, certified_kernel, image, kernel,
-                     quotient_reps, vec_add_at, vec_add_scaled, vec_combine)
+                     quotient_reps, vec_add_scaled, vec_combine)
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
     "ClassCoordinates",
     "CochainScheme",
     "CohomologySpace",
-    "evaluate_cochain",
     "leibniz_cohomology",
     "lie_cohomology",
     "lie_delta_matrix",
@@ -245,33 +244,6 @@ class CochainScheme:
         return f"CochainScheme({self.spec!r}, {self.coefficients})"
 
 
-def evaluate_cochain(scheme: CochainScheme, data: dict, vectors):
-    """Evaluate a sparse cochain on a tuple of sparse vectors.
-
-    Returns a sparse vector for adjoint coefficients, a Scalar for
-    trivial ones.  The degree is the number of vectors.
-    """
-    n = len(vectors)
-    out = {}
-    total = ZERO
-    for idx, coeff in data.items():
-        k, t = scheme.unflatten(n, idx)
-        prod = coeff
-        for vec, a in zip(vectors, t):
-            v = vec.get(a)
-            if not v:
-                prod = None
-                break
-            prod = prod * v
-        if prod is None or not prod:
-            continue
-        if scheme.adjoint:
-            vec_add_at(out, k, prod)
-        else:
-            total = total + prod
-    return out if scheme.adjoint else total
-
-
 def _perm_sign(perm) -> int:
     sign = 1
     for i in range(len(perm)):
@@ -346,10 +318,7 @@ def lie_delta_matrix(scheme: CochainScheme, n: int) -> Matrix:
     mat = scheme._lie_mats.get(n)
     if mat is not None:
         return mat
-    spec, d = scheme.spec, scheme.dim
-    if not is_right_leibniz(spec) or any(
-            skew_residue(spec.bracket, i, j)
-            for i in range(d) for j in range(i, d)):
+    if not is_lie(scheme.spec):
         raise ValueError("not a complex: not a Lie algebra")
     out_combs = wedge_basis(scheme.dim, n + 1)
     out_pos = {c: i for i, c in enumerate(out_combs)}

@@ -29,14 +29,12 @@ from .scalars import ONE
 __all__ = [
     "comp2",
     "bracket2",
-    "defect",
     "mu0_cochain",
     "Deformation",
     "family_deformation",
     "ObstructionContext",
     "ObstructionClass",
     "classify3",
-    "extend_order",
     "ProductRecord",
     "MasseyReport",
     "massey_products",
@@ -72,12 +70,6 @@ def bracket2(scheme: CochainScheme, phi: dict, psi: dict) -> dict:
     for k, v in comp2(scheme, psi, phi).items():
         vec_add_at(out, k, v)
     return out
-
-
-def defect(scheme: CochainScheme, mu: dict) -> dict:
-    """Failure of the right Leibniz identity for a candidate bracket,
-    as a 3-cochain; zero exactly when mu is a Leibniz bracket."""
-    return comp2(scheme, mu, mu)
 
 
 def mu0_cochain(scheme: CochainScheme) -> dict:
@@ -136,13 +128,9 @@ class Deformation:
             raise ValueError("terms must have total degree at least 1")
         self.terms[monomial] = dict(data)
 
-    def term(self, monomial) -> dict:
-        return self.terms.get(tuple(monomial), {})
-
     @property
     def max_order(self) -> int:
-        """Highest total degree among installed terms (zero terms count:
-        installing an explicit zero witness at an order closes it)."""
+        """Highest total degree among the terms."""
         return max((sum(m) for m in self.terms), default=0)
 
     def defect_series(self) -> dict:
@@ -208,10 +196,9 @@ class ObstructionContext:
     one context.
     """
 
-    __slots__ = ("scheme", "space3", "classes", "solver2")
+    __slots__ = ("space3", "classes", "solver2")
 
     def __init__(self, scheme: CochainScheme):
-        self.scheme = scheme
         self.space3 = leibniz_cohomology(scheme, 3)
         self.classes = ClassCoordinates(self.space3)
         self.solver2 = Solver(scheme.delta_matrix(2))
@@ -234,13 +221,10 @@ class ObstructionClass:
     class_coords: list | None = None
 
 
-def classify3(scheme: CochainScheme, chi: dict,
-              context: ObstructionContext | None = None) -> ObstructionClass:
+def classify3(context: ObstructionContext, chi: dict) -> ObstructionClass:
     """Classify a 3-cochain as zero, a coboundary (with a deterministic
     witness), or a nontrivial class; non-cocycles are flagged instead of
     raising."""
-    if context is None:
-        context = ObstructionContext(scheme)
     chi = {k: v for k, v in chi.items() if v}
     coords = context.classes.coords(chi)
     if coords is None:
@@ -255,37 +239,6 @@ def classify3(scheme: CochainScheme, chi: dict,
         raise AssertionError("class coordinates vanished but no witness found")
     return ObstructionClass(chi, True, "coboundary", witness=witness,
                             class_coords=coords)
-
-
-def extend_order(deformation: Deformation,
-                 context: ObstructionContext | None = None):
-    """One step of order-by-order extension.
-
-    Classifies the defect coefficient of every parameter monomial of
-    total degree max_order + 1.  If each one is zero or a coboundary,
-    installs the deterministic witnesses as new terms and returns the
-    updated deformation; otherwise leaves it untouched and returns the
-    map monomial -> ObstructionClass so the caller can see what blocked.
-    The deformation must satisfy the identity through its current
-    max_order.
-    """
-    scheme = deformation.scheme
-    if context is None:
-        context = ObstructionContext(scheme)
-    target = deformation.max_order + 1
-    series = deformation.defect_series()
-    low = [m for m in series if sum(m) <= deformation.max_order]
-    if low:
-        raise ValueError(f"identity already fails at {sorted(low)}")
-    outcomes = {}
-    for monomial in _monomials(len(deformation.params), target):
-        outcomes[monomial] = classify3(scheme, series.get(monomial, {}),
-                                       context)
-    if all(oc.verdict in ("zero", "coboundary") for oc in outcomes.values()):
-        for monomial, oc in outcomes.items():
-            deformation.set_term(monomial, oc.witness)
-        return deformation
-    return outcomes
 
 
 @dataclass
@@ -395,7 +348,7 @@ def massey_products(scheme: CochainScheme, generators, order: int,
                 records.append(ProductRecord(monomial, "undefined",
                                              blocking=blocking))
                 continue
-            oc = classify3(scheme, obstruction, context)
+            oc = classify3(context, obstruction)
             if not oc.closed:
                 records.append(ProductRecord(monomial, "undefined",
                                              blocking=[("defect", "not closed")]))

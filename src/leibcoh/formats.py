@@ -28,7 +28,6 @@ __all__ = [
     "family_to_document",
     "dumps_canonical",
     "cochain_entries",
-    "cochain_from_entries",
 ]
 
 _KINDS = ("lie", "leibniz")
@@ -258,24 +257,3 @@ def cochain_entries(scheme, n: int, data: dict) -> list:
         entry["coeff"] = format_scalar(coeff)
         out.append(entry)
     return out
-
-
-def cochain_from_entries(scheme, n: int, entries) -> dict:
-    """Inverse of cochain_entries for round-trips in tests and tooling."""
-    index = {label: i for i, label in enumerate(scheme.spec.basis_names)}
-    data = {}
-    for entry in entries:
-        t = tuple(index[label] for label in entry["args"])
-        if len(t) != n:
-            raise ValueError(f"expected {n} arguments, got {len(t)}")
-        if scheme.adjoint:
-            if "basis" not in entry:
-                raise ValueError("adjoint cochain entry needs a basis name")
-            k = index[entry["basis"]]
-        else:
-            k = None
-        flat = scheme.flat_index(k, t)
-        coeff = parse_scalar(entry["coeff"])
-        if coeff:
-            data[flat] = coeff
-    return data

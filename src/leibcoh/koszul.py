@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import AlgebraSpec, validate
+from .algebras import AlgebraSpec, is_lie, validate
 from .cochains import (
     CochainScheme,
     lie_cohomology,
@@ -166,10 +166,10 @@ class Degree2Decomposition:
 
 
 def _lie_report(spec: AlgebraSpec, report):
-    report = report if report is not None else validate(spec)
-    if not (report.is_antisymmetric and report.is_jacobi):
+    """Refuse any table but a Lie one, by the verdict kept on the spec."""
+    if not is_lie(spec):
         raise ValueError("the degree-2 decomposition requires a Lie algebra")
-    return report
+    return report if report is not None else validate(spec)
 
 
 def _exact_combinations(scheme: CochainScheme, kos: KoszulData, heads):

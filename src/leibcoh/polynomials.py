@@ -43,10 +43,6 @@ class Poly:
                 self.coeffs[exps] = value
 
     @classmethod
-    def zero(cls, params) -> "Poly":
-        return cls(params)
-
-    @classmethod
     def constant(cls, params, value) -> "Poly":
         params = tuple(params)
         return cls(params, {(0,) * len(params): scalar(value)})

@@ -1,6 +1,7 @@
 """Shared fixtures: cached cochain schemes and hand-entered cochains,
-a tuple-building coboundary oracle, and Fraction-based oracles for the
-two readers of a Scalar's integer triple."""
+a tuple-building coboundary oracle, literal evaluation of a cochain on
+vectors, the reader of a report's cochain entries, and Fraction-based
+oracles for the two readers of a Scalar's integer triple."""
 
 from itertools import product
 
@@ -10,7 +11,7 @@ from leibcoh.algebras import catalog, change_basis
 from leibcoh.cochains import CochainScheme, sym2_inclusion
 from leibcoh.linalg import (PRIME, PRIME_I, Matrix, Subspace, kernel,
                             vec_add_at, vec_combine)
-from leibcoh.scalars import ONE, Scalar
+from leibcoh.scalars import ONE, ZERO, Scalar, parse_scalar
 
 HALF = Scalar(1) / 2
 
@@ -60,6 +61,54 @@ def fraction_format_scalar(s) -> str:
         return itxt
     joiner = "" if itxt.startswith("-") else "+"
     return f"{_fraction_text(s.re)}{joiner}{itxt}"
+
+
+def evaluate_cochain(scheme: CochainScheme, data: dict, vectors):
+    """Evaluate a sparse cochain on a tuple of sparse vectors.
+
+    Returns a sparse vector for adjoint coefficients, a Scalar for
+    trivial ones.  The degree is the number of vectors.
+    """
+    n = len(vectors)
+    out = {}
+    total = ZERO
+    for idx, coeff in data.items():
+        k, t = scheme.unflatten(n, idx)
+        prod = coeff
+        for vec, a in zip(vectors, t):
+            v = vec.get(a)
+            if not v:
+                prod = None
+                break
+            prod = prod * v
+        if prod is None or not prod:
+            continue
+        if scheme.adjoint:
+            vec_add_at(out, k, prod)
+        else:
+            total = total + prod
+    return out if scheme.adjoint else total
+
+
+def cochain_from_entries(scheme, n: int, entries) -> dict:
+    """Inverse of cochain_entries for round-trips in tests and tooling."""
+    index = {label: i for i, label in enumerate(scheme.spec.basis_names)}
+    data = {}
+    for entry in entries:
+        t = tuple(index[label] for label in entry["args"])
+        if len(t) != n:
+            raise ValueError(f"expected {n} arguments, got {len(t)}")
+        if scheme.adjoint:
+            if "basis" not in entry:
+                raise ValueError("adjoint cochain entry needs a basis name")
+            k = index[entry["basis"]]
+        else:
+            k = None
+        flat = scheme.flat_index(k, t)
+        coeff = parse_scalar(entry["coeff"])
+        if coeff:
+            data[flat] = coeff
+    return data
 
 
 def oracle_delta_column(scheme, by_target, k, t) -> dict:

@@ -1,6 +1,9 @@
-"""End-to-end command-line tests, all through subprocesses."""
+"""End-to-end command-line tests, through subprocesses except where a
+test needs two requests in one process."""
 
+import io
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -8,6 +11,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from leibcoh import cli
 from leibcoh.families import family_catalog
 from leibcoh.formats import dumps_canonical, family_to_document
 from tests.test_formats import _versal_family
@@ -334,6 +338,51 @@ def test_usage_errors_exit_one():
     assert removed.returncode == 1
     assert "unrecognized arguments" in removed.stderr
     assert "--threads" in removed.stderr
+
+
+def test_usage_error_after_a_good_request_exits_one(monkeypatch, capsys):
+    # The parser is built once per process and serves every request.
+    doc = catalog_doc("sl2")
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert cli.main(["validate"]) == 0
+    assert cli.main(["cohomology", "--deg", "7"]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert cli.main(["cohomology", "--deg", "1"]) == 0
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_non_utf8_file_exits_two(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    result = run_cli(["validate", str(bad)])
+    assert result.returncode == 2
+    assert result.stderr == f"error: cannot read {bad}: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("encoding", ["utf-8:strict", "utf-8:surrogateescape"])
+def test_non_utf8_stdin_exits_two(encoding):
+    # A strict stdin fails to decode; an escaping one passes the bytes on
+    # as lone surrogates, which the report could not be written with.
+    env = dict(os.environ, PYTHONIOENCODING=encoding)
+    doc = b'{"dim": 1, "kind": "lie", "basis": ["\xff"], "brackets": []}'
+    result = subprocess.run(CLI + ["cohomology", "--deg", "1"], input=doc,
+                            capture_output=True, env=env, timeout=300)
+    assert result.returncode == 2
+    assert result.stderr == b"error: cannot read stdin: not UTF-8 text\n"
+    assert result.stdout == b""
+
+
+def test_unwritable_out_exits_one(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    for argv, stdin_text in ((["catalog", "sl2"], None),
+                             (["validate"], catalog_doc("sl2"))):
+        result = run_cli(argv + ["--out", str(target)], stdin_text)
+        assert result.returncode == 1
+        assert result.stderr == (f"error: cannot write {target}: "
+                                 f"No such file or directory\n")
+        assert result.stdout == ""
+    assert not target.parent.exists()
 
 
 def test_reports_are_byte_deterministic():

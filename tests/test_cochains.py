@@ -9,7 +9,6 @@ from leibcoh.algebras import AlgebraSpec, catalog, is_right_leibniz
 from leibcoh.cochains import (
     CochainScheme,
     CohomologySpace,
-    evaluate_cochain,
     leibniz_cohomology,
     lie_cohomology,
     lie_delta_matrix,
@@ -21,8 +20,8 @@ from leibcoh.families import family_catalog, family_names, specialize
 from leibcoh.linalg import (Echelon, Matrix, Subspace, image, kernel,
                             vec_add_scaled, vec_combine)
 from leibcoh.scalars import I, ONE, Scalar
-from tests.conftest import (oracle_delta_matrix, shear, split_degree2,
-                            symmetric_cocycle_space)
+from tests.conftest import (evaluate_cochain, oracle_delta_matrix, shear,
+                            split_degree2, symmetric_cocycle_space)
 from tests.test_algebras import CATALOG_CASES
 from tests.test_koszul import sheared
 

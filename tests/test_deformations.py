@@ -1,4 +1,4 @@
-"""Composition products, defect series, and order-by-order extension."""
+"""Composition products, defect series, obstruction ledgers, versal checks."""
 
 import random
 import sys
@@ -10,7 +10,6 @@ from leibcoh.algebras import AlgebraSpec, catalog
 from leibcoh.cochains import (
     ClassCoordinates,
     CochainScheme,
-    evaluate_cochain,
     leibniz_cohomology,
 )
 from leibcoh.deformations import (
@@ -19,15 +18,13 @@ from leibcoh.deformations import (
     bracket2,
     classify3,
     comp2,
-    defect,
-    extend_order,
     massey_products,
     mu0_cochain,
     verify_versal,
 )
 from leibcoh.linalg import Solver, Subspace, image, kernel, vec_add_scaled
 from leibcoh.scalars import ONE, Scalar
-from tests.conftest import diamond_phi_basis
+from tests.conftest import diamond_phi_basis, evaluate_cochain
 
 
 def literal_comp_at(scheme, phi, psi, args):
@@ -287,19 +284,19 @@ def test_classify3_verdicts_and_witness():
     scheme = CochainScheme(catalog("diamond_e"), "adjoint")
     phis = diamond_phi_basis(scheme)
     context = ObstructionContext(scheme)
-    zero = classify3(scheme, {}, context)
+    zero = classify3(context, {})
     assert zero.closed and zero.verdict == "zero" and zero.witness == {}
-    cob = classify3(scheme, bracket2(scheme, phis[7], phis[11]), context)
+    cob = classify3(context, bracket2(scheme, phis[7], phis[11]))
     assert cob.verdict == "coboundary"
     assert scheme.delta_apply(2, cob.witness) == cob.cochain
-    hard = classify3(scheme, bracket2(scheme, phis[11], phis[11]), context)
+    hard = classify3(context, bracket2(scheme, phis[11], phis[11]))
     assert hard.verdict == "nontrivial"
     assert hard.witness is None
     assert any(hard.class_coords)
     # A non-cocycle is flagged rather than classified.
     stray = {scheme.flat_index(0, (1, 2, 3)): ONE, scheme.flat_index(2, (0, 0, 1)): ONE}
     assert not scheme.is_cocycle(3, stray)
-    open_case = classify3(scheme, stray, context)
+    open_case = classify3(context, stray)
     assert not open_case.closed and open_case.verdict is None
 
 
@@ -323,7 +320,7 @@ def test_classify3_reads_the_built_context_without_eliminating(monkeypatch):
                 for a in phis for b in phis if a <= b]
     cochains += [{}, scheme.delta_apply(2, {scheme.flat_index(0, (1, 2)): ONE}),
                  {scheme.flat_index(0, (1, 2, 3)): ONE}]
-    expected = [classify3(scheme, chi, context) for chi in cochains]
+    expected = [classify3(context, chi) for chi in cochains]
     assert {oc.verdict for oc in expected} == \
         {"zero", "coboundary", "nontrivial", None}
 
@@ -339,7 +336,7 @@ def test_classify3_reads_the_built_context_without_eliminating(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, forbidden)
-    assert [classify3(scheme, chi, context) for chi in cochains] == expected
+    assert [classify3(context, chi) for chi in cochains] == expected
 
 
 def test_classify3_verdict_stable_under_representative_shift():
@@ -350,14 +347,14 @@ def test_classify3_verdict_stable_under_representative_shift():
     context = ObstructionContext(scheme)
     rng = random.Random(23)
     for idx, expected in ((11, "nontrivial"), (14, "zero")):
-        base = classify3(scheme, bracket2(scheme, phis[idx], phis[idx]), context)
+        base = classify3(context, bracket2(scheme, phis[idx], phis[idx]))
         assert base.verdict == expected
         for _ in range(3):
             g = random_cochain(rng, scheme, 1, entries=4)
             shifted = dict(phis[idx])
             vec_add_scaled(shifted, scheme.delta_apply(1, g), ONE)
             assert scheme.is_cocycle(2, shifted)
-            oc = classify3(scheme, bracket2(scheme, shifted, shifted), context)
+            oc = classify3(context, bracket2(scheme, shifted, shifted))
             if expected == "zero":
                 assert oc.verdict in ("zero", "coboundary")
                 assert not any(oc.class_coords)
@@ -369,33 +366,22 @@ def test_classify3_verdict_stable_under_representative_shift():
 def test_defect_wrapper():
     for spec in (catalog("diamond_e"), catalog("sl2"), catalog("heisenberg", 1)):
         scheme = CochainScheme(spec, "adjoint")
-        assert defect(scheme, mu0_cochain(scheme)) == {}
+        mu = mu0_cochain(scheme)
+        assert comp2(scheme, mu, mu) == {}
     broken = AlgebraSpec(3, {(0, 1): {2: ONE}, (0, 2): {1: ONE}})
     scheme = CochainScheme(broken, "adjoint")
-    assert defect(scheme, mu0_cochain(scheme))
+    mu = mu0_cochain(scheme)
+    assert comp2(scheme, mu, mu)
 
 
 def test_extend_order_flat_direction_closes_with_zero_corrections():
+    # mu_0 + t phi_3 satisfies the identity for every t: no higher-order
+    # correction is needed at any order.
     scheme = CochainScheme(catalog("diamond_e"), "adjoint")
     phis = diamond_phi_basis(scheme)
-    context = ObstructionContext(scheme)
     deform = Deformation(scheme, ("t",), {(1,): phis[3]})
-    for order in (2, 3, 4):
-        result = extend_order(deform, context)
-        assert result is deform
-        assert deform.max_order == order
-        assert deform.term((order,)) == {}
-    assert deform.defect_series() == {}
-
-
-def test_extend_order_blocks_on_nontrivial_square():
-    scheme = CochainScheme(catalog("diamond_e"), "adjoint")
-    phis = diamond_phi_basis(scheme)
-    deform = Deformation(scheme, ("t",), {(1,): phis[11]})
-    result = extend_order(deform)
-    assert isinstance(result, dict)
-    assert result[(2,)].verdict == "nontrivial"
     assert deform.max_order == 1
+    assert deform.defect_series() == {}
 
 
 def test_extend_order_leibniz_direction_is_flat():
@@ -404,19 +390,9 @@ def test_extend_order_leibniz_direction_is_flat():
     scheme = CochainScheme(catalog("diamond_e"), "adjoint")
     phis = diamond_phi_basis(scheme)
     deform = Deformation(scheme, ("t",), {(1,): phis[14]})
-    assert extend_order(deform) is deform
-    assert deform.term((1,)) == {scheme.flat_index(0, (3, 3)): ONE}
-    assert deform.term((2,)) == {}
+    assert deform.terms[(1,)] == {scheme.flat_index(0, (3, 3)): ONE}
+    assert deform.max_order == 1
     assert deform.defect_series() == {}
-
-
-def test_extend_order_rejects_broken_lower_order():
-    scheme = CochainScheme(catalog("diamond_e"), "adjoint")
-    phis = diamond_phi_basis(scheme)
-    deform = Deformation(scheme, ("t", "s"),
-                         {(1, 0): phis[3], (0, 1): phis[7], (1, 1): {}})
-    with pytest.raises(ValueError):
-        extend_order(deform)
 
 
 def test_versal_defect_against_candidate_ideal():

@@ -13,7 +13,6 @@ from leibcoh.formats import (
     FormatError,
     algebra_to_document,
     cochain_entries,
-    cochain_from_entries,
     document_to_algebra,
     dumps_canonical,
     family_to_document,
@@ -21,7 +20,7 @@ from leibcoh.formats import (
 )
 from leibcoh.polynomials import Poly
 from leibcoh.scalars import ONE, Scalar
-from tests.conftest import diamond_phi_basis
+from tests.conftest import cochain_from_entries, diamond_phi_basis
 from tests.test_algebras import CATALOG_CASES
 
 
@@ -209,7 +208,7 @@ def _versal_family():
         for flat, coeff in phi.items():
             k, pair = scheme.unflatten(2, flat)
             cell = cells.setdefault(pair, {})
-            cell[k] = cell.get(k, Poly.zero(params)) + coeff * factor
+            cell[k] = cell.get(k, Poly(params)) + coeff * factor
     return ParamAlgebra(4, params, cells, name="versal",
                         basis_names=base.basis_names)
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from leibcoh import cli
+from leibcoh import algebras, cli
 from leibcoh.algebras import AlgebraSpec, catalog, change_basis, validate
 from leibcoh.cochains import (
     CochainScheme,
@@ -300,6 +300,42 @@ def test_decompose_rejects_non_lie():
     spec = AlgebraSpec(2, {(1, 1): {0: ONE}}, kind="leibniz")
     with pytest.raises(ValueError):
         decompose_degree2(spec, "adjoint")
+
+
+def test_uncoupling_refuses_non_lie_without_candidate_columns():
+    # [e2, e2] = e1: every invariant form lies in the kernel of the cubic
+    # map, so neither coefficient choice has a candidate column and no
+    # antisymmetric coboundary is built; the Lie verdict alone refuses.
+    spec = AlgebraSpec(2, {(1, 1): {0: ONE}}, kind="leibniz")
+    kos = koszul_data(spec)
+    assert kos.forms.dim == kos.kernel.dim == 1
+    for report in (None, validate(spec), validate(catalog("abelian", 2))):
+        with pytest.raises(ValueError, match="requires a Lie algebra"):
+            uncoupling_report(spec, report, kos)
+
+
+@pytest.mark.parametrize("argv", [
+    ["koszul"],
+    ["decompose", "--coeff", "trivial"],
+    ["cohomology", "--deg", "2", "--lie"],
+])
+def test_lie_verdict_is_evaluated_once_per_spec(argv, monkeypatch, capsys):
+    # validate, the Lie guard of koszul and the antisymmetric complex
+    # all ask; only the first evaluates the table, in one pass over the
+    # 15 pairs i <= j of g54.
+    doc = dumps_canonical(algebra_to_document(catalog("g54")))
+    pairs = []
+    residue = algebras.skew_residue
+
+    def counted_residue(bracket, i, j):
+        pairs.append((i, j))
+        return residue(bracket, i, j)
+
+    monkeypatch.setattr(algebras, "skew_residue", counted_residue)
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert pairs == [(i, j) for i in range(5) for j in range(i, 5)]
 
 
 def sheared(name):

@@ -33,7 +33,7 @@ def test_ring_identities():
         assert (f + g) - g == f
         assert f * g == g * f
         assert f * (g + h) == f * g + f * h
-        assert f + Poly.zero(PARAMS) == f
+        assert f + Poly(PARAMS) == f
         assert f * Poly.constant(PARAMS, 1) == f
 
 
@@ -103,8 +103,8 @@ def test_format_round_trip():
     for _ in range(30):
         f = random_poly(rng)
         assert parse_poly(format_poly(f), PARAMS) == f
-    assert format_poly(Poly.zero(PARAMS)) == "0"
-    assert parse_poly("0", PARAMS) == Poly.zero(PARAMS)
+    assert format_poly(Poly(PARAMS)) == "0"
+    assert parse_poly("0", PARAMS) == Poly(PARAMS)
 
 
 def test_format_examples():
