@@ -17,6 +17,9 @@ from .cochains import (
     ClassCoordinates,
     CochainScheme,
     CohomologySpace,
+    GradedCohomology,
+    TorusGrading,
+    graded_cohomology,
     leibniz_cohomology,
     lie_cohomology,
 )
@@ -77,6 +80,9 @@ __all__ = [
     "ClassCoordinates",
     "CochainScheme",
     "CohomologySpace",
+    "GradedCohomology",
+    "TorusGrading",
+    "graded_cohomology",
     "leibniz_cohomology",
     "lie_cohomology",
     "Deformation",

@@ -14,10 +14,11 @@ this module; text mode prints the same values line by line.
 import argparse
 import functools
 import sys
+from math import comb
 
 from . import __version__
 from .algebras import AlgebraSpec, catalog, catalog_names, validate
-from .cochains import CochainScheme, leibniz_cohomology, lie_cohomology
+from .cochains import CochainScheme, graded_cohomology, lie_cohomology
 from .deformations import family_deformation, massey_products, verify_versal
 from .families import ParamAlgebra, jacobi_defect, leibniz_defect_sym
 from .formats import (
@@ -213,11 +214,27 @@ def _require_lie(report, what: str):
                          f"is {report.kind_verdict}")
 
 
-def _guard_degree3(dim: int, force: bool):
+def _delta3_shape(scheme: CochainScheme, route: str):
+    """Rows and columns of the degree-3 coboundary a route builds:
+    "lie" the antisymmetric one, "graded" the weight-0 block that
+    `graded_cohomology` builds (the whole matrix for an algebra with no
+    torus), "full" the whole matrix.  Counted, with nothing built."""
+    d = scheme.dim
+    if route == "lie":
+        return d * comb(d, 4), d * comb(d, 3)
+    grading = scheme.grading() if route == "graded" else None
+    if grading is None:
+        return d ** 5, d ** 4
+    return grading.zero_dim(4), grading.zero_dim(3)
+
+
+def _guard_degree3(scheme: CochainScheme, force: bool, route: str):
+    dim = scheme.dim
     if dim > DEGREE_GUARD_DIM and not force:
+        rows, cols = _delta3_shape(scheme, route)
         raise UsageError(
             f"degree-3 adjoint cochains in dim {dim} need a "
-            f"{dim ** 5} x {dim ** 4} coboundary matrix; rerun with --force "
+            f"{rows} x {cols} coboundary matrix; rerun with --force "
             f"to compute it anyway")
 
 
@@ -254,12 +271,13 @@ def _run_validate(args):
 def _run_cohomology(args):
     spec = _concrete(_parse_input(args.file))
     report = _checked(spec)
-    if args.deg == 3 and args.coeff == "adjoint":
-        _guard_degree3(spec.dim, args.force)
-    if args.theory == "lie":
-        _require_lie(report, "the antisymmetric subcomplex")
     scheme = CochainScheme(spec, args.coeff)
-    build = lie_cohomology if args.theory == "lie" else leibniz_cohomology
+    lie = args.theory == "lie"
+    if args.deg == 3 and args.coeff == "adjoint":
+        _guard_degree3(scheme, args.force, "lie" if lie else "graded")
+    if lie:
+        _require_lie(report, "the antisymmetric subcomplex")
+    build = lie_cohomology if lie else graded_cohomology
     space = build(scheme, args.deg)
     zkey, bkey, hkey = (("zl", "bl", "hl") if args.theory == "leibniz"
                         else ("z", "b", "h"))
@@ -334,11 +352,11 @@ def _parse_generators(text: str) -> list:
 def _run_massey(args):
     spec = _concrete(_parse_input(args.file))
     report = _checked(spec)
-    _guard_degree3(spec.dim, args.force)
+    scheme = CochainScheme(spec, "adjoint")
+    _guard_degree3(scheme, args.force, "full")
     if args.order < 2:
         raise UsageError("--order must be at least 2")
     indices = _parse_generators(args.generators)
-    scheme = CochainScheme(spec, "adjoint")
     basis = scheme.cocycles(2).basis()
     for idx in indices:
         if not 1 <= idx <= len(basis):

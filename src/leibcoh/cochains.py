@@ -20,12 +20,23 @@ increasing index tuples, and the symmetric degree-2 subspace that of
 weakly increasing pairs.  Each is included in tensor coordinates as the
 list of its basis cochains, so a vector w of either subspace embeds as
 `vec_combine(inclusion, w)`.
+
+A basis element h is toral when [e_j, h] = lambda_j e_j for every j:
+right multiplication by h, a derivation of a right Leibniz algebra, is
+diagonal in the basis.  The basis cochain e_k (x) dual(t) then has the
+weight lambda_k - sum lambda_(t_m) (for trivial coefficients,
+-sum lambda_(t_m)), one entry per toral h, and the coboundary keeps it.
+`TorusGrading` counts the cochains of each weight and lists those of
+weight 0; `graded_cohomology` eliminates only there, because every
+nonzero-weight part of the complex is acyclic from degree 1 on.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
+from operator import add, sub
 
 from .algebras import is_lie, is_right_leibniz
 from .linalg import (Matrix, Subspace, certified_kernel, image, kernel,
@@ -36,6 +47,9 @@ __all__ = [
     "ClassCoordinates",
     "CochainScheme",
     "CohomologySpace",
+    "GradedCohomology",
+    "TorusGrading",
+    "graded_cohomology",
     "leibniz_cohomology",
     "lie_cohomology",
     "lie_delta_matrix",
@@ -57,7 +71,7 @@ class CochainScheme:
 
     __slots__ = ("spec", "coefficients", "dim", "adjoint", "_by_target",
                  "_stencils", "_mats", "_lie_mats", "_wedge", "_cocycles",
-                 "_coboundaries")
+                 "_coboundaries", "_grading")
 
     def __init__(self, spec, coefficients="adjoint"):
         if coefficients not in ("adjoint", "trivial"):
@@ -77,6 +91,7 @@ class CochainScheme:
         self._wedge = {}
         self._cocycles = {}
         self._coboundaries = {}
+        self._grading = None
 
     def cochain_dim(self, n: int) -> int:
         base = self.dim ** n
@@ -240,6 +255,15 @@ class CochainScheme:
     def is_cocycle(self, n: int, data: dict) -> bool:
         return not self.delta_apply(n, data)
 
+    def grading(self) -> TorusGrading | None:
+        """The torus grading of the cochains, or None when no basis
+        element is toral with a nonzero weight; cached."""
+        if self._grading is None:
+            weights = _toral_weights(self.spec)
+            self._grading = (False if weights is None
+                             else TorusGrading(self, weights))
+        return self._grading or None
+
     def __repr__(self):
         return f"CochainScheme({self.spec!r}, {self.coefficients})"
 
@@ -342,10 +366,12 @@ class CohomologySpace:
     """Cocycles, coboundaries, and chosen representatives in one degree.
 
     All three live in tensor coordinates of the ambient cochain space,
-    also for the antisymmetric subcomplex.  The coboundaries lie in the
-    cocycles because both come from a complex, checked where it is
-    built; the representatives are always `quotient_reps(cocycles,
-    coboundaries)`, and `ClassCoordinates` relies on both.
+    also for the antisymmetric subcomplex; the weight-0 part inside a
+    `GradedCohomology` lives in that part's own coordinates.  The
+    coboundaries lie in the cocycles because both come from a complex,
+    checked where it is built; the representatives are always
+    `quotient_reps(cocycles, coboundaries)`, and `ClassCoordinates`
+    relies on both.
     """
 
     degree: int
@@ -372,6 +398,212 @@ class CohomologySpace:
 def leibniz_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
     """Cocycles mod coboundaries of the full complex in degree n >= 1."""
     return CohomologySpace(n, scheme.cocycles(n), scheme.coboundaries(n))
+
+
+def _toral_weights(spec):
+    """The weight tuple of each basis element, one entry per toral basis
+    element h with some lambda_j nonzero (the entry is lambda_j), or
+    None when there is no such h.  A toral h with every lambda_j zero
+    grades nothing and is left out."""
+    table = spec.table
+    columns = []
+    for h in range(spec.dim):
+        lam = []
+        for j in range(spec.dim):
+            right = table[j][h]
+            if any(m != j for m in right):
+                break
+            lam.append(right.get(j, ZERO))
+        else:
+            if any(lam):
+                columns.append(lam)
+    if not columns:
+        return None
+    return [tuple(lam[j] for lam in columns) for j in range(spec.dim)]
+
+
+class TorusGrading:
+    """The torus weights of a scheme's basis cochains.
+
+    `weights[j]` is the weight tuple of e_j (see the module docstring),
+    so the basis cochain at (k, t) has weight weights[k] - sum of
+    weights[t_m], and weight 0 exactly when its arguments' weights sum
+    to its head's (to 0 for trivial coefficients).  Everything here is
+    counting over the distinct weights: `_sums[r]` maps each weight to
+    the number of r-tuples of arguments whose weights sum to it, and
+    the weight-0 indices are enumerated by prefix weight, each suffix
+    list built once per (length, weight) it must sum to, with no scan
+    over all tuples.
+
+    Why the nonzero weights need no elimination: for a toral h, the
+    last-slot insertion (s f)(x_1 .. x_(n-1)) = (-1)^n f(x_1 .. x_(n-1), h)
+    satisfies delta s + s delta = theta_h on cochains of degree n >= 1,
+    where theta_h multiplies each basis cochain by its h-weight.  (In
+    (s delta f)(x_1 .. x_n) every term but those that bracket with h on
+    the right cancels a term of (delta s f)(x_1 .. x_n), so only [., h]
+    enters and [h, .] need not be diagonal.)  So a cocycle z of
+    weight w with w_h nonzero is delta(s z) / w_h: in every nonzero
+    weight, from degree 1 on, the cocycles are the coboundaries.
+    """
+
+    __slots__ = ("scheme", "weights", "_zero", "_slot_counts", "_sums",
+                 "_tails")
+
+    def __init__(self, scheme: CochainScheme, weights):
+        self.scheme = scheme
+        self.weights = weights
+        self._zero = (ZERO,) * len(weights[0])
+        self._slot_counts = Counter(weights)
+        self._sums = [Counter([self._zero])]
+        self._tails = {}
+
+    def _sum_counts(self, r: int) -> dict:
+        sums = self._sums
+        while len(sums) <= r:
+            grown = Counter()
+            for w, c in sums[-1].items():
+                for v, m in self._slot_counts.items():
+                    grown[tuple(map(add, w, v))] += c * m
+            sums.append(grown)
+        return sums[r]
+
+    def _tail_indices(self, r: int, target) -> list:
+        """Flat indices, increasing, of the r-tuples of arguments whose
+        weights sum to target; cached."""
+        key = (r, target)
+        out = self._tails.get(key)
+        if out is None:
+            if r == 0:
+                out = [0] if target == self._zero else []
+            else:
+                step = self.scheme.dim ** (r - 1)
+                reachable = self._sum_counts(r - 1)
+                out = []
+                for j, w in enumerate(self.weights):
+                    rest = tuple(map(sub, target, w))
+                    if rest in reachable:
+                        base = j * step
+                        out += [base + s for s in self._tail_indices(r - 1,
+                                                                     rest)]
+            self._tails[key] = out
+        return out
+
+    def zero_indices(self, n: int) -> list:
+        """Flat indices, increasing, of the weight-0 basis cochains of
+        degree n."""
+        if not self.scheme.adjoint:
+            return list(self._tail_indices(n, self._zero))
+        top = self.scheme.dim ** n
+        return [k * top + s for k, w in enumerate(self.weights)
+                for s in self._tail_indices(n, w)]
+
+    def zero_dim(self, n: int) -> int:
+        """dim C^n_0, counted without listing an index."""
+        sums = self._sum_counts(n)
+        if not self.scheme.adjoint:
+            return sums[self._zero]
+        return sum(sums[w] for w in self.weights)
+
+    def acyclic_dim(self, n: int) -> int:
+        """dim B^n_(!=0) = dim Z^n_(!=0) for n >= 1: what the nonzero
+        weights add to both the cocycles and the coboundaries.
+
+        The nonzero-weight complex is exact from degree 1 on, so this is
+        dim C^(n-1)_(!=0) minus the same count one degree down, ending at
+        the rank of delta on the nonzero-weight 0-cochains.  That rank is
+        taken on its at most dim columns: for a Lie table delta is
+        injective there, but not for every Leibniz table (with
+        [e_j, h] = e_j and [h, e_j] = 0, delta e_j can vanish).
+        """
+        scheme = self.scheme
+        dim = 0
+        for k in range(1, n):
+            dim = scheme.cochain_dim(k) - self.zero_dim(k) - dim
+        columns = []
+        if scheme.adjoint:
+            columns = [scheme._delta_column(0, k)
+                       for k, w in enumerate(self.weights) if w != self._zero]
+        rank = Subspace(scheme.cochain_dim(1), columns).dim
+        return dim + (-1) ** (n - 1) * rank
+
+    def delta_matrix(self, n: int) -> Matrix:
+        """The coboundary from the weight-0 n-cochains to the weight-0
+        (n+1)-cochains, in the increasing coordinates of `zero_indices`.
+
+        The coboundary keeps the weight, so each column lands in weight
+        0; an entry that does not means the weights are wrong, and it
+        raises instead of being dropped.  Columns are scattered in order,
+        so every row's keys ascend, as in `CochainScheme.delta_matrix`.
+        """
+        columns = self.zero_indices(n)
+        position = {idx: i for i, idx in
+                    enumerate(self.zero_indices(n + 1))}
+        rows = [{} for _ in range(len(position))]
+        column = self.scheme._delta_column
+        try:
+            for j, idx in enumerate(columns):
+                for key, v in column(n, idx).items():
+                    rows[position[key]][j] = v
+        except KeyError:
+            raise ValueError("the coboundary leaves weight 0: the torus "
+                             "weights are wrong") from None
+        return Matrix._trusted(len(rows), len(columns), rows)
+
+
+@dataclass
+class GradedCohomology:
+    """Cohomology of the full complex in degree n, from its weight-0 part.
+
+    `zero` is the weight-0 part's CohomologySpace in the coordinates of
+    `indices`, the increasing flat indices of the weight-0 cochains, and
+    `acyclic_dim` what the nonzero weights add to both z and b.  Z and B
+    are sums over disjoint coordinate blocks, one per weight, and agree
+    in every nonzero weight, so the quotient representatives of the
+    whole complex all lie in weight 0.  An increasing index map keeps an
+    RREF, so mapped back they are those of `leibniz_cohomology`.
+    """
+
+    zero: CohomologySpace
+    indices: list
+    acyclic_dim: int
+    reps: list = field(init=False)
+
+    def __post_init__(self):
+        indices = self.indices
+        self.reps = [{indices[c]: v for c, v in r.items()}
+                     for r in self.zero.reps]
+
+    @property
+    def z_dim(self):
+        return self.zero.z_dim + self.acyclic_dim
+
+    @property
+    def b_dim(self):
+        return self.zero.b_dim + self.acyclic_dim
+
+    @property
+    def h_dim(self):
+        return self.zero.h_dim
+
+
+def graded_cohomology(scheme: CochainScheme, n: int
+                      ) -> GradedCohomology | CohomologySpace:
+    """The dimensions and representatives of `leibniz_cohomology(scheme,
+    n)`, with the coboundary built only on weight-0 cochains when the
+    algebra has a toral basis element with a nonzero weight, and by
+    `leibniz_cohomology` itself when it has none.  Refuses what
+    `CochainScheme.cocycles` refuses."""
+    grading = scheme.grading()
+    if grading is None:
+        return leibniz_cohomology(scheme, n)
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    if not is_right_leibniz(scheme.spec):
+        raise ValueError("not a complex: not right Leibniz")
+    coboundaries = image(grading.delta_matrix(n - 1))
+    cocycles = certified_kernel(grading.delta_matrix(n), coboundaries)
+    return GradedCohomology(CohomologySpace(n, cocycles, coboundaries),
+                            grading.zero_indices(n), grading.acyclic_dim(n))
 
 
 def lie_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:

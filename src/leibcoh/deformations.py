@@ -82,12 +82,17 @@ def mu0_cochain(scheme: CochainScheme) -> dict:
 
 
 def _monomials(nparams: int, degree: int):
-    """Exponent tuples of the given total degree, in lexicographic order."""
-    out = []
-    for combo in iter_product(range(degree + 1), repeat=nparams):
-        if sum(combo) == degree:
-            out.append(combo)
-    return out
+    """Exponent tuples of the given total degree, in lexicographic order.
+
+    These are the compositions of `degree` into `nparams` parts, built
+    one leading part at a time: tails[s] lists the compositions of s
+    into the parts placed so far, so no tuple of another degree is made.
+    """
+    tails = [[()]] + [[] for _ in range(degree)]
+    for _ in range(nparams):
+        tails = [[(e,) + rest for e in range(s + 1) for rest in tails[s - e]]
+                 for s in range(degree + 1)]
+    return tails[degree]
 
 
 def _partitions(monomial):

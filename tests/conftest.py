@@ -1,7 +1,8 @@
 """Shared fixtures: cached cochain schemes and hand-entered cochains,
 a tuple-building coboundary oracle, literal evaluation of a cochain on
 vectors, the reader of a report's cochain entries, and Fraction-based
-oracles for the two readers of a Scalar's integer triple."""
+oracles for the two readers of a Scalar's integer triple, and the
+filtered list of monomials of one degree."""
 
 from itertools import product
 
@@ -61,6 +62,14 @@ def fraction_format_scalar(s) -> str:
         return itxt
     joiner = "" if itxt.startswith("-") else "+"
     return f"{_fraction_text(s.re)}{joiner}{itxt}"
+
+
+def filtered_monomials(nparams: int, degree: int):
+    """Exponent tuples of the given total degree, in lexicographic order,
+    kept from every tuple of range(degree + 1) ** nparams: the reference
+    for deformations._monomials."""
+    return [combo for combo in product(range(degree + 1), repeat=nparams)
+            if sum(combo) == degree]
 
 
 def evaluate_cochain(scheme: CochainScheme, data: dict, vectors):

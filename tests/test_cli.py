@@ -538,6 +538,24 @@ def test_degree_guard_and_force():
     assert report["cohomology"]["zl3_dim"] == 10000
 
 
+def test_degree_guard_names_the_matrix_its_route_builds():
+    # Counted, not built: the antisymmetric d*C(d,4) x d*C(d,3), the
+    # weight-0 block of a toral Leibniz input, and the whole matrix for
+    # massey, which reads the full complex.
+    gl4 = catalog_doc("gl", 4)
+    for argv, shape in ((["cohomology", "--deg", "3", "--lie"],
+                         "29120 x 8960"),
+                        (["cohomology", "--deg", "3"], "31504 x 2716"),
+                        (["massey", "--generators", "1"],
+                         "1048576 x 65536")):
+        blocked = run_cli(argv, gl4)
+        assert blocked.returncode == 1, argv
+        assert f"need a {shape} coboundary matrix" in blocked.stderr, argv
+        assert "--force" in blocked.stderr
+    blocked = run_cli(["cohomology", "--deg", "3"], catalog_doc("abelian", 10))
+    assert "need a 100000 x 10000 coboundary matrix" in blocked.stderr
+
+
 def test_version_flag():
     result = run_cli(["--version"])
     assert result.returncode == 0

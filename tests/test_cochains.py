@@ -1,14 +1,18 @@
-"""Coboundary correctness against a literal evaluator, and subcomplexes."""
+"""Coboundary correctness against a literal evaluator, subcomplexes, and
+the torus-weight route with the Cartan homotopy behind it."""
 
 import random
 from itertools import product
 
 import pytest
 
-from leibcoh.algebras import AlgebraSpec, catalog, is_right_leibniz
+from leibcoh import cochains
+from leibcoh.algebras import (AlgebraSpec, catalog, change_basis,
+                              is_right_leibniz)
 from leibcoh.cochains import (
     CochainScheme,
     CohomologySpace,
+    graded_cohomology,
     leibniz_cohomology,
     lie_cohomology,
     lie_delta_matrix,
@@ -16,9 +20,10 @@ from leibcoh.cochains import (
     wedge_basis,
     wedge_inclusion,
 )
+from leibcoh.deformations import ObstructionContext
 from leibcoh.families import family_catalog, family_names, specialize
 from leibcoh.linalg import (Echelon, Matrix, Subspace, image, kernel,
-                            vec_add_scaled, vec_combine)
+                            vec_add_at, vec_add_scaled, vec_combine)
 from leibcoh.scalars import I, ONE, Scalar
 from tests.conftest import (evaluate_cochain, oracle_delta_matrix, shear,
                             split_degree2, symmetric_cocycle_space)
@@ -442,3 +447,283 @@ def test_bad_arguments():
     scheme = CochainScheme(catalog("sl2"), "adjoint")
     with pytest.raises(ValueError):
         leibniz_cohomology(scheme, 0)
+
+
+# --- Torus weights -------------------------------------------------------
+
+def toral_elements(spec):
+    """{h: [lambda_j]} for every basis element h with [e_j, h] =
+    lambda_j e_j for every j, read off the brackets one pair at a time
+    (central elements included)."""
+    out = {}
+    for h in range(spec.dim):
+        lam = []
+        for j in range(spec.dim):
+            right = spec.bracket(j, h)
+            if set(right) - {j}:
+                break
+            lam.append(right.get(j, Scalar(0)))
+        else:
+            out[h] = lam
+    return out
+
+
+def insertion(scheme, n, idx, h, slot, sign):
+    """s on the degree-n basis cochain at idx: h put into the last (or
+    first) argument, times (-1)^n * sign; (index, factor) or None."""
+    d = scheme.dim
+    k, tail = divmod(idx, d ** n) if scheme.adjoint else (0, idx)
+    if slot == "last":
+        rest, arg = divmod(tail, d)
+    else:
+        arg, rest = divmod(tail, d ** (n - 1))
+    if arg != h:
+        return None
+    return k * d ** (n - 1) + rest, (-1) ** n * sign
+
+
+def homotopy_mismatches(scheme, n, slot="last", sign=1):
+    """(h, index) of every toral h and degree-n basis cochain where
+    delta s + s delta differs from theta_h, checked matrix-free."""
+    bad = []
+    toral = toral_elements(scheme.spec)
+    for idx in range(scheme.cochain_dim(n)):
+        k, t = scheme.unflatten(n, idx)
+        column = scheme._delta_column(n, idx)
+        for h, lam in toral.items():
+            out = {}
+            for key, v in column.items():
+                hit = insertion(scheme, n + 1, key, h, slot, sign)
+                if hit:
+                    vec_add_at(out, hit[0], hit[1] * v)
+            hit = insertion(scheme, n, idx, h, slot, sign)
+            if hit:
+                for key, v in scheme._delta_column(n - 1, hit[0]).items():
+                    vec_add_at(out, key, hit[1] * v)
+            weight = lam[k] if scheme.adjoint else Scalar(0)
+            for a in t:
+                weight = weight - lam[a]
+            if out != ({idx: weight} if weight else {}):
+                bad.append((h, idx))
+    return bad
+
+
+def one_sided_torus():
+    """Right Leibniz, not Lie: basis (h, x) with [x, h] = x."""
+    return AlgebraSpec(2, {(1, 0): {1: ONE}}, kind="leibniz")
+
+
+def one_sided_torus2():
+    """Right Leibniz, not Lie: basis (h, x, y) with [x, h] = x,
+    [y, h] = 2y and [h, x] = -x."""
+    return AlgebraSpec(3, {(1, 0): {1: ONE}, (2, 0): {2: Scalar(2)},
+                           (0, 1): {1: -ONE}}, kind="leibniz")
+
+
+def left_skewed_torus():
+    """Right Leibniz, not Lie: basis (h, x, y) with [x, h] = -x,
+    [y, h] = -y, [h, x] = x and [h, y] = 2x, so [h, .] is not
+    diagonal while [., h] is."""
+    return AlgebraSpec(3, {(1, 0): {1: -ONE}, (2, 0): {2: -ONE},
+                           (0, 1): {1: ONE}, (0, 2): {1: Scalar(2)}},
+                       kind="leibniz")
+
+
+HOMOTOPY_ALGEBRAS = [("sl2", catalog("sl2")), ("gl 2", catalog("gl", 2)),
+                     ("gl 3", catalog("gl", 3)),
+                     ("sl2_plus_abelian 2", catalog("sl2_plus_abelian", 2)),
+                     ("one-sided torus", one_sided_torus()),
+                     ("one-sided torus 2", one_sided_torus2()),
+                     ("left-skewed torus", left_skewed_torus())]
+
+
+@pytest.mark.parametrize("coeffs", ["adjoint", "trivial"])
+@pytest.mark.parametrize("label,spec", HOMOTOPY_ALGEBRAS,
+                         ids=[label for label, _ in HOMOTOPY_ALGEBRAS])
+def test_last_slot_insertion_is_a_cartan_homotopy(label, spec, coeffs):
+    assert is_right_leibniz(spec)
+    toral = toral_elements(spec)
+    assert any(any(lam) for lam in toral.values()), label
+    scheme = CochainScheme(spec, coeffs)
+    for n in (1, 2, 3):
+        assert homotopy_mismatches(scheme, n) == [], (label, n)
+
+
+@pytest.mark.parametrize("slot,sign", [("last", -1), ("first", 1),
+                                       ("first", -1)])
+def test_a_wrong_homotopy_fails_the_identity(slot, sign):
+    for coeffs in ("adjoint", "trivial"):
+        scheme = CochainScheme(catalog("sl2"), coeffs)
+        for n in (1, 2, 3):
+            if slot == "first" and n == 1:
+                continue  # one argument: the first slot is the last
+            assert homotopy_mismatches(scheme, n, slot, sign), (coeffs, n)
+
+
+def test_the_one_sided_torus_is_not_exact_in_degree_zero():
+    # delta x = 0 although x has weight 1, so the nonzero weights are
+    # acyclic only from degree 1 on, and B^1 counts the rank of delta
+    # on the nonzero-weight 0-cochains, not their number.
+    scheme = CochainScheme(one_sided_torus(), "adjoint")
+    grading = scheme.grading()
+    assert grading.weights == [(Scalar(0),), (ONE,)]
+    assert scheme.delta_apply(0, {1: ONE}) == {}
+    assert grading.acyclic_dim(1) == 0
+    assert grading.acyclic_dim(2) == scheme.cochain_dim(1) \
+        - grading.zero_dim(1)
+
+
+def brute_weight(scheme, weights, n, idx):
+    k, t = scheme.unflatten(n, idx)
+    total = weights[k] if scheme.adjoint else (Scalar(0),) * len(weights[0])
+    for a in t:
+        total = tuple(x - y for x, y in zip(total, weights[a]))
+    return total
+
+
+def rescaled(spec, j, factor):
+    """spec in the basis with e_j replaced by factor * e_j."""
+    cols = [{i: factor if i == j else ONE} for i in range(spec.dim)]
+    return change_basis(spec, Matrix.from_columns(spec.dim, cols))
+
+
+def permuted(spec, seed):
+    perm = random.Random(seed).sample(range(spec.dim), spec.dim)
+    cols = [{perm[k]: ONE} for k in range(spec.dim)]
+    return change_basis(spec, Matrix.from_columns(spec.dim, cols))
+
+
+SMALL_TORI = [("sl2", catalog("sl2")), ("gl 2", catalog("gl", 2)),
+              ("sl2_plus_abelian 2", catalog("sl2_plus_abelian", 2)),
+              ("one-sided torus", one_sided_torus()),
+              ("one-sided torus 2", one_sided_torus2()),
+              ("left-skewed torus", left_skewed_torus()),
+              ("gl 2, h times i", rescaled(catalog("gl", 2), 2, I)),
+              ("sl2_plus_abelian 2, permuted",
+               permuted(catalog("sl2_plus_abelian", 2), 3))]
+
+
+@pytest.mark.parametrize("label,spec", SMALL_TORI,
+                         ids=[label for label, _ in SMALL_TORI])
+def test_weight_zero_indices_and_counts_match_a_filter(label, spec):
+    assert spec.dim <= 5
+    for coeffs in ("adjoint", "trivial"):
+        scheme = CochainScheme(spec, coeffs)
+        grading = scheme.grading()
+        weights = grading.weights
+        zero = (Scalar(0),) * len(weights[0])
+        for n in range(5):
+            every = [brute_weight(scheme, weights, n, idx)
+                     for idx in range(scheme.cochain_dim(n))]
+            expected = [idx for idx, w in enumerate(every) if w == zero]
+            assert grading.zero_indices(n) == expected, (label, coeffs, n)
+            assert grading.zero_dim(n) == len(expected)
+            nonzero = sum(1 for w in every if w != zero)
+            assert scheme.cochain_dim(n) - grading.zero_dim(n) == nonzero
+            sums = {}
+            for t in product(range(spec.dim), repeat=n):
+                key = tuple(sum((weights[a][i] for a in t), Scalar(0))
+                            for i in range(len(zero)))
+                sums[key] = sums.get(key, 0) + 1
+            assert grading._sum_counts(n) == sums, (label, n)
+
+
+def test_the_weights_are_read_off_the_toral_elements():
+    gl3 = CochainScheme(catalog("gl", 3)).grading()
+    # The two traceless diagonal differences grade; the identity, a
+    # central toral element, has every weight 0 and is left out.
+    assert len(gl3.weights[0]) == 2
+    assert all(w == (Scalar(0),) * 2 for w in gl3.weights[6:])
+    non_real = CochainScheme(rescaled(catalog("gl", 2), 2, I)).grading()
+    assert non_real.weights[0] == (-2 * I,)
+    for name, params in (("heisenberg", (2,)), ("diamond_e", ()),
+                         ("g54", ()), ("abelian", (3,))):
+        assert CochainScheme(catalog(name, *params)).grading() is None
+    assert CochainScheme(sheared("g54")).grading() is None
+
+
+def graded_route_agrees(spec, coeffs, n):
+    graded = graded_cohomology(CochainScheme(spec, coeffs), n)
+    full = leibniz_cohomology(CochainScheme(spec, coeffs), n)
+    return ((graded.z_dim, graded.b_dim, graded.h_dim, graded.reps)
+            == (full.z_dim, full.b_dim, full.h_dim, full.reps))
+
+
+TORAL_LADDER = [("gl 2", catalog("gl", 2)), ("gl 3", catalog("gl", 3)),
+                ("sl2_plus_abelian 3", catalog("sl2_plus_abelian", 3)),
+                ("sl2_plus_abelian 6", catalog("sl2_plus_abelian", 6)),
+                ("gl 2, permuted", permuted(catalog("gl", 2), 1)),
+                ("gl 3, permuted", permuted(catalog("gl", 3), 2)),
+                ("sl2_plus_abelian 3, permuted",
+                 permuted(catalog("sl2_plus_abelian", 3), 5)),
+                ("gl 2, h times i", rescaled(catalog("gl", 2), 2, I)),
+                ("gl 3, h times i", rescaled(catalog("gl", 3), 7, I)),
+                ("one-sided torus 2", one_sided_torus2()),
+                ("left-skewed torus", left_skewed_torus())]
+
+
+@pytest.mark.parametrize("coeffs", ["adjoint", "trivial"])
+@pytest.mark.parametrize("label,spec", TORAL_LADDER,
+                         ids=[label for label, _ in TORAL_LADDER])
+def test_graded_route_equals_the_full_complex(label, spec, coeffs):
+    assert CochainScheme(spec, coeffs).grading() is not None
+    for n in (1, 2, 3):
+        assert graded_route_agrees(spec, coeffs, n), (label, coeffs, n)
+
+
+WRONG_WEIGHTS = [
+    # e_0 of gl 2 (weight -2) given weight -1: delta leaves weight 0.
+    lambda w: [(Scalar(-1),)] + w[1:],
+    # e_0 given weight 0, so its cochains are counted as weight 0.
+    lambda w: [(Scalar(0),)] + w[1:],
+    # the identity given a weight of its own.
+    lambda w: w[:3] + [(ONE,)],
+]
+
+
+@pytest.mark.parametrize("wrong", range(len(WRONG_WEIGHTS)))
+def test_a_wrong_weight_fails_the_equivalence_gate(monkeypatch, wrong):
+    spec = catalog("gl", 2)
+    right = cochains._toral_weights
+
+    def mistaken(s):
+        return WRONG_WEIGHTS[wrong](right(s))
+
+    monkeypatch.setattr(cochains, "_toral_weights", mistaken)
+    if wrong == 0:
+        # A weight the coboundary does not keep is refused, not dropped.
+        with pytest.raises(ValueError, match="leaves weight 0"):
+            graded_cohomology(CochainScheme(spec), 2)
+    caught = []
+    for coeffs in ("adjoint", "trivial"):
+        for n in (1, 2, 3):
+            try:
+                caught.append(not graded_route_agrees(spec, coeffs, n))
+            except ValueError:
+                caught.append(True)
+    assert any(caught)
+
+
+def test_torus_free_inputs_take_the_full_complex_and_bad_input_is_refused():
+    scheme = CochainScheme(catalog("heisenberg", 2), "adjoint")
+    space = graded_cohomology(scheme, 2)
+    assert isinstance(space, CohomologySpace)
+    assert space.cocycles is scheme.cocycles(2)
+    with pytest.raises(ValueError):
+        graded_cohomology(CochainScheme(catalog("gl", 2)), 0)
+    # Toral (e_0 acts on e_1 by 1) but not right Leibniz: refused before
+    # the weight-0 block is built, as `cocycles` refuses the full one.
+    not_leibniz = CochainScheme(AlgebraSpec(
+        2, {(1, 0): {1: ONE}, (0, 1): {0: ONE}}, kind="leibniz"))
+    assert not_leibniz.grading() is not None
+    with pytest.raises(ValueError, match="not right Leibniz"):
+        graded_cohomology(not_leibniz, 2)
+
+
+def test_massey_context_still_reads_the_full_complex():
+    scheme = CochainScheme(catalog("sl2_plus_abelian", 3), "adjoint")
+    context = ObstructionContext(scheme)
+    assert isinstance(context.space3, CohomologySpace)
+    assert context.space3.cocycles is scheme.cocycles(3)
+    assert context.space3.cocycles.ambient_dim == scheme.cochain_dim(3)
+    assert context.space3.z_dim == graded_cohomology(scheme, 3).z_dim == 246

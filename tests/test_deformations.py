@@ -3,6 +3,7 @@
 import random
 import sys
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -15,6 +16,7 @@ from leibcoh.cochains import (
 from leibcoh.deformations import (
     Deformation,
     ObstructionContext,
+    _monomials,
     bracket2,
     classify3,
     comp2,
@@ -24,7 +26,8 @@ from leibcoh.deformations import (
 )
 from leibcoh.linalg import Solver, Subspace, image, kernel, vec_add_scaled
 from leibcoh.scalars import ONE, Scalar
-from tests.conftest import diamond_phi_basis, evaluate_cochain
+from tests.conftest import (diamond_phi_basis, evaluate_cochain,
+                            filtered_monomials)
 
 
 def literal_comp_at(scheme, phi, psi, args):
@@ -437,3 +440,13 @@ def test_massey_input_validation():
         massey_products(scheme, [phis[3]], 2, params=("t", "s"))
     with pytest.raises(ValueError):
         Deformation(CochainScheme(catalog("diamond_e"), "trivial"), ("t",))
+
+
+def test_monomials_are_the_filtered_compositions():
+    for nparams in range(6):
+        for degree in range(5):
+            assert _monomials(nparams, degree) \
+                == filtered_monomials(nparams, degree), (nparams, degree)
+    # All 17 HL2 classes of g54 at order 2: C(18, 2) monomials, listed
+    # without walking the 3^17 tuples the filter would.
+    assert len(_monomials(17, 2)) == comb(18, 2) == 153
