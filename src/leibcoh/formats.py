@@ -8,10 +8,13 @@ A `name` field is optional metadata on either flavor.
 
 Documents are emitted in a canonical form (fixed key order, sorted
 bracket pairs, two-space indent) so identical inputs produce identical
-bytes.
+bytes.  Every JSON report is written by `dumps_canonical`, whose text is
+that of `json.dumps(indent=2)`.
 """
 
+import functools
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebras import AlgebraSpec
 from .families import ParamAlgebra
@@ -234,8 +237,84 @@ def family_to_document(pa: ParamAlgebra) -> dict:
 
 def dumps_canonical(doc) -> str:
     """Stable JSON text: insertion key order, two-space indent, trailing
-    newline."""
-    return json.dumps(doc, indent=2, ensure_ascii=True, allow_nan=False) + "\n"
+    newline.
+
+    The text is `json.dumps(doc, indent=2, ensure_ascii=True,
+    allow_nan=False) + "\\n"` byte for byte, but written directly: with
+    `indent` set the stdlib leaves its C encoder for a chain of Python
+    generators that yields every token.  Keys must be strings.
+    """
+    out = []
+    _write(doc, out, 0)
+    out.append("\n")
+    return "".join(out)
+
+
+@functools.cache
+def _separators(depth):
+    """What opens, separates and closes the items of a dict and of a list
+    nested `depth` levels deep."""
+    inner = "\n" + "  " * (depth + 1)
+    outer = inner[:-2]
+    return (("{" + inner, "," + inner, outer + "}"),
+            ("[" + inner, "," + inner, outer + "]"))
+
+
+def _write(o, out, depth):
+    """Append the JSON fragments of `o`, nested `depth` levels deep, to
+    `out`.  Exact str and int items are written in the loops; any other
+    leaf json.dumps encodes itself (a float, an int or str subclass) or
+    rejects with the error json.dumps(indent=2) raises (nan, a set)."""
+    append = out.append
+    if isinstance(o, dict):
+        if not o:
+            append("{}")
+            return
+        opening, between, closing = _separators(depth)[0]
+        for key, value in o.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            append(opening)
+            append(_quote(key))
+            append(": ")
+            t = type(value)
+            if t is str:
+                append(_quote(value))
+            elif t is int:
+                append(int.__repr__(value))
+            else:
+                _write(value, out, depth + 1)
+            opening = between
+        append(closing)
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            append("[]")
+            return
+        opening, between, closing = _separators(depth)[1]
+        for value in o:
+            append(opening)
+            t = type(value)
+            if t is str:
+                append(_quote(value))
+            elif t is int:
+                append(int.__repr__(value))
+            else:
+                _write(value, out, depth + 1)
+            opening = between
+        append(closing)
+    elif o is None:
+        append("null")
+    elif o is True:
+        append("true")
+    elif o is False:
+        append("false")
+    elif type(o) is str:
+        append(_quote(o))
+    elif type(o) is int:
+        append(int.__repr__(o))
+    else:
+        # A leaf, so `indent` changes nothing but the wording of an error.
+        append(json.dumps(o, indent=2, allow_nan=False))
 
 
 def cochain_entries(scheme, n: int, data: dict) -> list:

@@ -255,7 +255,6 @@ def _coerce(value):
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-I = Scalar(0, 1)
 
 
 def scalar(value) -> Scalar:

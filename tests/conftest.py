@@ -1,8 +1,8 @@
-"""Shared fixtures: cached cochain schemes and hand-entered cochains,
-a tuple-building coboundary oracle, literal evaluation of a cochain on
-vectors, the reader of a report's cochain entries, and Fraction-based
-oracles for the two readers of a Scalar's integer triple, and the
-filtered list of monomials of one degree."""
+"""Shared fixtures: the imaginary unit I, cached cochain schemes and
+hand-entered cochains, a tuple-building coboundary oracle, literal
+evaluation of a cochain on vectors, the reader of a report's cochain
+entries, and Fraction-based oracles for the two readers of a Scalar's
+integer triple, and the filtered list of monomials of one degree."""
 
 from itertools import product
 
@@ -15,6 +15,7 @@ from leibcoh.linalg import (PRIME, PRIME_I, Matrix, Subspace, kernel,
 from leibcoh.scalars import ONE, ZERO, Scalar, parse_scalar
 
 HALF = Scalar(1) / 2
+I = Scalar(0, 1)
 
 
 def fraction_mod_prime(s):

@@ -6,7 +6,8 @@ import pytest
 
 from leibcoh.algebras import AlgebraSpec, catalog, catalog_names, change_basis, validate
 from leibcoh.linalg import LinalgError, Matrix
-from leibcoh.scalars import I, ONE, Scalar
+from leibcoh.scalars import ONE, Scalar
+from tests.conftest import I
 
 
 def random_invertible(rng, n):

@@ -24,9 +24,9 @@ from leibcoh.deformations import ObstructionContext
 from leibcoh.families import family_catalog, family_names, specialize
 from leibcoh.linalg import (Echelon, Matrix, Subspace, image, kernel,
                             vec_add_at, vec_add_scaled, vec_combine)
-from leibcoh.scalars import I, ONE, Scalar
-from tests.conftest import (evaluate_cochain, oracle_delta_matrix, shear,
-                            split_degree2, symmetric_cocycle_space)
+from leibcoh.scalars import ONE, Scalar
+from tests.conftest import (I, evaluate_cochain, oracle_delta_matrix,
+                            shear, split_degree2, symmetric_cocycle_space)
 from tests.test_algebras import CATALOG_CASES
 from tests.test_koszul import sheared
 

@@ -311,3 +311,105 @@ def test_family_documents_keep_their_bytes():
     for name, digest in FAMILY_SHA256.items():
         assert _sha256(family_to_document(family_catalog(name))) == digest, \
             name
+
+
+# dumps_canonical against the stdlib encoder it replaces.
+
+def _stdlib_canonical(doc):
+    return json.dumps(doc, indent=2, ensure_ascii=True, allow_nan=False) + "\n"
+
+
+def _outcome(dumps, doc):
+    """The text `dumps` writes for `doc`, or the type and message of the
+    exception it raises."""
+    try:
+        return dumps(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# Characters JSON escapes or spells out: quote, backslash, controls, the
+# line separators, non-ASCII BMP and astral text, and lone surrogates.
+_SPECIAL_CHARS = ('"', "\\", "/", "\x00", "\b", "\t", "\n", "\x1f", "\x7f",
+                  "\xe9", "\u2028", "\uffff", "\U0001f600", "\U0010ffff",
+                  "\ud800", "\udfff")
+_SPECIAL_LEAVES = (0, -1, 2**64, -10**40, 10**300, True, False, None,
+                   -0.0, 0.5, 1e300, -1e-300, 5e-324)
+# Leaves both writers must reject, and the exception each raises.
+_BAD_LEAVES = ((float("nan"), ValueError), (float("inf"), ValueError),
+               (float("-inf"), ValueError), ({1}, TypeError),
+               (ONE, TypeError), (b"x", TypeError))
+
+
+def _json_trees(st, extra_leaves=()):
+    """Hypothesis strategy: str-keyed dicts, lists and tuples, empty ones
+    included, over strings, ints, bools, None and finite floats."""
+    text = st.text(st.one_of(st.sampled_from(_SPECIAL_CHARS),
+                             st.integers(0, 0x10FFFF).map(chr)), max_size=6)
+    leaves = st.one_of(text, st.integers(), st.booleans(), st.none(),
+                       st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from(_SPECIAL_LEAVES + tuple(extra_leaves)))
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(st.lists(kids, max_size=4),
+                               st.lists(kids, max_size=4).map(tuple),
+                               st.dictionaries(text, kids, max_size=4)),
+        max_leaves=24)
+
+
+def test_dumps_canonical_matches_json_dumps():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(deadline=None, derandomize=True, max_examples=400)
+    @hypothesis.given(_json_trees(st))
+    @hypothesis.example({"a": [[], {}, ({},), [[[]]], {"b": {"c": []}}]})
+    @hypothesis.example([True, False, 1, 0, None, -0.0, 1e300])
+    def check(doc):
+        assert dumps_canonical(doc) == _stdlib_canonical(doc)
+
+    check()
+
+
+def test_dumps_canonical_fails_as_json_dumps_does():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    bad = [leaf for leaf, _ in _BAD_LEAVES]
+
+    @hypothesis.settings(deadline=None, derandomize=True, max_examples=300)
+    @hypothesis.given(_json_trees(st, bad))
+    def check(doc):
+        assert _outcome(dumps_canonical, doc) == _outcome(_stdlib_canonical,
+                                                          doc)
+
+    check()
+
+
+@pytest.mark.parametrize("leaf,error", _BAD_LEAVES)
+@pytest.mark.parametrize("shape", [lambda x: x, lambda x: [1, x],
+                                   lambda x: {"a": ({"b": x},)}])
+def test_dumps_canonical_rejects_bad_leaves(leaf, error, shape):
+    doc = shape(leaf)
+    for dumps in (dumps_canonical, _stdlib_canonical):
+        with pytest.raises(error):
+            dumps(doc)
+    assert _outcome(dumps_canonical, doc) == _outcome(_stdlib_canonical, doc)
+
+
+@pytest.mark.parametrize("doc", [{1: "a"}, {"a": [{None: 1}]},
+                                 {True: 1}, {1.5: 1}, {(1, 2): 1}])
+def test_dumps_canonical_rejects_non_str_keys(doc):
+    with pytest.raises(TypeError, match="keys must be str"):
+        dumps_canonical(doc)
+
+
+def test_dumps_canonical_writes_plain_values_itself(monkeypatch):
+    doc = {"s": "x\xe9", "i": -3, "b": [True, False, None],
+           "t": ("a", 2), "e": [{}, [], ()]}
+    expected = _stdlib_canonical(doc)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert dumps_canonical(doc) == expected

@@ -74,25 +74,36 @@ def public_methods(source: str):
             and not node.name.startswith("_")]
 
 
+def attributes_read(source: str) -> set:
+    """Attribute names the source loads, as `x.name`: the one way the
+    library reads a method.  A bare local of the same name (a `zero`
+    beside `Poly.zero`) is not a read of the method."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def string_literals(source: str) -> set:
+    """The source's string literals.  Only the benchmark looks names up
+    by `getattr` from tables of strings (its span lists), so only its
+    literals count: elsewhere a literal such as a catalog name would hide
+    a definition of the same name."""
+    return {node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
 def names_read(source: str, literals: bool = False) -> set:
     """Attribute names and loaded names in the source, and its string
     literals when `literals` is set.
 
-    A `def` binds its name without reading it, so a method's own
-    definition never counts.  Only the benchmark looks names up by
-    `getattr` from tables of strings (its span lists), so only its
-    sources count their literals: elsewhere a literal such as a catalog
-    name would hide a method of the same name.
+    A `def` binds its name without reading it, so a definition never
+    counts as a read of itself.
     """
-    read = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
-        elif (literals and isinstance(node, ast.Constant)
-              and isinstance(node.value, str)):
-            read.add(node.value)
+    read = attributes_read(source)
+    read |= {node.id for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    if literals:
+        read |= string_literals(source)
     return read
 
 
@@ -107,6 +118,26 @@ def test_unread_methods_are_caught():
                                                         "a"}
     assert names_read("a.f()\nprint(g)\nx = 'h'\n",
                       literals=True) == {"f", "g", "h", "print", "a"}
+    # A local named like a method does not read it; an attribute does.
+    source = ("class Poly:\n    def zero(self): pass\n"
+              "    def one(self): pass\n"
+              "def f(p):\n    zero = p.one()\n    return zero\n")
+    methods = {name for _, name, _ in public_methods(source)}
+    assert methods - attributes_read(source) == {"zero"}
+    assert methods - names_read(source) == set()
+
+
+def method_reads() -> set:
+    """Attribute names loaded in `src/leibcoh` and string literals in
+    `bench/`: the ways a public method is read."""
+    package = Path(leibcoh.__file__).parent
+    bench = package.parents[1] / "bench"
+    read = set()
+    for path in package.glob("*.py"):
+        read |= attributes_read(path.read_text())
+    for path in bench.glob("*.py"):
+        read |= string_literals(path.read_text())
+    return read
 
 
 def library_reads() -> set:
@@ -124,7 +155,7 @@ def library_reads() -> set:
 
 def test_library_reads_every_public_method():
     package = Path(leibcoh.__file__).parent
-    read = library_reads()
+    read = method_reads()
     unread = {f"{cls}.{name}": f"{path.name}:{line}"
               for path in sorted(package.glob("*.py"))
               for cls, name, line in public_methods(path.read_text())
@@ -133,8 +164,8 @@ def test_library_reads_every_public_method():
     assert sorted(set(KEPT_METHODS) - set(unread)) == []
 
 
-# Public top-level functions and classes that neither the library nor
-# the benchmark reads, kept on purpose, with the reason.
+# Public top-level functions, classes and constants that neither the
+# library nor the benchmark reads, kept on purpose, with the reason.
 KEPT_FUNCTIONS = {
     "families.specialize": "exact specialization of a family at a point, "
                            "documented in README; acceptance check 9 and "
@@ -143,19 +174,34 @@ KEPT_FUNCTIONS = {
 
 
 def public_definitions(source: str):
-    """(name, line) for every public top-level function or class."""
-    return [(node.name, node.lineno) for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not node.name.startswith("_")]
+    """(name, line) for every public top-level function or class, and
+    every public upper-case name a top-level assignment binds."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [t.id for t in targets
+                     if isinstance(t, ast.Name) and t.id.isupper()]
+        else:
+            continue
+        found += [(name, node.lineno) for name in names
+                  if not name.startswith("_")]
+    return found
 
 
 def test_unread_functions_are_caught():
     source = ("def f(): pass\nasync def g(): pass\nclass A:\n"
               "    def h(self): pass\ndef _i(): pass\nclass _B: pass\n"
-              "x = f()\n")
-    assert public_definitions(source) == [("f", 1), ("g", 2), ("A", 3)]
-    assert {"f", "g", "A"} - names_read(source) == {"g", "A"}
+              "x = f()\nC = 1\nD: int = 2\n_E = 3\nlower = 4\n"
+              "__all__ = []\nprint(D)\n")
+    assert public_definitions(source) == [("f", 1), ("g", 2), ("A", 3),
+                                          ("C", 8), ("D", 9)]
+    assert {"f", "g", "A", "C", "D"} - names_read(source) == {"g", "A",
+                                                              "C"}
 
 
 def test_library_reads_every_public_function():

@@ -28,8 +28,8 @@ from leibcoh.koszul import (
 from leibcoh.families import family_catalog, family_names, specialize
 from leibcoh.formats import algebra_to_document, dumps_canonical
 from leibcoh.linalg import Matrix, Solver, Subspace, vec_combine
-from leibcoh.scalars import ONE, I, Scalar
-from tests.conftest import (degree2_reps, shear, split_degree2,
+from leibcoh.scalars import ONE, Scalar
+from tests.conftest import (I, degree2_reps, shear, split_degree2,
                             symmetric_cocycle_space)
 from tests.test_algebras import CATALOG_CASES
 from tests.test_report_pins import EXPECTED, checks, worker, workloads

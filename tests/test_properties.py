@@ -51,8 +51,9 @@ from leibcoh.linalg import (  # noqa: E402
     vec_add_scaled,
     vec_combine,
 )
-from leibcoh.scalars import I, ONE, ZERO, Scalar, format_scalar  # noqa: E402
+from leibcoh.scalars import ONE, ZERO, Scalar, format_scalar  # noqa: E402
 from tests.conftest import (  # noqa: E402
+    I,
     fraction_format_scalar,
     fraction_mod_prime,
     shear,

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from leibcoh.scalars import I, ONE, ZERO, Scalar, format_scalar, parse_scalar, scalar
+from leibcoh.scalars import ONE, ZERO, Scalar, format_scalar, parse_scalar, scalar
+from tests.conftest import I
 
 
 def random_scalar(rng, nonzero=False):
