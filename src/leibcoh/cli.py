@@ -218,11 +218,11 @@ def _delta3_shape(scheme: CochainScheme, route: str):
     """Rows and columns of the degree-3 coboundary a route builds:
     "lie" the antisymmetric one, "graded" the weight-0 block that
     `graded_cohomology` builds (the whole matrix for an algebra with no
-    torus), "full" the whole matrix.  Counted, with nothing built."""
+    torus).  Counted, with nothing built."""
     d = scheme.dim
     if route == "lie":
         return d * comb(d, 4), d * comb(d, 3)
-    grading = scheme.grading() if route == "graded" else None
+    grading = scheme.grading()
     if grading is None:
         return d ** 5, d ** 4
     return grading.zero_dim(4), grading.zero_dim(3)
@@ -353,7 +353,7 @@ def _run_massey(args):
     spec = _concrete(_parse_input(args.file))
     report = _checked(spec)
     scheme = CochainScheme(spec, "adjoint")
-    _guard_degree3(scheme, args.force, "full")
+    _guard_degree3(scheme, args.force, "graded")
     if args.order < 2:
         raise UsageError("--order must be at least 2")
     indices = _parse_generators(args.generators)

@@ -27,8 +27,9 @@ diagonal in the basis.  The basis cochain e_k (x) dual(t) then has the
 weight lambda_k - sum lambda_(t_m) (for trivial coefficients,
 -sum lambda_(t_m)), one entry per toral h, and the coboundary keeps it.
 `TorusGrading` counts the cochains of each weight and lists those of
-weight 0; `graded_cohomology` eliminates only there, because every
-nonzero-weight part of the complex is acyclic from degree 1 on.
+any one weight; `graded_cohomology` eliminates only at weight 0, because
+every nonzero-weight part of the complex is acyclic from degree 1 on,
+and `ClassCoordinates` reads classes off that weight-0 elimination.
 """
 
 from __future__ import annotations
@@ -488,14 +489,25 @@ class TorusGrading:
             self._tails[key] = out
         return out
 
-    def zero_indices(self, n: int) -> list:
-        """Flat indices, increasing, of the weight-0 basis cochains of
-        degree n."""
+    def zero_indices(self, n: int, weight=None) -> list:
+        """Flat indices, increasing, of the basis cochains of degree n
+        and the given weight, weight 0 by default: those whose arguments'
+        weights sum to their head's weight minus it."""
+        neg = self._zero if weight is None else tuple(map(sub, self._zero,
+                                                          weight))
         if not self.scheme.adjoint:
-            return list(self._tail_indices(n, self._zero))
+            return list(self._tail_indices(n, neg))
         top = self.scheme.dim ** n
         return [k * top + s for k, w in enumerate(self.weights)
-                for s in self._tail_indices(n, w)]
+                for s in self._tail_indices(n, tuple(map(add, w, neg)))]
+
+    def weight(self, n: int, idx: int):
+        """The weight of the degree-n basis cochain at flat index idx."""
+        k, t = self.scheme.unflatten(n, idx)
+        out = self._zero if k is None else self.weights[k]
+        for a in t:
+            out = tuple(map(sub, out, self.weights[a]))
+        return out
 
     def zero_dim(self, n: int) -> int:
         """dim C^n_0, counted without listing an index."""
@@ -526,18 +538,21 @@ class TorusGrading:
         rank = Subspace(scheme.cochain_dim(1), columns).dim
         return dim + (-1) ** (n - 1) * rank
 
-    def delta_matrix(self, n: int) -> Matrix:
-        """The coboundary from the weight-0 n-cochains to the weight-0
-        (n+1)-cochains, in the increasing coordinates of `zero_indices`.
+    def delta_matrix(self, n: int, weight=None) -> Matrix:
+        """The coboundary from the n-cochains to the (n+1)-cochains of
+        the given weight, weight 0 by default, in the increasing
+        coordinates of `zero_indices(n, weight)` and `zero_indices(n + 1,
+        weight)`.
 
-        The coboundary keeps the weight, so each column lands in weight
-        0; an entry that does not means the weights are wrong, and it
-        raises instead of being dropped.  Columns are scattered in order,
-        so every row's keys ascend, as in `CochainScheme.delta_matrix`.
+        The coboundary keeps the weight, so each column lands in its own
+        weight; an entry that does not means the weights are wrong, and
+        it raises instead of being dropped.  Columns are scattered in
+        order, so every row's keys ascend, as in
+        `CochainScheme.delta_matrix`.
         """
-        columns = self.zero_indices(n)
+        columns = self.zero_indices(n, weight)
         position = {idx: i for i, idx in
-                    enumerate(self.zero_indices(n + 1))}
+                    enumerate(self.zero_indices(n + 1, weight))}
         rows = [{} for _ in range(len(position))]
         column = self.scheme._delta_column
         try:
@@ -545,7 +560,8 @@ class TorusGrading:
                 for key, v in column(n, idx).items():
                     rows[position[key]][j] = v
         except KeyError:
-            raise ValueError("the coboundary leaves weight 0: the torus "
+            which = "weight 0" if weight is None else "its weight"
+            raise ValueError(f"the coboundary leaves {which}: the torus "
                              "weights are wrong") from None
         return Matrix._trusted(len(rows), len(columns), rows)
 
@@ -556,16 +572,18 @@ class GradedCohomology:
 
     `zero` is the weight-0 part's CohomologySpace in the coordinates of
     `indices`, the increasing flat indices of the weight-0 cochains, and
-    `acyclic_dim` what the nonzero weights add to both z and b.  Z and B
-    are sums over disjoint coordinate blocks, one per weight, and agree
-    in every nonzero weight, so the quotient representatives of the
-    whole complex all lie in weight 0.  An increasing index map keeps an
-    RREF, so mapped back they are those of `leibniz_cohomology`.
+    `acyclic_dim` what the nonzero weights add to both z and b; `scheme`
+    is the complex's, for the coboundary of the nonzero weights.  Z and
+    B are sums over disjoint coordinate blocks, one per weight, and
+    agree in every nonzero weight, so the quotient representatives of
+    the whole complex all lie in weight 0.  An increasing index map
+    keeps an RREF, so mapped back they are those of `leibniz_cohomology`.
     """
 
     zero: CohomologySpace
     indices: list
     acyclic_dim: int
+    scheme: CochainScheme = field(repr=False, compare=False)
     reps: list = field(init=False)
 
     def __post_init__(self):
@@ -603,7 +621,8 @@ def graded_cohomology(scheme: CochainScheme, n: int
     coboundaries = image(grading.delta_matrix(n - 1))
     cocycles = certified_kernel(grading.delta_matrix(n), coboundaries)
     return GradedCohomology(CohomologySpace(n, cocycles, coboundaries),
-                            grading.zero_indices(n), grading.acyclic_dim(n))
+                            grading.zero_indices(n), grading.acyclic_dim(n),
+                            scheme)
 
 
 def lie_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
@@ -644,18 +663,45 @@ class ClassCoordinates:
     times the representative with pivot p, and the vector minus r lies
     in B.  Coordinates over (B basis, representatives) are unique, so
     these are the class coordinates.
+
+    For a `GradedCohomology` only the vector's weight-0 part is read
+    off, from the weight-0 echelons: the coboundary keeps the weight,
+    so the vector is a cocycle exactly when its weight-0 part is one
+    and the coboundary of the rest vanishes, which one matrix-free
+    coboundary decides.  The rest then lies in Z = B of its weights,
+    and the representatives all have weight 0, so the coordinates are
+    those the full complex's echelons give.
     """
 
-    __slots__ = ("space", "_rep_pivots")
+    __slots__ = ("space", "_rep_pivots", "_positions")
 
-    def __init__(self, space: CohomologySpace):
+    def __init__(self, space: CohomologySpace | GradedCohomology):
         self.space = space
+        if isinstance(space, GradedCohomology):
+            self._positions = {idx: i for i, idx in enumerate(space.indices)}
+            reps = space.zero.reps
+        else:
+            self._positions = None
+            reps = space.reps
         # The pivot of an RREF row is its first nonzero coordinate.
-        self._rep_pivots = [min(r) for r in space.reps]
+        self._rep_pivots = [min(r) for r in reps]
 
     def coords(self, vec: dict):
         """Class coordinates of a cocycle, or None if vec is not one."""
-        r = self.space.coboundaries.reduce(vec)
-        if not self.space.cocycles.contains(r):
+        space = self.space
+        positions = self._positions
+        if positions is not None:
+            zero, rest = {}, {}
+            for idx, v in vec.items():
+                i = positions.get(idx)
+                if i is None:
+                    rest[idx] = v
+                else:
+                    zero[i] = v
+            if rest and space.scheme.delta_apply(space.zero.degree, rest):
+                return None
+            space, vec = space.zero, zero
+        r = space.coboundaries.reduce(vec)
+        if not space.cocycles.contains(r):
             return None
         return [r.get(p, ZERO) for p in self._rep_pivots]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 from .algebras import AlgebraSpec
-from .cochains import ClassCoordinates, CochainScheme, leibniz_cohomology
+from .cochains import ClassCoordinates, CochainScheme, graded_cohomology
 from .linalg import Solver, Subspace, vec_add_at, vec_add_scaled
 from .scalars import ONE
 
@@ -45,21 +45,32 @@ __all__ = [
 
 def comp2(scheme: CochainScheme, phi: dict, psi: dict) -> dict:
     """The composition 3-cochain phi(psi(x,y),z) - phi(psi(x,z),y)
-    - phi(x,psi(y,z)) of two adjoint 2-cochains."""
+    - phi(x,psi(y,z)) of two adjoint 2-cochains.
+
+    Only a psi entry whose head is an argument of a phi entry pairs with
+    it, so psi is grouped by head once and each phi entry visits the
+    entries under its first and its second argument.
+    """
     if not scheme.adjoint:
         raise ValueError("composition products need adjoint coefficients")
+    d = scheme.dim
+    by_head = {}
+    for i, v in psi.items():
+        k, ce = divmod(i, d * d)
+        by_head.setdefault(k, []).append((ce // d, ce % d, v))
     out = {}
-    psi_items = [(scheme.unflatten(2, i), v) for i, v in psi.items()]
-    flat = scheme.flat_index
     for i, u in phi.items():
-        kphi, (a, b) = scheme.unflatten(2, i)
-        for (kpsi, (c, e)), v in psi_items:
+        k, ab = divmod(i, d * d)
+        a, b = divmod(ab, d)
+        head = k * d ** 3
+        for c, e, v in by_head.get(a, ()):
             w = u * v
-            if a == kpsi:
-                vec_add_at(out, flat(kphi, (c, e, b)), w)
-                vec_add_at(out, flat(kphi, (c, b, e)), -w)
-            if b == kpsi:
-                vec_add_at(out, flat(kphi, (a, c, e)), -w)
+            # phi(psi(x,y),z) at (c, e, b) and -phi(psi(x,z),y) at (c, b, e)
+            vec_add_at(out, head + (c * d + e) * d + b, w)
+            vec_add_at(out, head + (c * d + b) * d + e, -w)
+        for c, e, v in by_head.get(b, ()):
+            # -phi(x,psi(y,z)) at (a, c, e)
+            vec_add_at(out, head + (a * d + c) * d + e, -(u * v))
     return out
 
 
@@ -194,19 +205,62 @@ def family_deformation(pa) -> Deformation:
 
 
 class ObstructionContext:
-    """Degree-3 class data shared by repeated obstruction checks.
+    """Degree-3 class data and degree-2 solves shared by repeated
+    obstruction checks.
 
     Building the cohomology of degree 3 is the expensive step, so
     callers that classify many cochains against the same scheme reuse
-    one context.
+    one context.  It is `graded_cohomology(scheme, 3)`: on an algebra
+    with a torus only the weight-0 block of δ3 is built, and the
+    classes are read off its echelons.  The witness solves of `witness`
+    then use one `Solver` per weight of δ2, each built the first time a
+    cochain of that weight needs it; without a torus one `Solver` of the
+    whole δ2 is built here.
     """
 
-    __slots__ = ("space3", "classes", "solver2")
+    __slots__ = ("space3", "classes", "_grading", "_solver", "_blocks")
 
     def __init__(self, scheme: CochainScheme):
-        self.space3 = leibniz_cohomology(scheme, 3)
+        self.space3 = graded_cohomology(scheme, 3)
         self.classes = ClassCoordinates(self.space3)
-        self.solver2 = Solver(scheme.delta_matrix(2))
+        self._grading = scheme.grading()
+        self._solver = (Solver(scheme.delta_matrix(2))
+                        if self._grading is None else None)
+        self._blocks = {}  # weight -> (Solver, row positions, columns)
+
+    def witness(self, chi: dict):
+        """The solution of δ2 x = chi that is zero at every free column
+        of δ2, keys increasing, or None when chi is not a coboundary.
+
+        δ2 keeps the weight, so it is block-diagonal by weight, and the
+        pivot columns of a block-diagonal matrix are the union of its
+        blocks' pivot columns (an increasing index map keeps the order
+        of the columns inside a block).  So that unique solution is the
+        sum over chi's weights of the block solutions.
+        """
+        grading = self._grading
+        if grading is None:
+            return self._solver.solve(chi)
+        parts = {}
+        for idx, v in chi.items():
+            parts.setdefault(grading.weight(3, idx), {})[idx] = v
+        x = {}
+        for weight, part in parts.items():
+            block = self._blocks.get(weight)
+            if block is None:
+                rows = grading.zero_indices(3, weight)
+                block = self._blocks[weight] = (
+                    Solver(grading.delta_matrix(2, weight)),
+                    {idx: i for i, idx in enumerate(rows)},
+                    grading.zero_indices(2, weight))
+            solver, position, columns = block
+            local = solver.solve({position[idx]: v
+                                  for idx, v in part.items()})
+            if local is None:
+                return None
+            for c, v in local.items():
+                x[columns[c]] = v
+        return {c: x[c] for c in sorted(x)}
 
 
 @dataclass
@@ -239,7 +293,7 @@ def classify3(context: ObstructionContext, chi: dict) -> ObstructionClass:
                                 class_coords=coords)
     if any(coords):
         return ObstructionClass(chi, True, "nontrivial", class_coords=coords)
-    witness = context.solver2.solve(chi)
+    witness = context.witness(chi)
     if witness is None:
         raise AssertionError("class coordinates vanished but no witness found")
     return ObstructionClass(chi, True, "coboundary", witness=witness,

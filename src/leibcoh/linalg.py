@@ -558,13 +558,19 @@ class Solver:
     Serves the obstruction witnesses (solves against the degree-2
     coboundary), the coupled-block corrector of the degree-2
     decomposition, and basis changes.  The elimination is done once, on
-    the rows of [m | identity] shortest first; each solve is then a
-    handful of sparse dot products.  It returns the particular solution
-    with zeros in all free coordinates, the one per-call RREF of [m | b]
-    would give; it is unique, so the row order changes no answer.
+    the rows of [m | identity] shortest first.  The identity parts of
+    its pivot rows and of its remainders (the rows that reduce to zero
+    on m's columns) are stored by column, one sparse column per row of
+    m, so a solve visits only b's coordinates: b is consistent
+    exactly when b's combination of remainder columns vanishes, and x
+    is b's combination of pivot columns.  It returns the particular
+    solution with zeros in all free coordinates, the one per-call RREF
+    of [m | b] would give, with its keys in increasing pivot order; it
+    is unique, so the row order changes no answer.
     """
 
-    __slots__ = ("nrows", "ncols", "rank", "_pivot_tracks", "_checks")
+    __slots__ = ("nrows", "ncols", "rank", "_pivot_columns",
+                 "_check_columns")
 
     def __init__(self, m: Matrix):
         self.nrows = m.nrows
@@ -574,23 +580,24 @@ class Solver:
             ech.insert({**m.rows[i], m.ncols + i: ONE})
         self.rank = ech.rank
 
-        def track_part(row):
-            return {c - m.ncols: v for c, v in row.items() if c >= m.ncols}
+        def by_column(rows):
+            """The identity parts of rows as one sparse column per row
+            of m, each a map over the positions of rows."""
+            out = [{} for _ in range(m.nrows)]
+            for j, row in rows:
+                for c, v in row.items():
+                    if c >= m.ncols:
+                        out[c - m.ncols][j] = v
+            return out
 
-        self._pivot_tracks = [
-            (p, track_part(ech.pivot_rows[p])) for p in ech.sorted_pivots()
-        ]
-        self._checks = [track_part(rem) for rem in ech.remainders]
+        self._pivot_columns = by_column(
+            (p, ech.pivot_rows[p]) for p in ech.sorted_pivots())
+        self._check_columns = by_column(enumerate(ech.remainders))
 
     def solve(self, b: dict):
-        """A particular solution of m x = b, or None if inconsistent."""
-        for track in self._checks:
-            if vec_dot(track, b):
-                return None
-        x = {}
-        for p, track in self._pivot_tracks:
-            val = vec_dot(track, b)
-            if val:
-                x[p] = val
-        return x
-
+        """A particular solution of m x = b, or None if inconsistent; b
+        is a sparse map over the rows of m."""
+        if vec_combine(self._check_columns, b):
+            return None
+        x = vec_combine(self._pivot_columns, b)
+        return {p: x[p] for p in sorted(x)}

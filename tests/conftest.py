@@ -2,7 +2,8 @@
 hand-entered cochains, a tuple-building coboundary oracle, literal
 evaluation of a cochain on vectors, the reader of a report's cochain
 entries, and Fraction-based oracles for the two readers of a Scalar's
-integer triple, and the filtered list of monomials of one degree."""
+integer triple, the filtered list of monomials of one degree, and the
+row-wise solver that `linalg.Solver` must reproduce."""
 
 from itertools import product
 
@@ -10,8 +11,8 @@ import pytest
 
 from leibcoh.algebras import catalog, change_basis
 from leibcoh.cochains import CochainScheme, sym2_inclusion
-from leibcoh.linalg import (PRIME, PRIME_I, Matrix, Subspace, kernel,
-                            vec_add_at, vec_combine)
+from leibcoh.linalg import (PRIME, PRIME_I, Echelon, Matrix, Subspace,
+                            kernel, vec_add_at, vec_combine, vec_dot)
 from leibcoh.scalars import ONE, ZERO, Scalar, parse_scalar
 
 HALF = Scalar(1) / 2
@@ -71,6 +72,35 @@ def filtered_monomials(nparams: int, degree: int):
     for deformations._monomials."""
     return [combo for combo in product(range(degree + 1), repeat=nparams)
             if sum(combo) == degree]
+
+
+def rowwise_solver(m: Matrix):
+    """Solves of m x = b by one sparse dot product per tracked row: the
+    same elimination of [m | identity] as `linalg.Solver`, with the
+    identity parts of its remainders and pivot rows kept by row.  The
+    reference for the column-wise solve."""
+    ech = Echelon(m.ncols + m.nrows, pivot_limit=m.ncols)
+    for i in sorted(range(m.nrows), key=lambda i: len(m.rows[i])):
+        ech.insert({**m.rows[i], m.ncols + i: ONE})
+
+    def track_part(row):
+        return {c - m.ncols: v for c, v in row.items() if c >= m.ncols}
+
+    pivot_tracks = [(p, track_part(ech.pivot_rows[p]))
+                    for p in ech.sorted_pivots()]
+    checks = [track_part(rem) for rem in ech.remainders]
+
+    def solve(b):
+        for track in checks:
+            if vec_dot(track, b):
+                return None
+        x = {}
+        for p, track in pivot_tracks:
+            val = vec_dot(track, b)
+            if val:
+                x[p] = val
+        return x
+    return solve
 
 
 def evaluate_cochain(scheme: CochainScheme, data: dict, vectors):

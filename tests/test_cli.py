@@ -539,15 +539,15 @@ def test_degree_guard_and_force():
 
 
 def test_degree_guard_names_the_matrix_its_route_builds():
-    # Counted, not built: the antisymmetric d*C(d,4) x d*C(d,3), the
-    # weight-0 block of a toral Leibniz input, and the whole matrix for
-    # massey, which reads the full complex.
+    # Counted, not built: the antisymmetric d*C(d,4) x d*C(d,3), and
+    # the weight-0 block of a toral input, for a Leibniz cohomology
+    # request and for massey's obstruction context alike.
     gl4 = catalog_doc("gl", 4)
     for argv, shape in ((["cohomology", "--deg", "3", "--lie"],
                          "29120 x 8960"),
                         (["cohomology", "--deg", "3"], "31504 x 2716"),
                         (["massey", "--generators", "1"],
-                         "1048576 x 65536")):
+                         "31504 x 2716")):
         blocked = run_cli(argv, gl4)
         assert blocked.returncode == 1, argv
         assert f"need a {shape} coboundary matrix" in blocked.stderr, argv

@@ -1,17 +1,22 @@
 """Coboundary correctness against a literal evaluator, subcomplexes, and
-the torus-weight route with the Cartan homotopy behind it."""
+the torus-weight route with the Cartan homotopy behind it, for the
+cohomology and for the obstruction context."""
 
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
 from leibcoh import cochains
 from leibcoh.algebras import (AlgebraSpec, catalog, change_basis,
                               is_right_leibniz)
+from leibcoh import deformations
 from leibcoh.cochains import (
+    ClassCoordinates,
     CochainScheme,
     CohomologySpace,
+    GradedCohomology,
     graded_cohomology,
     leibniz_cohomology,
     lie_cohomology,
@@ -20,9 +25,10 @@ from leibcoh.cochains import (
     wedge_basis,
     wedge_inclusion,
 )
-from leibcoh.deformations import ObstructionContext
+from leibcoh.deformations import (ObstructionContext, classify3,
+                                  massey_products)
 from leibcoh.families import family_catalog, family_names, specialize
-from leibcoh.linalg import (Echelon, Matrix, Subspace, image, kernel,
+from leibcoh.linalg import (Echelon, Matrix, Solver, Subspace, image, kernel,
                             vec_add_at, vec_add_scaled, vec_combine)
 from leibcoh.scalars import ONE, Scalar
 from tests.conftest import (I, evaluate_cochain, oracle_delta_matrix,
@@ -720,10 +726,88 @@ def test_torus_free_inputs_take_the_full_complex_and_bad_input_is_refused():
         graded_cohomology(not_leibniz, 2)
 
 
-def test_massey_context_still_reads_the_full_complex():
+def test_massey_context_reads_the_weight_zero_block():
     scheme = CochainScheme(catalog("sl2_plus_abelian", 3), "adjoint")
     context = ObstructionContext(scheme)
-    assert isinstance(context.space3, CohomologySpace)
-    assert context.space3.cocycles is scheme.cocycles(3)
-    assert context.space3.cocycles.ambient_dim == scheme.cochain_dim(3)
-    assert context.space3.z_dim == graded_cohomology(scheme, 3).z_dim == 246
+    assert isinstance(context.space3, GradedCohomology)
+    assert 3 not in scheme._mats
+    full = leibniz_cohomology(CochainScheme(scheme.spec, "adjoint"), 3)
+    space = context.space3
+    assert (space.z_dim, space.b_dim, space.h_dim, space.reps) \
+        == (full.z_dim, full.b_dim, full.h_dim, full.reps)
+    assert space.z_dim == 246
+
+
+def full_context(spec):
+    """The obstruction context of the whole complex, built here from
+    `leibniz_cohomology`, `ClassCoordinates` and one `Solver` of the
+    whole δ2: the reference for the weight-graded one."""
+    scheme = CochainScheme(spec, "adjoint")
+    space3 = leibniz_cohomology(scheme, 3)
+    return SimpleNamespace(space3=space3, classes=ClassCoordinates(space3),
+                           witness=Solver(scheme.delta_matrix(2)).solve)
+
+
+def random_combination(rng, vectors, count=3):
+    out = {}
+    for vec in rng.sample(vectors, min(count, len(vectors))):
+        vec_add_scaled(out, vec, Scalar(rng.randint(-3, 3), rng.randint(-1, 1)))
+    return out
+
+
+def obstruction_inputs(scheme, full, seed):
+    """3-cochains for classify3: cocycle and coboundary combinations
+    (several weights at once), coboundaries of 2-cochains of one
+    nonzero weight, cocycles spoiled only in a nonzero weight, and {}."""
+    rng = random.Random(seed)
+    grading = scheme.grading()
+    zero = (Scalar(0),) * len(grading.weights[0])
+    z3, b3 = full.space3.cocycles.basis(), full.space3.coboundaries.basis()
+    out = [{}]
+    out += [random_combination(rng, z3) for _ in range(4)]
+    out += [random_combination(rng, b3, 5) for _ in range(4)]
+    by_weight = {}
+    for idx in range(scheme.cochain_dim(2)):
+        by_weight.setdefault(grading.weight(2, idx), []).append(idx)
+    nonzero = [w for w in by_weight if w != zero]
+    for w in rng.sample(nonzero, min(3, len(nonzero))):
+        x = {idx: Scalar(rng.randint(-2, 2), rng.randint(-1, 1))
+             for idx in rng.sample(by_weight[w], min(4, len(by_weight[w])))}
+        out.append(scheme.delta_apply(2, x))
+    spoilers = [idx for idx in range(scheme.cochain_dim(3))
+                if grading.weight(3, idx) != zero
+                and scheme.delta_apply(3, {idx: ONE})]
+    for idx in rng.sample(spoilers, min(3, len(spoilers))):
+        chi = random_combination(rng, z3)
+        vec_add_at(chi, idx, ONE)
+        out.append(chi)
+    return out
+
+
+OBSTRUCTION_TORI = SMALL_TORI + [("sl2_plus_abelian 3",
+                                  catalog("sl2_plus_abelian", 3))]
+
+
+@pytest.mark.parametrize("label,spec", OBSTRUCTION_TORI,
+                         ids=[label for label, _ in OBSTRUCTION_TORI])
+def test_graded_obstruction_context_equals_the_full_complex(
+        monkeypatch, label, spec):
+    scheme = CochainScheme(spec, "adjoint")
+    context = ObstructionContext(scheme)
+    assert isinstance(context.space3, GradedCohomology)
+    full = full_context(spec)
+    verdicts = set()
+    for chi in obstruction_inputs(scheme, full, seed=label):
+        got = classify3(context, chi)
+        assert got == classify3(full, chi), label
+        if got.witness:
+            assert list(got.witness) == sorted(got.witness)
+            assert scheme.delta_apply(2, got.witness) == got.cochain
+        verdicts.add(got.verdict)
+    assert {None, "zero", "coboundary"} <= verdicts, label
+
+    generators = scheme.cocycles(2).basis()
+    graded = [massey_products(scheme, [g], 3) for g in generators]
+    monkeypatch.setattr(deformations, "ObstructionContext",
+                        lambda scheme: full)
+    assert graded == [massey_products(scheme, [g], 3) for g in generators]

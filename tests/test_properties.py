@@ -56,6 +56,7 @@ from tests.conftest import (  # noqa: E402
     I,
     fraction_format_scalar,
     fraction_mod_prime,
+    rowwise_solver,
     shear,
 )
 from tests.test_algebras import CATALOG_CASES  # noqa: E402
@@ -610,6 +611,30 @@ def test_coboundaries_lie_in_cocycles_after_gaussian_shears(
     a = data.draw(st.integers(0, spec.dim - 1))
     b = data.draw(st.integers(0, spec.dim - 1).filter(lambda j: j != a))
     assert_spaces_nest(shear(spec, a, b, c), coefficients)
+
+
+@PROPERTY
+@given(st.booleans().flatmap(matrices), st.data())
+def test_solver_matches_the_rowwise_reference(m, data):
+    # Consistent right-hand sides m x, arbitrary ones (mostly
+    # inconsistent: both give None), and either with explicit zero
+    # values, which a column accumulator must skip rather than store or
+    # delete.
+    solver, reference = Solver(m), rowwise_solver(m)
+    x = data.draw(st.dictionaries(st.integers(0, m.ncols - 1), any_scalars,
+                                  max_size=m.ncols))
+    rows = st.integers(0, max(m.nrows - 1, 0))
+    anywhere = data.draw(st.dictionaries(rows, any_scalars, max_size=3))
+    zeros = data.draw(st.dictionaries(rows, st.just(Scalar(0)), max_size=3))
+    consistent = m.matvec(x)
+    assert solver.solve(consistent) is not None
+    for b in (consistent, anywhere):
+        for rhs in (b, {**zeros, **b}):
+            rhs = {i: v for i, v in rhs.items() if i < m.nrows}
+            got = solver.solve(rhs)
+            assert got == reference(rhs)
+            assert got is None or (list(got) == sorted(got) and m.matvec(got)
+                                   == {i: v for i, v in rhs.items() if v})
 
 
 def padded(draw, vectors):
