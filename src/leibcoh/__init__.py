@@ -20,7 +20,6 @@ from .cochains import (
     GradedCohomology,
     TorusGrading,
     graded_cohomology,
-    leibniz_cohomology,
     lie_cohomology,
 )
 from .deformations import (
@@ -83,7 +82,6 @@ __all__ = [
     "GradedCohomology",
     "TorusGrading",
     "graded_cohomology",
-    "leibniz_cohomology",
     "lie_cohomology",
     "Deformation",
     "MasseyReport",

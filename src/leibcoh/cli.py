@@ -217,14 +217,12 @@ def _require_lie(report, what: str):
 def _delta3_shape(scheme: CochainScheme, route: str):
     """Rows and columns of the degree-3 coboundary a route builds:
     "lie" the antisymmetric one, "graded" the weight-0 block that
-    `graded_cohomology` builds (the whole matrix for an algebra with no
-    torus).  Counted, with nothing built."""
+    `graded_cohomology` builds (the whole d^5 x d^4 matrix for an
+    algebra with no toral element).  Counted, with nothing built."""
     d = scheme.dim
     if route == "lie":
         return d * comb(d, 4), d * comb(d, 3)
     grading = scheme.grading()
-    if grading is None:
-        return d ** 5, d ** 4
     return grading.zero_dim(4), grading.zero_dim(3)
 
 

@@ -26,10 +26,12 @@ right multiplication by h, a derivation of a right Leibniz algebra, is
 diagonal in the basis.  The basis cochain e_k (x) dual(t) then has the
 weight lambda_k - sum lambda_(t_m) (for trivial coefficients,
 -sum lambda_(t_m)), one entry per toral h, and the coboundary keeps it.
-`TorusGrading` counts the cochains of each weight and lists those of
-any one weight; `graded_cohomology` eliminates only at weight 0, because
-every nonzero-weight part of the complex is acyclic from degree 1 on,
-and `ClassCoordinates` reads classes off that weight-0 elimination.
+An algebra with no such h is graded by the empty torus: every weight
+is the empty tuple, so weight 0 is the whole complex.  `TorusGrading`
+counts the cochains of each weight and lists those of any one weight;
+`graded_cohomology` eliminates only at weight 0, because every
+nonzero-weight part of the complex is acyclic from degree 1 on, and
+`ClassCoordinates` reads classes off that weight-0 elimination.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ __all__ = [
     "GradedCohomology",
     "TorusGrading",
     "graded_cohomology",
-    "leibniz_cohomology",
     "lie_cohomology",
     "lie_delta_matrix",
     "wedge_basis",
@@ -256,14 +257,13 @@ class CochainScheme:
     def is_cocycle(self, n: int, data: dict) -> bool:
         return not self.delta_apply(n, data)
 
-    def grading(self) -> TorusGrading | None:
-        """The torus grading of the cochains, or None when no basis
-        element is toral with a nonzero weight; cached."""
+    def grading(self) -> TorusGrading:
+        """The torus grading of the cochains, cached: by the toral basis
+        elements with a nonzero weight, by the empty torus when there is
+        none."""
         if self._grading is None:
-            weights = _toral_weights(self.spec)
-            self._grading = (False if weights is None
-                             else TorusGrading(self, weights))
-        return self._grading or None
+            self._grading = TorusGrading(self, _toral_weights(self.spec))
+        return self._grading
 
     def __repr__(self):
         return f"CochainScheme({self.spec!r}, {self.coefficients})"
@@ -396,16 +396,11 @@ class CohomologySpace:
         return self.cocycles.dim - self.coboundaries.dim
 
 
-def leibniz_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
-    """Cocycles mod coboundaries of the full complex in degree n >= 1."""
-    return CohomologySpace(n, scheme.cocycles(n), scheme.coboundaries(n))
-
-
 def _toral_weights(spec):
     """The weight tuple of each basis element, one entry per toral basis
-    element h with some lambda_j nonzero (the entry is lambda_j), or
-    None when there is no such h.  A toral h with every lambda_j zero
-    grades nothing and is left out."""
+    element h with some lambda_j nonzero (the entry is lambda_j), so ()
+    for every element when there is no such h.  A toral h with every
+    lambda_j zero grades nothing and is left out."""
     table = spec.table
     columns = []
     for h in range(spec.dim):
@@ -418,8 +413,6 @@ def _toral_weights(spec):
         else:
             if any(lam):
                 columns.append(lam)
-    if not columns:
-        return None
     return [tuple(lam[j] for lam in columns) for j in range(spec.dim)]
 
 
@@ -434,7 +427,8 @@ class TorusGrading:
     the number of r-tuples of arguments whose weights sum to it, and
     the weight-0 indices are enumerated by prefix weight, each suffix
     list built once per (length, weight) it must sum to, with no scan
-    over all tuples.
+    over all tuples.  With no toral element the one weight is (), so
+    weight 0 is every cochain and nothing is acyclic.
 
     Why the nonzero weights need no elimination: for a toral h, the
     last-slot insertion (s f)(x_1 .. x_(n-1)) = (-1)^n f(x_1 .. x_(n-1), h)
@@ -448,7 +442,7 @@ class TorusGrading:
     """
 
     __slots__ = ("scheme", "weights", "_zero", "_slot_counts", "_sums",
-                 "_tails")
+                 "_tails", "_cohomology")
 
     def __init__(self, scheme: CochainScheme, weights):
         self.scheme = scheme
@@ -457,6 +451,7 @@ class TorusGrading:
         self._slot_counts = Counter(weights)
         self._sums = [Counter([self._zero])]
         self._tails = {}
+        self._cohomology = {}  # degree -> GradedCohomology
 
     def _sum_counts(self, r: int) -> dict:
         sums = self._sums
@@ -551,19 +546,18 @@ class TorusGrading:
         `CochainScheme.delta_matrix`.
         """
         columns = self.zero_indices(n, weight)
-        position = {idx: i for i, idx in
-                    enumerate(self.zero_indices(n + 1, weight))}
-        rows = [{} for _ in range(len(position))]
+        # Rows keyed by flat index, in increasing order: a dict keeps it.
+        rows = {idx: {} for idx in self.zero_indices(n + 1, weight)}
         column = self.scheme._delta_column
         try:
             for j, idx in enumerate(columns):
                 for key, v in column(n, idx).items():
-                    rows[position[key]][j] = v
+                    rows[key][j] = v
         except KeyError:
             which = "weight 0" if weight is None else "its weight"
             raise ValueError(f"the coboundary leaves {which}: the torus "
                              "weights are wrong") from None
-        return Matrix._trusted(len(rows), len(columns), rows)
+        return Matrix._trusted(len(rows), len(columns), list(rows.values()))
 
 
 @dataclass
@@ -577,7 +571,9 @@ class GradedCohomology:
     B are sums over disjoint coordinate blocks, one per weight, and
     agree in every nonzero weight, so the quotient representatives of
     the whole complex all lie in weight 0.  An increasing index map
-    keeps an RREF, so mapped back they are those of `leibniz_cohomology`.
+    keeps an RREF, so mapped back they are those the full complex's
+    echelons give.  With no toral element, `indices` is every flat
+    index and `acyclic_dim` is 0.
     """
 
     zero: CohomologySpace
@@ -604,25 +600,25 @@ class GradedCohomology:
         return self.zero.h_dim
 
 
-def graded_cohomology(scheme: CochainScheme, n: int
-                      ) -> GradedCohomology | CohomologySpace:
-    """The dimensions and representatives of `leibniz_cohomology(scheme,
-    n)`, with the coboundary built only on weight-0 cochains when the
-    algebra has a toral basis element with a nonzero weight, and by
-    `leibniz_cohomology` itself when it has none.  Refuses what
-    `CochainScheme.cocycles` refuses."""
+def graded_cohomology(scheme: CochainScheme, n: int) -> GradedCohomology:
+    """The dimensions and representatives of the full complex's
+    cohomology in degree n >= 1, with the coboundary built only on the
+    weight-0 cochains of `scheme.grading()` (all of them when the
+    algebra has no toral element).  Cached on the grading; callers only
+    read it.  Refuses what `CochainScheme.cocycles` refuses."""
     grading = scheme.grading()
-    if grading is None:
-        return leibniz_cohomology(scheme, n)
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    if not is_right_leibniz(scheme.spec):
-        raise ValueError("not a complex: not right Leibniz")
-    coboundaries = image(grading.delta_matrix(n - 1))
-    cocycles = certified_kernel(grading.delta_matrix(n), coboundaries)
-    return GradedCohomology(CohomologySpace(n, cocycles, coboundaries),
-                            grading.zero_indices(n), grading.acyclic_dim(n),
-                            scheme)
+    space = grading._cohomology.get(n)
+    if space is None:
+        if n < 1:
+            raise ValueError("degree must be at least 1")
+        if not is_right_leibniz(scheme.spec):
+            raise ValueError("not a complex: not right Leibniz")
+        coboundaries = image(grading.delta_matrix(n - 1))
+        cocycles = certified_kernel(grading.delta_matrix(n), coboundaries)
+        space = grading._cohomology[n] = GradedCohomology(
+            CohomologySpace(n, cocycles, coboundaries),
+            grading.zero_indices(n), grading.acyclic_dim(n), scheme)
+    return space
 
 
 def lie_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
@@ -664,8 +660,8 @@ class ClassCoordinates:
     in B.  Coordinates over (B basis, representatives) are unique, so
     these are the class coordinates.
 
-    For a `GradedCohomology` only the vector's weight-0 part is read
-    off, from the weight-0 echelons: the coboundary keeps the weight,
+    Only the vector's weight-0 part is read off, from the weight-0
+    echelons of a `GradedCohomology`: the coboundary keeps the weight,
     so the vector is a cocycle exactly when its weight-0 part is one
     and the coboundary of the rest vanishes, which one matrix-free
     coboundary decides.  The rest then lies in Z = B of its weights,
@@ -675,33 +671,26 @@ class ClassCoordinates:
 
     __slots__ = ("space", "_rep_pivots", "_positions")
 
-    def __init__(self, space: CohomologySpace | GradedCohomology):
+    def __init__(self, space: GradedCohomology):
         self.space = space
-        if isinstance(space, GradedCohomology):
-            self._positions = {idx: i for i, idx in enumerate(space.indices)}
-            reps = space.zero.reps
-        else:
-            self._positions = None
-            reps = space.reps
+        self._positions = {idx: i for i, idx in enumerate(space.indices)}
         # The pivot of an RREF row is its first nonzero coordinate.
-        self._rep_pivots = [min(r) for r in reps]
+        self._rep_pivots = [min(r) for r in space.zero.reps]
 
     def coords(self, vec: dict):
         """Class coordinates of a cocycle, or None if vec is not one."""
         space = self.space
         positions = self._positions
-        if positions is not None:
-            zero, rest = {}, {}
-            for idx, v in vec.items():
-                i = positions.get(idx)
-                if i is None:
-                    rest[idx] = v
-                else:
-                    zero[i] = v
-            if rest and space.scheme.delta_apply(space.zero.degree, rest):
-                return None
-            space, vec = space.zero, zero
-        r = space.coboundaries.reduce(vec)
-        if not space.cocycles.contains(r):
+        zero, rest = {}, {}
+        for idx, v in vec.items():
+            i = positions.get(idx)
+            if i is None:
+                rest[idx] = v
+            else:
+                zero[i] = v
+        if rest and space.scheme.delta_apply(space.zero.degree, rest):
+            return None
+        r = space.zero.coboundaries.reduce(zero)
+        if not space.zero.cocycles.contains(r):
             return None
         return [r.get(p, ZERO) for p in self._rep_pivots]

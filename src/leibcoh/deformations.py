@@ -208,24 +208,20 @@ class ObstructionContext:
     """Degree-3 class data and degree-2 solves shared by repeated
     obstruction checks.
 
-    Building the cohomology of degree 3 is the expensive step, so
-    callers that classify many cochains against the same scheme reuse
-    one context.  It is `graded_cohomology(scheme, 3)`: on an algebra
-    with a torus only the weight-0 block of δ3 is built, and the
-    classes are read off its echelons.  The witness solves of `witness`
-    then use one `Solver` per weight of δ2, each built the first time a
-    cochain of that weight needs it; without a torus one `Solver` of the
-    whole δ2 is built here.
+    The cohomology of degree 3 is `graded_cohomology(scheme, 3)`,
+    built once per scheme: only the weight-0 block of δ3 is eliminated
+    (the whole δ3 for an algebra with no toral element), and the classes
+    are read off its echelons.  The witness solves of `witness` use one
+    `Solver` per weight of δ2, each built the first time a cochain of
+    that weight needs it.
     """
 
-    __slots__ = ("space3", "classes", "_grading", "_solver", "_blocks")
+    __slots__ = ("space3", "classes", "_grading", "_blocks")
 
     def __init__(self, scheme: CochainScheme):
         self.space3 = graded_cohomology(scheme, 3)
         self.classes = ClassCoordinates(self.space3)
         self._grading = scheme.grading()
-        self._solver = (Solver(scheme.delta_matrix(2))
-                        if self._grading is None else None)
         self._blocks = {}  # weight -> (Solver, row positions, columns)
 
     def witness(self, chi: dict):
@@ -239,8 +235,6 @@ class ObstructionContext:
         sum over chi's weights of the block solutions.
         """
         grading = self._grading
-        if grading is None:
-            return self._solver.solve(chi)
         parts = {}
         for idx, v in chi.items():
             parts.setdefault(grading.weight(3, idx), {})[idx] = v

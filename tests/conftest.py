@@ -1,6 +1,6 @@
 """Shared fixtures: the imaginary unit I, cached cochain schemes and
-hand-entered cochains, a tuple-building coboundary oracle, literal
-evaluation of a cochain on vectors, the reader of a report's cochain
+hand-entered cochains, the full-complex cohomology oracle, a
+tuple-building coboundary oracle, literal evaluation of a cochain on vectors, the reader of a report's cochain
 entries, and Fraction-based oracles for the two readers of a Scalar's
 integer triple, the filtered list of monomials of one degree, and the
 row-wise solver that `linalg.Solver` must reproduce."""
@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 
 from leibcoh.algebras import catalog, change_basis
-from leibcoh.cochains import CochainScheme, sym2_inclusion
+from leibcoh.cochains import CochainScheme, CohomologySpace, sym2_inclusion
 from leibcoh.linalg import (PRIME, PRIME_I, Echelon, Matrix, Subspace,
                             kernel, vec_add_at, vec_combine, vec_dot)
 from leibcoh.scalars import ONE, ZERO, Scalar, parse_scalar
@@ -101,6 +101,13 @@ def rowwise_solver(m: Matrix):
                 x[p] = val
         return x
     return solve
+
+
+def leibniz_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
+    """Cocycles mod coboundaries of the whole complex in degree n >= 1,
+    from the scheme's full coboundary matrices: the reference for
+    `graded_cohomology`, which eliminates only at weight 0."""
+    return CohomologySpace(n, scheme.cocycles(n), scheme.coboundaries(n))
 
 
 def evaluate_cochain(scheme: CochainScheme, data: dict, vectors):

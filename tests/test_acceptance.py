@@ -14,7 +14,6 @@ import random
 from leibcoh.algebras import catalog, validate
 from leibcoh.cochains import (
     CochainScheme,
-    leibniz_cohomology,
     lie_cohomology,
     sym2_basis,
     sym2_inclusion,
@@ -33,7 +32,8 @@ from leibcoh.koszul import decompose_degree2, koszul_data, uncoupling_report
 from leibcoh.linalg import Subspace, vec_add_scaled, vec_combine
 from leibcoh.polynomials import parse_poly
 from leibcoh.scalars import ONE, Scalar
-from tests.conftest import diamond_phi_basis, symmetric_cocycle_space
+from tests.conftest import (diamond_phi_basis, leibniz_cohomology,
+                            symmetric_cocycle_space)
 from tests.test_algebras import CATALOG_CASES
 
 _CACHE = {}

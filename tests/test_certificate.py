@@ -17,12 +17,12 @@ import pytest
 
 from leibcoh import algebras, cli
 from leibcoh.algebras import AlgebraSpec, catalog, is_right_leibniz
-from leibcoh.cochains import (CochainScheme, leibniz_cohomology,
-                              lie_cohomology)
+from leibcoh.cochains import CochainScheme, lie_cohomology
 from leibcoh.formats import algebra_to_document, dumps_canonical
 from leibcoh.linalg import (PRIME, PRIME_I, LinalgError, _partition,
                             certified_kernel, kernel)
 from leibcoh.scalars import ONE, Scalar
+from tests.conftest import leibniz_cohomology
 from tests.test_cochains import one_sided_square
 
 

@@ -3,6 +3,7 @@ the torus-weight route with the Cartan homotopy behind it, for the
 cohomology and for the obstruction context."""
 
 import random
+import sys
 from itertools import product
 from types import SimpleNamespace
 
@@ -18,7 +19,6 @@ from leibcoh.cochains import (
     CohomologySpace,
     GradedCohomology,
     graded_cohomology,
-    leibniz_cohomology,
     lie_cohomology,
     lie_delta_matrix,
     sym2_inclusion,
@@ -28,11 +28,13 @@ from leibcoh.cochains import (
 from leibcoh.deformations import (ObstructionContext, classify3,
                                   massey_products)
 from leibcoh.families import family_catalog, family_names, specialize
-from leibcoh.linalg import (Echelon, Matrix, Solver, Subspace, image, kernel,
-                            vec_add_at, vec_add_scaled, vec_combine)
+from leibcoh.linalg import (Echelon, Matrix, Solver, Subspace,
+                            certified_kernel, image, kernel, vec_add_at,
+                            vec_add_scaled, vec_combine)
 from leibcoh.scalars import ONE, Scalar
-from tests.conftest import (I, evaluate_cochain, oracle_delta_matrix,
-                            shear, split_degree2, symmetric_cocycle_space)
+from tests.conftest import (I, evaluate_cochain, leibniz_cohomology,
+                            oracle_delta_matrix, shear, split_degree2,
+                            symmetric_cocycle_space)
 from tests.test_algebras import CATALOG_CASES
 from tests.test_koszul import sheared
 
@@ -621,6 +623,8 @@ def test_weight_zero_indices_and_counts_match_a_filter(label, spec):
         for n in range(5):
             every = [brute_weight(scheme, weights, n, idx)
                      for idx in range(scheme.cochain_dim(n))]
+            assert [grading.weight(n, idx)
+                    for idx in range(scheme.cochain_dim(n))] == every
             expected = [idx for idx, w in enumerate(every) if w == zero]
             assert grading.zero_indices(n) == expected, (label, coeffs, n)
             assert grading.zero_dim(n) == len(expected)
@@ -642,10 +646,10 @@ def test_the_weights_are_read_off_the_toral_elements():
     assert all(w == (Scalar(0),) * 2 for w in gl3.weights[6:])
     non_real = CochainScheme(rescaled(catalog("gl", 2), 2, I)).grading()
     assert non_real.weights[0] == (-2 * I,)
-    for name, params in (("heisenberg", (2,)), ("diamond_e", ()),
-                         ("g54", ()), ("abelian", (3,))):
-        assert CochainScheme(catalog(name, *params)).grading() is None
-    assert CochainScheme(sheared("g54")).grading() is None
+    # With no toral element every weight is that of the empty torus.
+    for spec in (catalog("heisenberg", 2), catalog("diamond_e"),
+                 catalog("g54"), catalog("abelian", 3), sheared("g54")):
+        assert CochainScheme(spec).grading().weights == [()] * spec.dim
 
 
 def graded_route_agrees(spec, coeffs, n):
@@ -672,7 +676,22 @@ TORAL_LADDER = [("gl 2", catalog("gl", 2)), ("gl 3", catalog("gl", 3)),
 @pytest.mark.parametrize("label,spec", TORAL_LADDER,
                          ids=[label for label, _ in TORAL_LADDER])
 def test_graded_route_equals_the_full_complex(label, spec, coeffs):
-    assert CochainScheme(spec, coeffs).grading() is not None
+    assert CochainScheme(spec, coeffs).grading().weights[0] != ()
+    for n in (1, 2, 3):
+        assert graded_route_agrees(spec, coeffs, n), (label, coeffs, n)
+
+
+TORUS_FREE = [("diamond_e", catalog("diamond_e")), ("g54", catalog("g54")),
+              ("heisenberg 2", catalog("heisenberg", 2)),
+              ("sheared g54", sheared("g54"))]
+
+
+@pytest.mark.parametrize("coeffs", ["adjoint", "trivial"])
+@pytest.mark.parametrize("label,spec", TORUS_FREE,
+                         ids=[label for label, _ in TORUS_FREE])
+def test_the_empty_torus_route_equals_the_full_complex(label, spec, coeffs):
+    grading = CochainScheme(spec, coeffs).grading()
+    assert grading.weights == [()] * spec.dim
     for n in (1, 2, 3):
         assert graded_route_agrees(spec, coeffs, n), (label, coeffs, n)
 
@@ -711,10 +730,13 @@ def test_a_wrong_weight_fails_the_equivalence_gate(monkeypatch, wrong):
 
 
 def test_torus_free_inputs_take_the_full_complex_and_bad_input_is_refused():
+    # The empty torus: weight 0 is every cochain, and nothing is acyclic.
     scheme = CochainScheme(catalog("heisenberg", 2), "adjoint")
     space = graded_cohomology(scheme, 2)
-    assert isinstance(space, CohomologySpace)
-    assert space.cocycles is scheme.cocycles(2)
+    assert space.indices == list(range(scheme.cochain_dim(2)))
+    assert space.acyclic_dim == 0
+    assert space.zero.cocycles == scheme.cocycles(2)
+    assert space.zero.coboundaries == scheme.coboundaries(2)
     with pytest.raises(ValueError):
         graded_cohomology(CochainScheme(catalog("gl", 2)), 0)
     # Toral (e_0 acts on e_1 by 1) but not right Leibniz: refused before
@@ -740,10 +762,12 @@ def test_massey_context_reads_the_weight_zero_block():
 
 def full_context(spec):
     """The obstruction context of the whole complex, built here from
-    `leibniz_cohomology`, `ClassCoordinates` and one `Solver` of the
+    `leibniz_cohomology` read as the grading of no weight but 0 (every
+    index, nothing acyclic), `ClassCoordinates` and one `Solver` of the
     whole δ2: the reference for the weight-graded one."""
     scheme = CochainScheme(spec, "adjoint")
-    space3 = leibniz_cohomology(scheme, 3)
+    space3 = GradedCohomology(leibniz_cohomology(scheme, 3),
+                              list(range(scheme.cochain_dim(3))), 0, scheme)
     return SimpleNamespace(space3=space3, classes=ClassCoordinates(space3),
                            witness=Solver(scheme.delta_matrix(2)).solve)
 
@@ -758,11 +782,13 @@ def random_combination(rng, vectors, count=3):
 def obstruction_inputs(scheme, full, seed):
     """3-cochains for classify3: cocycle and coboundary combinations
     (several weights at once), coboundaries of 2-cochains of one
-    nonzero weight, cocycles spoiled only in a nonzero weight, and {}."""
+    nonzero weight, cocycles spoiled only in a nonzero weight (anywhere
+    on the empty torus, which has no other), and {}."""
     rng = random.Random(seed)
     grading = scheme.grading()
     zero = (Scalar(0),) * len(grading.weights[0])
-    z3, b3 = full.space3.cocycles.basis(), full.space3.coboundaries.basis()
+    full3 = full.space3.zero
+    z3, b3 = full3.cocycles.basis(), full3.coboundaries.basis()
     out = [{}]
     out += [random_combination(rng, z3) for _ in range(4)]
     out += [random_combination(rng, b3, 5) for _ in range(4)]
@@ -775,7 +801,7 @@ def obstruction_inputs(scheme, full, seed):
              for idx in rng.sample(by_weight[w], min(4, len(by_weight[w])))}
         out.append(scheme.delta_apply(2, x))
     spoilers = [idx for idx in range(scheme.cochain_dim(3))
-                if grading.weight(3, idx) != zero
+                if (zero == () or grading.weight(3, idx) != zero)
                 and scheme.delta_apply(3, {idx: ONE})]
     for idx in rng.sample(spoilers, min(3, len(spoilers))):
         chi = random_combination(rng, z3)
@@ -785,7 +811,9 @@ def obstruction_inputs(scheme, full, seed):
 
 
 OBSTRUCTION_TORI = SMALL_TORI + [("sl2_plus_abelian 3",
-                                  catalog("sl2_plus_abelian", 3))]
+                                  catalog("sl2_plus_abelian", 3)),
+                                 ("diamond_e", catalog("diamond_e")),
+                                 ("g54", catalog("g54"))]
 
 
 @pytest.mark.parametrize("label,spec", OBSTRUCTION_TORI,
@@ -811,3 +839,32 @@ def test_graded_obstruction_context_equals_the_full_complex(
     monkeypatch.setattr(deformations, "ObstructionContext",
                         lambda scheme: full)
     assert graded == [massey_products(scheme, [g], 3) for g in generators]
+
+
+@pytest.mark.parametrize("name,params", [("diamond_e", ()),
+                                         ("sl2_plus_abelian", (3,))],
+                         ids=["diamond_e", "sl2_plus_abelian 3"])
+def test_a_second_obstruction_context_eliminates_nothing(
+        monkeypatch, name, params):
+    # `graded_cohomology` is cached per degree on the scheme's grading,
+    # so the context `massey_products` builds on every call eliminates
+    # δ3's weight-0 block once per scheme, with a torus or without.
+    scheme = CochainScheme(catalog(name, *params), "adjoint")
+    first = ObstructionContext(scheme)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the degree-3 cohomology is already built")
+
+    modules = [module for module_name, module in list(sys.modules.items())
+               if module_name.split(".")[0] == "leibcoh"]
+    with monkeypatch.context() as patch:
+        for original in (kernel, image, certified_kernel):
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        patch.setattr(module, attr, forbidden)
+        second = ObstructionContext(scheme)
+        assert graded_cohomology(scheme, 3) is first.space3
+    assert second.space3 is first.space3
+    assert graded_cohomology(scheme, 2) is not first.space3
+    assert graded_cohomology(scheme, 2) is graded_cohomology(scheme, 2)

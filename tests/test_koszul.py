@@ -11,7 +11,7 @@ from leibcoh import algebras, cli
 from leibcoh.algebras import AlgebraSpec, catalog, change_basis, validate
 from leibcoh.cochains import (
     CochainScheme,
-    leibniz_cohomology,
+    graded_cohomology,
     lie_cohomology,
     sym2_basis,
     sym2_inclusion,
@@ -29,8 +29,8 @@ from leibcoh.families import family_catalog, family_names, specialize
 from leibcoh.formats import algebra_to_document, dumps_canonical
 from leibcoh.linalg import Matrix, Solver, Subspace, vec_combine
 from leibcoh.scalars import ONE, Scalar
-from tests.conftest import (I, degree2_reps, shear, split_degree2,
-                            symmetric_cocycle_space)
+from tests.conftest import (I, degree2_reps, leibniz_cohomology, shear,
+                            split_degree2, symmetric_cocycle_space)
 from tests.test_algebras import CATALOG_CASES
 from tests.test_report_pins import EXPECTED, checks, worker, workloads
 
@@ -395,6 +395,7 @@ def test_koszul_command_runs_only_the_count_path(monkeypatch, capsys):
     for original, replacement in [
         (koszul_data, counted),
         (decompose_degree2, forbidden),
+        (graded_cohomology, forbidden),
         (leibniz_cohomology, forbidden),
         (lie_cohomology, forbidden),
         (Solver, forbidden),

@@ -34,7 +34,7 @@ from leibcoh.cochains import (  # noqa: E402
     ClassCoordinates,
     CochainScheme,
     CohomologySpace,
-    leibniz_cohomology,
+    graded_cohomology,
     lie_cohomology,
 )
 from leibcoh.linalg import (  # noqa: E402
@@ -56,6 +56,7 @@ from tests.conftest import (  # noqa: E402
     I,
     fraction_format_scalar,
     fraction_mod_prime,
+    leibniz_cohomology,
     rowwise_solver,
     shear,
 )
@@ -508,9 +509,13 @@ COORDINATE_CASES = [(label, spec, coefficients, n)
 
 @lru_cache(maxsize=None)
 def coordinate_case(case):
+    """The full complex's space and its Solver reference, and the class
+    coordinates read off the weight-0 route."""
     _, spec, coefficients, n = COORDINATE_CASES[case]
-    space = leibniz_cohomology(CochainScheme(spec, coefficients), n)
-    return space, ClassCoordinates(space), solver_coordinates(space)
+    scheme = CochainScheme(spec, coefficients)
+    space = leibniz_cohomology(scheme, n)
+    return (space, ClassCoordinates(graded_cohomology(scheme, n)),
+            solver_coordinates(space))
 
 
 def combination(draw, vectors):
