@@ -29,8 +29,8 @@ from .formats import (
     parse_document,
 )
 from .koszul import decompose_degree2, koszul_data, uncoupling_report
-# Unused here since the cocycles are cached on the scheme, but kept:
-# bench/tests/test_bench.py checks that tracing restores `cli.kernel`.
+# Unused here, but kept: bench/tests/test_bench.py checks that tracing
+# restores `cli.kernel`.
 from .linalg import kernel  # noqa: F401
 from .polynomials import format_poly, parse_poly
 from .scalars import format_scalar
@@ -355,7 +355,7 @@ def _run_massey(args):
     if args.order < 2:
         raise UsageError("--order must be at least 2")
     indices = _parse_generators(args.generators)
-    basis = scheme.cocycles(2).basis()
+    basis = graded_cohomology(scheme, 2).cocycle_basis()
     for idx in indices:
         if not 1 <= idx <= len(basis):
             raise UsageError(f"generator index {idx} out of range 1.."

@@ -65,15 +65,14 @@ __all__ = [
 class CochainScheme:
     """An algebra together with a coefficient choice, adjoint or trivial.
 
-    Holds the flat-index conventions and caches the coboundary stencils
-    and matrices of the full complex with their kernels and images, the
-    coboundary matrices of the antisymmetric complex, and the lists of
-    included antisymmetric basis cochains.
+    Holds the flat-index conventions and caches the coboundary stencils,
+    the torus grading, the coboundary matrices of the antisymmetric
+    complex, and the lists of included antisymmetric basis cochains.
+    The full complex's cohomology is `graded_cohomology`'s.
     """
 
     __slots__ = ("spec", "coefficients", "dim", "adjoint", "_by_target",
-                 "_stencils", "_mats", "_lie_mats", "_wedge", "_cocycles",
-                 "_coboundaries", "_grading")
+                 "_stencils", "_lie_mats", "_wedge", "_grading")
 
     def __init__(self, spec, coefficients="adjoint"):
         if coefficients not in ("adjoint", "trivial"):
@@ -88,11 +87,8 @@ class CochainScheme:
                 by_target[m].append((a, b, c))
         self._by_target = by_target
         self._stencils = {}
-        self._mats = {}
         self._lie_mats = {}
         self._wedge = {}
-        self._cocycles = {}
-        self._coboundaries = {}
         self._grading = None
 
     def cochain_dim(self, n: int) -> int:
@@ -212,47 +208,10 @@ class CochainScheme:
         return out
 
     def delta_matrix(self, n: int) -> Matrix:
-        """Matrix of the coboundary CL^n -> CL^(n+1), cached.
-
-        Each column is scattered into its rows in column order, so every
-        row's keys ascend; the columns hold only nonzero Scalars.
-        """
-        mat = self._mats.get(n)
-        if mat is not None:
-            return mat
-        ncols = self.cochain_dim(n)
-        rows = [{} for _ in range(self.cochain_dim(n + 1))]
-        column = self._delta_column
-        for j in range(ncols):
-            for i, v in column(n, j).items():
-                rows[i][j] = v
-        mat = self._mats[n] = Matrix._trusted(len(rows), ncols, rows)
-        return mat
-
-    def cocycles(self, n: int) -> Subspace:
-        """Kernel of the degree-n coboundary for n >= 1, cached; callers
-        only read it.  delta o delta = 0 holds exactly when the table is
-        right Leibniz (a verdict kept on the spec), so any other table is
-        refused before a matrix is built; on a complex the coboundaries
-        lie in the kernel, and `certified_kernel` takes them as known.
-        """
-        z = self._cocycles.get(n)
-        if z is None:
-            if n < 1:
-                raise ValueError("degree must be at least 1")
-            if not is_right_leibniz(self.spec):
-                raise ValueError("not a complex: not right Leibniz")
-            z = self._cocycles[n] = certified_kernel(self.delta_matrix(n),
-                                                     self.coboundaries(n))
-        return z
-
-    def coboundaries(self, n: int) -> Subspace:
-        """Image of the degree-(n-1) coboundary, cached; callers only
-        read it."""
-        b = self._coboundaries.get(n)
-        if b is None:
-            b = self._coboundaries[n] = image(self.delta_matrix(n - 1))
-        return b
+        """Matrix of the coboundary CL^n -> CL^(n+1), built on each call:
+        the one block of the empty torus's grading, whose weight 0 is
+        every cochain, so every row's keys ascend."""
+        return TorusGrading(self, [()] * self.dim).delta_matrix(n)
 
     def is_cocycle(self, n: int, data: dict) -> bool:
         return not self.delta_apply(n, data)
@@ -542,8 +501,7 @@ class TorusGrading:
         The coboundary keeps the weight, so each column lands in its own
         weight; an entry that does not means the weights are wrong, and
         it raises instead of being dropped.  Columns are scattered in
-        order, so every row's keys ascend, as in
-        `CochainScheme.delta_matrix`.
+        order, so every row's keys ascend.
         """
         columns = self.zero_indices(n, weight)
         # Rows keyed by flat index, in increasing order: a dict keeps it.
@@ -599,13 +557,36 @@ class GradedCohomology:
     def h_dim(self):
         return self.zero.h_dim
 
+    def cocycle_basis(self) -> list:
+        """The RREF basis of the full complex's Z^n, ordered by pivot.
+
+        Spanned by the weight-0 cocycles mapped back through `indices`
+        and by the coboundaries of the nonzero-weight (n-1)-cochains,
+        which are all of Z in every nonzero weight.  Its RREF is the
+        union of the blocks' over disjoint coordinates, so it is the
+        basis `kernel` of the full coboundary gives, z_dim rows long.
+        """
+        scheme = self.scheme
+        n = self.zero.degree
+        indices = self.indices
+        rows = [{indices[c]: v for c, v in r.items()}
+                for r in self.zero.cocycles.basis()]
+        zero = set(scheme.grading().zero_indices(n - 1))
+        rows += [scheme._delta_column(n - 1, idx)
+                 for idx in range(scheme.cochain_dim(n - 1))
+                 if idx not in zero]
+        return Subspace(scheme.cochain_dim(n), rows).basis()
+
 
 def graded_cohomology(scheme: CochainScheme, n: int) -> GradedCohomology:
     """The dimensions and representatives of the full complex's
     cohomology in degree n >= 1, with the coboundary built only on the
     weight-0 cochains of `scheme.grading()` (all of them when the
     algebra has no toral element).  Cached on the grading; callers only
-    read it.  Refuses what `CochainScheme.cocycles` refuses."""
+    read it.  delta o delta = 0 holds exactly when the table is right
+    Leibniz (a verdict kept on the spec), so any other table is refused
+    before a matrix is built; on a complex the coboundaries lie in the
+    kernel, and `certified_kernel` takes them as known."""
     grading = scheme.grading()
     space = grading._cohomology.get(n)
     if space is None:

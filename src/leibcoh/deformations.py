@@ -354,7 +354,7 @@ def massey_products(scheme: CochainScheme, generators, order: int,
 
     context = ObstructionContext(scheme)
     classes = context.classes
-    zl2_basis = scheme.cocycles(2).basis()
+    zl2_basis = graded_cohomology(scheme, 2).cocycle_basis()
 
     witnesses = {}
     for a, g in enumerate(generators):

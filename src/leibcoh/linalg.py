@@ -507,7 +507,7 @@ def certified_kernel(m: Matrix, known: Subspace) -> Subspace:
     subspace `known` of it.
 
     Precondition: m v = 0 for every v in `known`; without it the result
-    can be wrong.  `CochainScheme.cocycles`, the one caller, passes the
+    can be wrong.  `graded_cohomology`, the one caller, passes the
     coboundaries of a complex, which it checks before building it.
 
     The certificate, on each block b of `_partition`: reduction modulo

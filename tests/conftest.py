@@ -9,10 +9,11 @@ from itertools import product
 
 import pytest
 
-from leibcoh.algebras import catalog, change_basis
+from leibcoh.algebras import catalog, change_basis, is_right_leibniz
 from leibcoh.cochains import CochainScheme, CohomologySpace, sym2_inclusion
 from leibcoh.linalg import (PRIME, PRIME_I, Echelon, Matrix, Subspace,
-                            kernel, vec_add_at, vec_combine, vec_dot)
+                            certified_kernel, image, kernel, vec_add_at,
+                            vec_combine, vec_dot)
 from leibcoh.scalars import ONE, ZERO, Scalar, parse_scalar
 
 HALF = Scalar(1) / 2
@@ -106,8 +107,17 @@ def rowwise_solver(m: Matrix):
 def leibniz_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
     """Cocycles mod coboundaries of the whole complex in degree n >= 1,
     from the scheme's full coboundary matrices: the reference for
-    `graded_cohomology`, which eliminates only at weight 0."""
-    return CohomologySpace(n, scheme.cocycles(n), scheme.coboundaries(n))
+    `graded_cohomology`, which eliminates only at weight 0.  Refuses
+    what `graded_cohomology` refuses, before any matrix is built: a
+    degree below 1, and a table that is not right Leibniz, which gives
+    no complex."""
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    if not is_right_leibniz(scheme.spec):
+        raise ValueError("not a complex: not right Leibniz")
+    coboundaries = image(scheme.delta_matrix(n - 1))
+    return CohomologySpace(n, certified_kernel(scheme.delta_matrix(n),
+                                               coboundaries), coboundaries)
 
 
 def evaluate_cochain(scheme: CochainScheme, data: dict, vectors):

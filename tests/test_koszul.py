@@ -32,7 +32,6 @@ from leibcoh.scalars import ONE, Scalar
 from tests.conftest import (I, degree2_reps, leibniz_cohomology, shear,
                             split_degree2, symmetric_cocycle_space)
 from tests.test_algebras import CATALOG_CASES
-from tests.test_report_pins import EXPECTED, checks, worker, workloads
 
 LIE_CASES = [
     ("abelian", (3,)),
@@ -167,26 +166,6 @@ def test_hl2_dim_equals_the_full_complex(spec):
         dec = decompose_degree2(spec, coeffs, report)
         full = leibniz_cohomology(CochainScheme(spec, coeffs), 2)
         assert dec.hl2_dim == full.h_dim, coeffs
-
-
-def test_decompose_builds_no_full_complex(monkeypatch):
-    # Every decompose request of the benchmark's seed-0 ladder and
-    # gaussian workloads, whose report digests were pinned before
-    # decompose stopped building the full complex, with the full
-    # complex's matrices, kernels and images out of reach.
-    def forbidden(*args):
-        raise AssertionError("decompose built the full Leibniz complex")
-
-    for name in ("delta_matrix", "cocycles", "coboundaries"):
-        monkeypatch.setattr(CochainScheme, name, forbidden)
-    requests = [request for workload in ("ladder", "gaussian")
-                for request in workloads.build(workload, 0)
-                if request.argv[0] == "decompose"]
-    assert len(requests) == 18
-    for request in requests:
-        _, code, out = worker.call(cli, request)
-        assert code == 0, request.rid
-        assert checks.digest(out) == EXPECTED[request.rid], request.rid
 
 
 @pytest.mark.parametrize("name,params,coeffs", [

@@ -61,6 +61,7 @@ from tests.conftest import (  # noqa: E402
     shear,
 )
 from tests.test_algebras import CATALOG_CASES  # noqa: E402
+from tests.test_cochains import SMALL_TORI  # noqa: E402
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=150)
 
@@ -549,25 +550,35 @@ def test_class_coordinates_match_solver_reference(case, data):
 
 
 def assert_cocycles_match_plain_kernel(spec, coefficients, n):
+    """The graded route's ZL^n basis, dimensions and representatives,
+    and the certified kernel of the full complex, against one plain
+    elimination of each full coboundary."""
     scheme = CochainScheme(spec, coefficients)
     plain = kernel(scheme.delta_matrix(n))
-    assert scheme.cocycles(n) == plain
     b = image(scheme.delta_matrix(n - 1))
-    assert scheme.coboundaries(n) == b
-    reps = leibniz_cohomology(scheme, n).reps
-    assert reps == CohomologySpace(n, plain, b).reps
+    graded = graded_cohomology(scheme, n)
+    assert graded.cocycle_basis() == plain.basis()
+    assert (graded.z_dim, graded.b_dim) == (plain.dim, b.dim)
+    assert graded.reps == CohomologySpace(n, plain, b).reps
+    full = leibniz_cohomology(scheme, n)
+    assert (full.cocycles, full.coboundaries) == (plain, b)
+
+
+# The coordinate algebras, and the small tori, whose ZL^n the graded
+# route merges from a weight-0 block and the nonzero-weight coboundaries.
+KERNEL_ALGEBRAS = dict(COORDINATE_ALGEBRAS + SMALL_TORI)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("coefficients", ["adjoint", "trivial"])
-@pytest.mark.parametrize("label", [label for label, _ in COORDINATE_ALGEBRAS])
+@pytest.mark.parametrize("label", list(KERNEL_ALGEBRAS))
 def test_cocycles_match_plain_kernel(label, coefficients, n):
-    spec = dict(COORDINATE_ALGEBRAS)[label]
-    assert_cocycles_match_plain_kernel(spec, coefficients, n)
+    assert_cocycles_match_plain_kernel(KERNEL_ALGEBRAS[label], coefficients,
+                                       n)
 
 
 @settings(deadline=None, derandomize=True, max_examples=12)
-@given(st.sampled_from([spec for _, spec in COORDINATE_ALGEBRAS]),
+@given(st.sampled_from(list(KERNEL_ALGEBRAS.values())),
        st.data(), gaussian_scalars.filter(bool),
        st.sampled_from(["adjoint", "trivial"]), st.integers(1, 3))
 def test_cocycles_match_plain_kernel_after_gaussian_shears(
