@@ -539,6 +539,8 @@ class GradedCohomology:
     acyclic_dim: int
     scheme: CochainScheme = field(repr=False, compare=False)
     reps: list = field(init=False)
+    _cocycle_basis: list = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         indices = self.indices
@@ -565,7 +567,15 @@ class GradedCohomology:
         which are all of Z in every nonzero weight.  Its RREF is the
         union of the blocks' over disjoint coordinates, so it is the
         basis `kernel` of the full coboundary gives, z_dim rows long.
+        Built on the first call and kept, like the space itself on the
+        grading, so a `massey` request builds it once; callers only
+        read it.
         """
+        if self._cocycle_basis is None:
+            self._cocycle_basis = self._build_cocycle_basis()
+        return self._cocycle_basis
+
+    def _build_cocycle_basis(self) -> list:
         scheme = self.scheme
         n = self.zero.degree
         indices = self.indices

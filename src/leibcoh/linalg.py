@@ -24,6 +24,8 @@ intermediate fill-in, not the result, is what elimination pays for.
 `certified_kernel` also takes ranks modulo a fixed prime, on plain ints
 in maps of their own.  Such a rank never decides a result by itself: it
 only proves that a known exact subspace is a whole block of the kernel.
+Both its passes read the rows only off the known subspace's pivot
+columns, which the other columns determine.
 """
 
 from __future__ import annotations
@@ -369,21 +371,25 @@ def kernel(m: Matrix) -> Subspace:
     exact elimination (`_null_echelon`); `certified_kernel` gives the
     same Subspace with less exact work when a part of it is known."""
     return Subspace._from_echelon(
-        m.ncols, _null_echelon(m.rows, range(m.ncols), m.ncols))
+        m.ncols, _null_echelon(m.rows, range(m.ncols), m.ncols, ()))
 
 
-def _null_echelon(rows, columns, ncols: int) -> Echelon:
-    """RREF echelon of the null space of `rows` inside the coordinates
-    `columns` (increasing), which hold every entry of every row.  One
-    elimination, shortest rows first with column c read as ncols - 1 - c,
-    leaves in pivot row p only free columns f < p: so e_f - sum_p
-    prow[f] e_p is 1 at f and zero at the other free columns, and these
-    vectors are the kernel's RREF as they stand."""
+def _null_echelon(rows, columns, ncols: int, skip) -> Echelon:
+    """RREF echelon of the null space of `rows` read without their
+    entries in `skip`, inside the coordinates of `columns` (increasing)
+    that are not in `skip`; `columns` holds every entry of every row.
+    One elimination, shortest rows first with column c read as
+    ncols - 1 - c, leaves in pivot row p only free columns f < p: so
+    e_f - sum_p prow[f] e_p is 1 at f and zero at the other free
+    columns, and these vectors are the kernel's RREF as they stand.
+    `kernel` skips nothing; `certified_kernel` skips the pivots of the
+    kernel part it knows."""
     last = ncols - 1
     ech = Echelon(ncols)
     for r in sorted(rows, key=len):
-        ech.insert({last - c: v for c, v in r.items()})
-    free = {f: {f: ONE} for f in columns if last - f not in ech.pivot_rows}
+        ech.insert({last - c: v for c, v in r.items() if c not in skip})
+    free = {f: {f: ONE} for f in columns
+            if f not in skip and last - f not in ech.pivot_rows}
     out = Echelon(ncols)
     for q, prow in ech.pivot_rows.items():
         for c, v in prow.items():
@@ -413,10 +419,10 @@ def _mod_prime(s: Scalar):
     return x % PRIME
 
 
-def _rank_mod_prime_reaches(rows, target: int) -> bool:
-    """Whether the rank modulo PRIME of the rows, read shortest first,
-    reaches target before an entry without an image modulo PRIME is
-    read."""
+def _rank_mod_prime_reaches(rows, target: int, skip) -> bool:
+    """Whether the rank modulo PRIME of the rows read without their
+    entries in `skip`, shortest first, reaches target before an entry
+    without an image modulo PRIME is read; no entry in `skip` is read."""
     if target <= 0:
         return True
     pivots = {}  # pivot column -> row, monic, zero left of the pivot
@@ -424,6 +430,8 @@ def _rank_mod_prime_reaches(rows, target: int) -> bool:
     for row in sorted(rows, key=len):
         r = {}
         for c, v in row.items():
+            if c in skip:
+                continue
             x = _mod_prime(v)
             if x is None:
                 return False
@@ -454,14 +462,17 @@ def _partition(m: Matrix, known: Subspace):
 
     The blocks are the connected components of the supports of m's
     nonzero rows and of known's RREF rows, so ker m and known both split
-    by block.  A block b is certified when the rank of its rows modulo
-    PRIME reaches |b| - dim known_b.  Returns known's RREF rows on the
-    certified blocks, then m's rows and the increasing columns of all
-    the other blocks.
+    by block.  A block b is certified when the rank modulo PRIME of its
+    rows, read without their entries at known's pivots, reaches
+    |b| - dim known_b, the number of its other columns (see
+    `certified_kernel`).  Returns known's RREF rows on the certified
+    blocks, then m's rows and the increasing columns, known's pivots
+    among them, of all the other blocks.
     """
     n = m.ncols
     parent = list(range(n))
     known_rows = known._ech.sorted_rows()
+    skip = known._ech.pivot_rows
     for row in chain(m.rows, known_rows):
         if len(row) < 2:
             continue
@@ -493,7 +504,7 @@ def _partition(m: Matrix, known: Subspace):
     for b, cols in block_cols.items():
         krows = block_known.get(b, ())
         brows = block_rows.get(b, ())
-        if _rank_mod_prime_reaches(brows, len(cols) - len(krows)):
+        if _rank_mod_prime_reaches(brows, len(cols) - len(krows), skip):
             kept.extend(krows)
         else:
             rows.extend(brows)
@@ -510,25 +521,34 @@ def certified_kernel(m: Matrix, known: Subspace) -> Subspace:
     can be wrong.  `graded_cohomology`, the one caller, passes the
     coboundaries of a complex, which it checks before building it.
 
+    Both passes work modulo known.  Let P be the pivot columns of
+    known's RREF and Q the other columns.  Each RREF row k of known is 1
+    at its own pivot p and 0 at the other pivots, and every row r of m
+    has r.k = 0, so r_p = -sum_{f in Q} r_f k[f]: a row is fixed by its
+    entries on Q.  Hence rank m = rank m|_Q, and ker m = known + N with
+    N = {w : w is zero on P and m|_Q w = 0}, a direct sum (subtracting
+    sum_p w_p k_p takes any w of ker m into N, and a nonzero vector of
+    known is nonzero at some pivot).
+
     The certificate, on each block b of `_partition`: reduction modulo
-    PRIME is a ring map, so no rank modulo PRIME exceeds the exact rank
-    of the same rows, and dim ker m_b = |b| - rank m_b is at most |b|
-    minus any such rank.  Once that rank reaches |b| - dim known_b,
-    ker m_b has at most the dimension of known_b, which lies in it, so
-    ker m_b = known_b exactly and the block takes known's RREF rows.
-    Every other block is eliminated exactly on its own rows, with free
-    columns drawn from its own coordinates: a block with cohomology, and
-    one where an entry whose denominator PRIME divides was read before
-    the rank got there.  Their rows go through one `_null_echelon`, as
-    in `kernel`.  The RREF of a sum over disjoint coordinate blocks is
-    the union of the block RREFs, so the basis, and every representative
-    taken from it, is the one `kernel` gives.
+    PRIME is a ring map, so no rank modulo PRIME of b's rows read on Q
+    exceeds rank m_b|_Q = rank m_b.  Once that rank reaches
+    |Q_b| = |b| - dim known_b, N is zero on b, so ker m_b = known_b.
+    Every other block is eliminated exactly, its rows read on Q alone
+    and its free columns drawn from its own Q coordinates, by one
+    `_null_echelon` that skips P: a block with cohomology, and one where
+    an entry on Q whose denominator PRIME divides was read before the
+    rank got there.  N is zero on the certified blocks and splits by
+    block, so that gives N's RREF.  Then every RREF row of known goes
+    in.  `Echelon` keeps full reduction, and a span has one RREF, so the
+    basis, and every representative taken from it, is the one `kernel`
+    gives.
     """
     if known.ambient_dim != m.ncols:
         raise LinalgError("ambient dimension mismatch")
-    kept, rows, columns = _partition(m, known)
-    out = _null_echelon(rows, columns, m.ncols)
-    for r in kept:
+    _, rows, columns = _partition(m, known)
+    out = _null_echelon(rows, columns, m.ncols, known._ech.pivot_rows)
+    for r in known._ech.sorted_rows():
         out.insert(r)
     return Subspace._from_echelon(m.ncols, out)
 

@@ -4,7 +4,9 @@ A block of coordinates takes the coboundaries as its cocycles only when
 a rank modulo PRIME proves that nothing else is there.  These tests pin
 the fixed prime, how much the certificate covers on the full complex's
 coboundaries, that it never claims a block whose rank modulo PRIME
-collapses or cannot be formed, that a table without delta o delta = 0
+collapses or cannot be formed, that neither the modular nor the exact
+pass reads an entry at a pivot of the coboundaries' RREF, which the
+other entries of the row fix, that a table without delta o delta = 0
 is refused before any coboundary matrix is built, by the Leibniz
 complex unless it is right Leibniz and by the antisymmetric one unless
 it is Lie, and that the check costs no second evaluation of the
@@ -21,11 +23,13 @@ from leibcoh.algebras import AlgebraSpec, catalog, is_right_leibniz
 from leibcoh.cochains import (CochainScheme, TorusGrading, graded_cohomology,
                               lie_cohomology)
 from leibcoh.formats import algebra_to_document, dumps_canonical
-from leibcoh.linalg import (PRIME, PRIME_I, LinalgError, _partition,
-                            certified_kernel, image, kernel)
+from leibcoh.linalg import (PRIME, PRIME_I, Echelon, LinalgError, Matrix,
+                            Subspace, _partition, certified_kernel, image,
+                            kernel)
 from leibcoh.scalars import ONE, Scalar
 from tests.conftest import leibniz_cohomology
 from tests.test_cochains import one_sided_square
+from tests.test_koszul import sheared
 
 
 def test_prime_is_one_mod_four_with_a_root_of_minus_one():
@@ -84,6 +88,47 @@ def test_collapsed_ranks_certify_no_block(name, factor, coefficients):
         want = leibniz_cohomology(base, n)
         assert (got.z_dim, got.b_dim) == (want.z_dim, want.b_dim)
         assert got.cocycles == kernel(m)
+
+
+def test_an_entry_on_a_coboundary_pivot_is_never_read():
+    # r = (1/PRIME, 1) and B = span{(1, -1/PRIME)}, with r.k = 0.  The
+    # one entry without an image modulo PRIME sits at B's pivot 0, which
+    # a row's entries off B's pivots fix, so the certificate skips it.
+    m = Matrix(1, 2, [{0: ONE / PRIME, 1: ONE}])
+    known = Subspace(2, [{0: ONE, 1: -ONE / PRIME}])
+    kept, rows, residual = _partition(m, known)
+    assert (kept, rows, residual) == (known.basis(), [], [])
+    assert certified_kernel(m, known) == kernel(m) == known
+
+
+@pytest.mark.parametrize("spec", [sheared("diamond_e"), one_sided_square()],
+                         ids=["sheared diamond_e", "one-sided square"])
+def test_the_exact_pass_reads_no_coboundary_pivot(spec, monkeypatch):
+    # The first echelon eliminates the residual rows with column c read
+    # as ncols - 1 - c; the second receives every row of B's RREF.
+    scheme = CochainScheme(spec, "adjoint")
+    m = scheme.delta_matrix(3)
+    known = image(scheme.delta_matrix(2))
+    last = m.ncols - 1
+    pivots = set(known.pivots)
+    _, rows, _ = _partition(m, known)
+    assert any(pivots.intersection(r) for r in rows)
+    inserts = []
+    insert = Echelon.insert
+
+    def spy(self, vec):
+        inserts.append((self, dict(vec)))
+        return insert(self, vec)
+
+    monkeypatch.setattr(Echelon, "insert", spy)
+    got = certified_kernel(m, known)
+    monkeypatch.undo()
+    first = inserts[0][0]
+    read = [vec for ech, vec in inserts if ech is first]
+    assert read
+    assert not any(last - c in pivots for vec in read for c in vec)
+    assert [vec for ech, vec in inserts if ech is not first] == known.basis()
+    assert got == kernel(m)
 
 
 # Tables that fail the right Leibniz identity.  The first five cases are

@@ -1,5 +1,6 @@
 """Composition products, defect series, obstruction ledgers, versal checks."""
 
+import io
 import random
 import sys
 from itertools import product
@@ -7,10 +8,12 @@ from math import comb
 
 import pytest
 
+from leibcoh import cli
 from leibcoh.algebras import AlgebraSpec, catalog
 from leibcoh.cochains import (
     ClassCoordinates,
     CochainScheme,
+    GradedCohomology,
     graded_cohomology,
 )
 from leibcoh.deformations import (
@@ -24,6 +27,7 @@ from leibcoh.deformations import (
     mu0_cochain,
     verify_versal,
 )
+from leibcoh.formats import algebra_to_document, dumps_canonical
 from leibcoh.linalg import Solver, Subspace, image, kernel, vec_add_scaled
 from leibcoh.scalars import ONE, Scalar
 from tests.conftest import (diamond_phi_basis, evaluate_cochain,
@@ -342,6 +346,35 @@ def test_classify3_reads_the_built_context_without_eliminating(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, forbidden)
     assert [classify3(context, chi) for chi in cochains] == expected
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_massey_builds_the_zl2_basis_once_per_request(order, monkeypatch,
+                                                      capsys):
+    # The CLI reads the basis to index the generators, massey_products
+    # to span the indeterminacy; the second read takes the first build.
+    doc = dumps_canonical(algebra_to_document(catalog("diamond_e")))
+    calls, builds = [], []
+    read = GradedCohomology.cocycle_basis
+    build = GradedCohomology._build_cocycle_basis
+
+    def counted_read(self):
+        calls.append(self)
+        return read(self)
+
+    def counted_build(self):
+        builds.append(self)
+        return build(self)
+
+    monkeypatch.setattr(GradedCohomology, "cocycle_basis", counted_read)
+    monkeypatch.setattr(GradedCohomology, "_build_cocycle_basis",
+                        counted_build)
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    argv = ["massey", "--generators", "1,2", "--order", str(order)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+    assert len(builds) == 1
 
 
 def test_classify3_verdict_stable_under_representative_shift():
