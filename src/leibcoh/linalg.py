@@ -25,7 +25,11 @@ intermediate fill-in, not the result, is what elimination pays for.
 in maps of their own.  Such a rank never decides a result by itself: it
 only proves that a known exact subspace is a whole block of the kernel.
 Both its passes read the rows only off the known subspace's pivot
-columns, which the other columns determine.
+columns, which the other columns determine.  The modular elimination is
+`Echelon`'s, fully reduced with an occupancy index, but it pivots on a
+row's last column, the order `_null_echelon` reads a block in, and it
+stops once the rows left cannot reach the rank it must prove.  Its
+verdict, and so every result, is the one any elimination order gives.
 """
 
 from __future__ import annotations
@@ -422,12 +426,30 @@ def _mod_prime(s: Scalar):
 def _rank_mod_prime_reaches(rows, target: int, skip) -> bool:
     """Whether the rank modulo PRIME of the rows read without their
     entries in `skip`, shortest first, reaches target before an entry
-    without an image modulo PRIME is read; no entry in `skip` is read."""
+    without an image modulo PRIME is read; no entry in `skip` is read.
+
+    The elimination is `Echelon.insert`'s on plain ints.  Pivot rows
+    stay monic and zero at every other pivot, so a new row is reduced in
+    one pass over its own keys, and `occupancy` limits back-substitution
+    to the rows that are nonzero at a new pivot.  A row's pivot is its
+    last column, the order `_null_echelon` reads a block in.  Before
+    each row it gives up once the rows left cannot lift the rank to
+    target.  No verdict depends on these choices: the rank of the rows
+    read so far does not depend on the elimination order, the stop
+    comes only when target is out of reach, and up to then the same
+    rows are read in the same order.
+    """
     if target <= 0:
         return True
-    pivots = {}  # pivot column -> row, monic, zero left of the pivot
+    pivots = {}  # pivot column -> its monic row without the pivot entry
+    occupancy = {}  # non-pivot column -> pivots whose rows use it
     # Shortest first, the module's order; matrix order took 2x on gl 3.
-    for row in sorted(rows, key=len):
+    ordered = sorted(rows, key=len)
+    left = len(ordered)
+    for row in ordered:
+        if len(pivots) + left < target:
+            return False
+        left -= 1
         r = {}
         for c, v in row.items():
             if c in skip:
@@ -437,23 +459,45 @@ def _rank_mod_prime_reaches(rows, target: int, skip) -> bool:
                 return False
             if x:
                 r[c] = x
-        while r:
-            p = min(r)
-            prow = pivots.get(p)
-            if prow is None:
-                inv = pow(r[p], -1, PRIME)
-                pivots[p] = {c: v * inv % PRIME for c, v in r.items()}
-                if len(pivots) == target:
-                    return True
-                break
-            factor = r.pop(p)
-            for c, v in prow.items():
-                if c != p:
-                    w = (r.get(c, 0) - factor * v) % PRIME
-                    if w:
-                        r[c] = w
-                    else:
-                        r.pop(c, None)
+        # No pivot row is nonzero at another pivot, so eliminating one
+        # leaves r's entries at the other pivots as they were.
+        for c in [c for c in r if c in pivots]:
+            factor = r.pop(c)
+            for c2, v in pivots[c].items():
+                w = (r.get(c2, 0) - factor * v) % PRIME
+                if w:
+                    r[c2] = w
+                else:
+                    del r[c2]
+        if not r:
+            continue
+        if len(pivots) + 1 == target:
+            return True
+        p = max(r)
+        inv = pow(r.pop(p), -1, PRIME)
+        tail = {c: v * inv % PRIME for c, v in r.items()}
+        for c in tail:
+            users = occupancy.get(c)
+            if users is None:
+                occupancy[c] = {p}
+            else:
+                users.add(p)
+        for q in occupancy.pop(p, ()):
+            prow = pivots[q]
+            factor = prow.pop(p)
+            for c2, v in tail.items():
+                w = prow.get(c2)
+                if w is None:
+                    prow[c2] = -factor * v % PRIME
+                    occupancy[c2].add(q)
+                    continue
+                w = (w - factor * v) % PRIME
+                if w:
+                    prow[c2] = w
+                else:
+                    del prow[c2]
+                    occupancy[c2].discard(q)
+        pivots[p] = tail
     return False
 
 
@@ -465,9 +509,13 @@ def _partition(m: Matrix, known: Subspace):
     by block.  A block b is certified when the rank modulo PRIME of its
     rows, read without their entries at known's pivots, reaches
     |b| - dim known_b, the number of its other columns (see
-    `certified_kernel`).  Returns known's RREF rows on the certified
-    blocks, then m's rows and the increasing columns, known's pivots
-    among them, of all the other blocks.
+    `certified_kernel`).  `_rank_mod_prime_reaches` eliminates fully
+    reduced on last-column pivots and gives up on a block once its rows
+    left cannot reach that number; the rows it reads up to then, and so
+    which blocks are certified, are those of any elimination order.
+    Returns known's RREF rows on the certified blocks, then m's rows and
+    the increasing columns, known's pivots among them, of all the other
+    blocks.
     """
     n = m.ncols
     parent = list(range(n))

@@ -2,8 +2,9 @@
 hand-entered cochains, the full-complex cohomology oracle, a
 tuple-building coboundary oracle, literal evaluation of a cochain on vectors, the reader of a report's cochain
 entries, and Fraction-based oracles for the two readers of a Scalar's
-integer triple, the filtered list of monomials of one degree, and the
-row-wise solver that `linalg.Solver` must reproduce."""
+integer triple, the filtered list of monomials of one degree, the
+row-wise solver that `linalg.Solver` must reproduce, and the
+semi-reduced modular rank whose verdicts the certificate's must equal."""
 
 from itertools import product
 
@@ -12,8 +13,8 @@ import pytest
 from leibcoh.algebras import catalog, change_basis, is_right_leibniz
 from leibcoh.cochains import CochainScheme, CohomologySpace, sym2_inclusion
 from leibcoh.linalg import (PRIME, PRIME_I, Echelon, Matrix, Subspace,
-                            certified_kernel, image, kernel, vec_add_at,
-                            vec_combine, vec_dot)
+                            _mod_prime, certified_kernel, image, kernel,
+                            vec_add_at, vec_combine, vec_dot)
 from leibcoh.scalars import ONE, ZERO, Scalar, parse_scalar
 
 HALF = Scalar(1) / 2
@@ -102,6 +103,46 @@ def rowwise_solver(m: Matrix):
                 x[p] = val
         return x
     return solve
+
+
+def semireduced_rank_mod_prime_reaches(rows, target: int, skip) -> bool:
+    """Whether the rank modulo PRIME of the rows read without their
+    entries in `skip`, shortest first, reaches target before an entry
+    without an image modulo PRIME is read, by the plain loop: every row
+    is read, each pivot is the least column of a row and pivot rows are
+    only zero left of their pivot.  The reference for
+    linalg._rank_mod_prime_reaches."""
+    if target <= 0:
+        return True
+    pivots = {}  # pivot column -> row, monic, zero left of the pivot
+    for row in sorted(rows, key=len):
+        r = {}
+        for c, v in row.items():
+            if c in skip:
+                continue
+            x = _mod_prime(v)
+            if x is None:
+                return False
+            if x:
+                r[c] = x
+        while r:
+            p = min(r)
+            prow = pivots.get(p)
+            if prow is None:
+                inv = pow(r[p], -1, PRIME)
+                pivots[p] = {c: v * inv % PRIME for c, v in r.items()}
+                if len(pivots) == target:
+                    return True
+                break
+            factor = r.pop(p)
+            for c, v in prow.items():
+                if c != p:
+                    w = (r.get(c, 0) - factor * v) % PRIME
+                    if w:
+                        r[c] = w
+                    else:
+                        r.pop(c, None)
+    return False
 
 
 def leibniz_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:

@@ -6,11 +6,12 @@ the fixed prime, how much the certificate covers on the full complex's
 coboundaries, that it never claims a block whose rank modulo PRIME
 collapses or cannot be formed, that neither the modular nor the exact
 pass reads an entry at a pivot of the coboundaries' RREF, which the
-other entries of the row fix, that a table without delta o delta = 0
-is refused before any coboundary matrix is built, by the Leibniz
-complex unless it is right Leibniz and by the antisymmetric one unless
-it is Lie, and that the check costs no second evaluation of the
-identity.
+other entries of the row fix, that the modular pass stops reading once
+the rows left cannot reach its target, that a table without
+delta o delta = 0 is refused before any coboundary matrix is built, by
+the Leibniz complex unless it is right Leibniz and by the antisymmetric
+one unless it is Lie, and that the check costs no second evaluation of
+the identity.
 """
 
 import io
@@ -18,14 +19,14 @@ from math import isqrt
 
 import pytest
 
-from leibcoh import algebras, cli
+from leibcoh import algebras, cli, linalg
 from leibcoh.algebras import AlgebraSpec, catalog, is_right_leibniz
 from leibcoh.cochains import (CochainScheme, TorusGrading, graded_cohomology,
                               lie_cohomology)
 from leibcoh.formats import algebra_to_document, dumps_canonical
 from leibcoh.linalg import (PRIME, PRIME_I, Echelon, LinalgError, Matrix,
-                            Subspace, _partition, certified_kernel, image,
-                            kernel)
+                            Subspace, _partition, _rank_mod_prime_reaches,
+                            certified_kernel, image, kernel)
 from leibcoh.scalars import ONE, Scalar
 from tests.conftest import leibniz_cohomology
 from tests.test_cochains import one_sided_square
@@ -98,6 +99,54 @@ def test_an_entry_on_a_coboundary_pivot_is_never_read():
     known = Subspace(2, [{0: ONE, 1: -ONE / PRIME}])
     kept, rows, residual = _partition(m, known)
     assert (kept, rows, residual) == (known.basis(), [], [])
+    assert certified_kernel(m, known) == kernel(m) == known
+
+
+# One block each, with no known subspace, so the target is 3.  The
+# first has two rows; in the second, once the first two rows have rank
+# 1, the one row left cannot reach it.  Neither reads its 1/PRIME entry.
+EARLY_STOPS = {
+    "fewer rows than the target": (
+        [{0: ONE, 1: ONE}, {1: ONE, 2: ONE / PRIME}], 0),
+    "rows left cannot reach it": (
+        [{0: ONE, 1: ONE}, {0: Scalar(2), 1: Scalar(2)},
+         {1: ONE, 2: ONE / PRIME}], 2),
+}
+
+
+@pytest.mark.parametrize("label", sorted(EARLY_STOPS))
+def test_the_modular_pass_stops_once_the_target_is_out_of_reach(
+        label, monkeypatch):
+    rows, rows_read = EARLY_STOPS[label]
+    m = Matrix(len(rows), 3, rows)
+    seen = []
+    mod_prime = linalg._mod_prime
+
+    def spy(s):
+        seen.append(s)
+        return mod_prime(s)
+
+    monkeypatch.setattr(linalg, "_mod_prime", spy)
+    assert not _rank_mod_prime_reaches(m.rows, 3, {})
+    assert seen == [v for r in rows[:rows_read] for v in r.values()]
+    monkeypatch.undo()
+    kept, residual_rows, residual = _partition(m, Subspace(3))
+    assert (kept, residual_rows, residual) == ([], m.rows, [0, 1, 2])
+    assert certified_kernel(m, Subspace(3)) == kernel(m)
+
+
+def test_an_unreadable_entry_before_the_target_sends_the_block_exact():
+    # B = span{e_0 - e_3} with pivot 0, so the target is 3, the columns
+    # 1, 2, 3.  The first row read gets the pivot 2, its last column;
+    # the second has 1/PRIME at column 1, off B's pivots, read at rank 1.
+    # The rows have rank 3 on those columns, so the cocycles are B.
+    m = Matrix(3, 4, [{1: ONE, 2: ONE},
+                      {0: ONE, 1: ONE / PRIME, 3: ONE},
+                      {0: ONE, 1: ONE, 2: ONE, 3: ONE}])
+    known = Subspace(4, [{0: ONE, 3: -ONE}])
+    assert m.matvec(known.basis()[0]) == {}
+    kept, rows, residual = _partition(m, known)
+    assert (kept, rows, residual) == ([], m.rows, [0, 1, 2, 3])
     assert certified_kernel(m, known) == kernel(m) == known
 
 

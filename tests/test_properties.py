@@ -8,8 +8,9 @@ the non-pivot completion, the integer-triple arithmetic against the
 coercing constructor, the modular image and the text form against their
 Fraction-based references, the two sparse-accumulate primitives against dense
 arithmetic, class coordinates against a solve over coboundaries and
-representatives, and kernels, images and solves unchanged when the input
-vectors are permuted, repeated and padded with zeros.
+representatives, kernels, images and solves unchanged when the input
+vectors are permuted, repeated and padded with zeros, and the modular
+rank's verdicts against the semi-reduced loop it replaced.
 Runs are derandomized, so the suite stays deterministic.
 """
 
@@ -44,6 +45,7 @@ from leibcoh.linalg import (  # noqa: E402
     Solver,
     Subspace,
     _mod_prime,
+    _rank_mod_prime_reaches,
     certified_kernel,
     image,
     kernel,
@@ -58,6 +60,7 @@ from tests.conftest import (  # noqa: E402
     fraction_mod_prime,
     leibniz_cohomology,
     rowwise_solver,
+    semireduced_rank_mod_prime_reaches,
     shear,
 )
 from tests.test_algebras import CATALOG_CASES  # noqa: E402
@@ -701,3 +704,36 @@ def test_rref_does_not_depend_on_input_order(m, data):
     ker.insert(v)
     assert ker == Subspace(m.ncols, basis + [v])
     assert ker._ech.occupancy == recomputed_occupancy(ker._ech)
+
+
+@st.composite
+def modular_blocks(draw):
+    """Sparse Q(i) matrices; in half of them some entries have PRIME in
+    a denominator, so that their image modulo PRIME cannot be formed."""
+    nrows = draw(st.integers(0, 9))
+    ncols = draw(st.integers(1, 8))
+    values = [st.just(ZERO), st.just(ZERO), st.just(ZERO), gaussian_scalars]
+    if draw(st.booleans()):
+        values.append(gaussian_scalars.filter(bool).map(lambda s: s / PRIME))
+    cell = st.one_of(values)
+    return Matrix(nrows, ncols, [{c: draw(cell) for c in range(ncols)}
+                                 for _ in range(nrows)])
+
+
+@PROPERTY
+@given(modular_blocks(), st.data())
+def test_modular_rank_matches_the_semireduced_loop(m, data):
+    # Targets below, at and above the exact rank of the rows read off
+    # skip, which is the rank modulo PRIME unless PRIME divides a
+    # denominator or a small minor.
+    skip = set(data.draw(st.lists(st.integers(0, m.ncols - 1), max_size=3)))
+    read = Echelon(m.ncols)
+    for r in m.rows:
+        read.insert({c: v for c, v in r.items() if c not in skip})
+    for target in (read.rank - 1, read.rank, read.rank + 1):
+        assert (_rank_mod_prime_reaches(m.rows, target, skip)
+                == semireduced_rank_mod_prime_reaches(m.rows, target, skip))
+    ker = kernel(m)
+    basis = ker.basis()
+    known = Subspace(m.ncols, [combination(data.draw, basis) for _ in basis])
+    assert certified_kernel(m, known) == ker
