@@ -18,7 +18,7 @@ from .cochains import (
     CochainScheme,
     CohomologySpace,
     GradedCohomology,
-    TorusGrading,
+    cocycle_basis,
     graded_cohomology,
     lie_cohomology,
 )
@@ -80,7 +80,7 @@ __all__ = [
     "CochainScheme",
     "CohomologySpace",
     "GradedCohomology",
-    "TorusGrading",
+    "cocycle_basis",
     "graded_cohomology",
     "lie_cohomology",
     "Deformation",

@@ -18,7 +18,8 @@ from math import comb
 
 from . import __version__
 from .algebras import AlgebraSpec, catalog, catalog_names, validate
-from .cochains import CochainScheme, graded_cohomology, lie_cohomology
+from .cochains import (CochainScheme, cocycle_basis, graded_cohomology,
+                       lie_cohomology)
 from .deformations import family_deformation, massey_products, verify_versal
 from .families import ParamAlgebra, jacobi_defect, leibniz_defect_sym
 from .formats import (
@@ -222,8 +223,7 @@ def _delta3_shape(scheme: CochainScheme, route: str):
     d = scheme.dim
     if route == "lie":
         return d * comb(d, 4), d * comb(d, 3)
-    grading = scheme.grading()
-    return grading.zero_dim(4), grading.zero_dim(3)
+    return scheme.zero_dim(4), scheme.zero_dim(3)
 
 
 def _guard_degree3(scheme: CochainScheme, force: bool, route: str):
@@ -355,7 +355,7 @@ def _run_massey(args):
     if args.order < 2:
         raise UsageError("--order must be at least 2")
     indices = _parse_generators(args.generators)
-    basis = graded_cohomology(scheme, 2).cocycle_basis()
+    basis = cocycle_basis(scheme, 2)
     for idx in indices:
         if not 1 <= idx <= len(basis):
             raise UsageError(f"generator index {idx} out of range 1.."

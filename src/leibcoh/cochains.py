@@ -27,11 +27,15 @@ diagonal in the basis.  The basis cochain e_k (x) dual(t) then has the
 weight lambda_k - sum lambda_(t_m) (for trivial coefficients,
 -sum lambda_(t_m)), one entry per toral h, and the coboundary keeps it.
 An algebra with no such h is graded by the empty torus: every weight
-is the empty tuple, so weight 0 is the whole complex.  `TorusGrading`
+is the empty tuple, so weight 0 is the whole complex.  The scheme
 counts the cochains of each weight and lists those of any one weight;
 `graded_cohomology` eliminates only at weight 0, because every
 nonzero-weight part of the complex is acyclic from degree 1 on, and
 `ClassCoordinates` reads classes off that weight-0 elimination.
+
+The scheme owns everything cached for its complex, and nothing it
+caches refers back to it, so a complex is freed as soon as its last
+user lets go of the scheme.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ __all__ = [
     "CochainScheme",
     "CohomologySpace",
     "GradedCohomology",
-    "TorusGrading",
+    "cocycle_basis",
     "graded_cohomology",
     "lie_cohomology",
     "lie_delta_matrix",
@@ -65,14 +69,39 @@ __all__ = [
 class CochainScheme:
     """An algebra together with a coefficient choice, adjoint or trivial.
 
-    Holds the flat-index conventions and caches the coboundary stencils,
-    the torus grading, the coboundary matrices of the antisymmetric
-    complex, and the lists of included antisymmetric basis cochains.
-    The full complex's cohomology is `graded_cohomology`'s.
+    Holds the flat-index conventions and the torus weights, and caches
+    the coboundary stencils, the weight counts, the full complex's
+    cohomology per degree (`graded_cohomology`), the coboundary
+    matrices of the antisymmetric complex, and the lists of included
+    antisymmetric basis cochains.
+
+    `weights[j]` is the weight tuple of e_j (see the module docstring),
+    so the basis cochain at (k, t) has weight weights[k] - sum of
+    weights[t_m], and weight 0 exactly when its arguments' weights sum
+    to its head's (to 0 for trivial coefficients).  The weights come
+    from the toral basis elements with a nonzero weight, and are all
+    the empty tuple when there is none: then weight 0 is every cochain
+    and nothing is acyclic.  Everything here is counting over the
+    distinct weights: `_sums[r]` maps each weight to the number of
+    r-tuples of arguments whose weights sum to it, and the weight-0
+    indices are enumerated by prefix weight, each suffix list built
+    once per (length, weight) it must sum to, with no scan over all
+    tuples.
+
+    Why the nonzero weights need no elimination: for a toral h, the
+    last-slot insertion (s f)(x_1 .. x_(n-1)) = (-1)^n f(x_1 .. x_(n-1), h)
+    satisfies delta s + s delta = theta_h on cochains of degree n >= 1,
+    where theta_h multiplies each basis cochain by its h-weight.  (In
+    (s delta f)(x_1 .. x_n) every term but those that bracket with h on
+    the right cancels a term of (delta s f)(x_1 .. x_n), so only [., h]
+    enters and [h, .] need not be diagonal.)  So a cocycle z of
+    weight w with w_h nonzero is delta(s z) / w_h: in every nonzero
+    weight, from degree 1 on, the cocycles are the coboundaries.
     """
 
-    __slots__ = ("spec", "coefficients", "dim", "adjoint", "_by_target",
-                 "_stencils", "_lie_mats", "_wedge", "_grading")
+    __slots__ = ("spec", "coefficients", "dim", "adjoint", "weights",
+                 "_zero", "_by_target", "_stencils", "_sums", "_tails",
+                 "_cohomology", "_lie_mats", "_wedge")
 
     def __init__(self, spec, coefficients="adjoint"):
         if coefficients not in ("adjoint", "trivial"):
@@ -86,10 +115,14 @@ class CochainScheme:
             for m, c in value.items():
                 by_target[m].append((a, b, c))
         self._by_target = by_target
+        self.weights = _toral_weights(spec)
+        self._zero = (ZERO,) * len(self.weights[0])
         self._stencils = {}
+        self._sums = [Counter([self._zero]), Counter(self.weights)]
+        self._tails = {}
+        self._cohomology = {}  # degree -> GradedCohomology
         self._lie_mats = {}
         self._wedge = {}
-        self._grading = None
 
     def cochain_dim(self, n: int) -> int:
         base = self.dim ** n
@@ -207,22 +240,125 @@ class CochainScheme:
             vec_add_scaled(out, self._delta_column(n, idx), coeff)
         return out
 
+    def _scatter(self, n: int, columns, rows) -> Matrix:
+        """The coboundary from the n-cochains at the increasing flat
+        indices `columns` to the (n+1)-cochains at the increasing flat
+        indices `rows`, in their positions' coordinates.  Columns are
+        scattered in order, so every row's keys ascend; a column entry
+        outside `rows` raises KeyError."""
+        # Rows keyed by flat index, in increasing order: a dict keeps it.
+        rows = {idx: {} for idx in rows}
+        column = self._delta_column
+        for j, idx in enumerate(columns):
+            for key, v in column(n, idx).items():
+                rows[key][j] = v
+        return Matrix._trusted(len(rows), len(columns), list(rows.values()))
+
     def delta_matrix(self, n: int) -> Matrix:
-        """Matrix of the coboundary CL^n -> CL^(n+1), built on each call:
-        the one block of the empty torus's grading, whose weight 0 is
-        every cochain, so every row's keys ascend."""
-        return TorusGrading(self, [()] * self.dim).delta_matrix(n)
+        """Matrix of the coboundary CL^n -> CL^(n+1), built on each call
+        by the scatter of `weight_block` over every flat index."""
+        return self._scatter(n, range(self.cochain_dim(n)),
+                             range(self.cochain_dim(n + 1)))
+
+    def weight_block(self, n: int, weight=None) -> Matrix:
+        """The coboundary from the n-cochains to the (n+1)-cochains of
+        the given weight, weight 0 by default, in the increasing
+        coordinates of `zero_indices(n, weight)` and `zero_indices(n + 1,
+        weight)`.
+
+        The coboundary keeps the weight, so each column lands in its own
+        weight; an entry that does not means the weights are wrong, and
+        it raises instead of being dropped.
+        """
+        try:
+            return self._scatter(n, self.zero_indices(n, weight),
+                                 self.zero_indices(n + 1, weight))
+        except KeyError:
+            which = "weight 0" if weight is None else "its weight"
+            raise ValueError(f"the coboundary leaves {which}: the torus "
+                             "weights are wrong") from None
 
     def is_cocycle(self, n: int, data: dict) -> bool:
         return not self.delta_apply(n, data)
 
-    def grading(self) -> TorusGrading:
-        """The torus grading of the cochains, cached: by the toral basis
-        elements with a nonzero weight, by the empty torus when there is
-        none."""
-        if self._grading is None:
-            self._grading = TorusGrading(self, _toral_weights(self.spec))
-        return self._grading
+    def _sum_counts(self, r: int) -> dict:
+        sums = self._sums
+        while len(sums) <= r:
+            grown = Counter()
+            for w, c in sums[-1].items():
+                for v, m in sums[1].items():
+                    grown[tuple(map(add, w, v))] += c * m
+            sums.append(grown)
+        return sums[r]
+
+    def _tail_indices(self, r: int, target) -> list:
+        """Flat indices, increasing, of the r-tuples of arguments whose
+        weights sum to target; cached."""
+        key = (r, target)
+        out = self._tails.get(key)
+        if out is None:
+            if r == 0:
+                out = [0] if target == self._zero else []
+            else:
+                step = self.dim ** (r - 1)
+                reachable = self._sum_counts(r - 1)
+                out = []
+                for j, w in enumerate(self.weights):
+                    rest = tuple(map(sub, target, w))
+                    if rest in reachable:
+                        base = j * step
+                        out += [base + s for s in self._tail_indices(r - 1,
+                                                                     rest)]
+            self._tails[key] = out
+        return out
+
+    def zero_indices(self, n: int, weight=None) -> list:
+        """Flat indices, increasing, of the basis cochains of degree n
+        and the given weight, weight 0 by default: those whose arguments'
+        weights sum to their head's weight minus it."""
+        neg = self._zero if weight is None else tuple(map(sub, self._zero,
+                                                          weight))
+        if not self.adjoint:
+            return list(self._tail_indices(n, neg))
+        top = self.dim ** n
+        return [k * top + s for k, w in enumerate(self.weights)
+                for s in self._tail_indices(n, tuple(map(add, w, neg)))]
+
+    def weight(self, n: int, idx: int):
+        """The weight of the degree-n basis cochain at flat index idx."""
+        k, t = self.unflatten(n, idx)
+        out = self._zero if k is None else self.weights[k]
+        for a in t:
+            out = tuple(map(sub, out, self.weights[a]))
+        return out
+
+    def zero_dim(self, n: int) -> int:
+        """dim C^n_0, counted without listing an index."""
+        sums = self._sum_counts(n)
+        if not self.adjoint:
+            return sums[self._zero]
+        return sum(sums[w] for w in self.weights)
+
+    def acyclic_dim(self, n: int) -> int:
+        """dim B^n_(!=0) = dim Z^n_(!=0) for n >= 1: what the nonzero
+        weights add to both the cocycles and the coboundaries.
+
+        The nonzero-weight complex is exact from degree 1 on, so this is
+        dim C^(n-1)_(!=0) minus the same count one degree down, ending at
+        the rank of delta on the nonzero-weight 0-cochains.  That rank is
+        taken on its at most dim columns: for a Lie table delta is
+        injective there, but not for every Leibniz table (with
+        [e_j, h] = e_j and [h, e_j] = 0, delta e_j can vanish).
+        """
+        dim = 0
+        for k in range(1, n):
+            dim = self.cochain_dim(k) - self.zero_dim(k) - dim
+        columns = []
+        if self.adjoint:
+            columns = [self._delta_column(0, k)
+                       for k, w in enumerate(self.weights) if w != self._zero]
+        rank = Subspace(self.cochain_dim(1), columns).dim
+        return dim + (-1) ** (n - 1) * rank
 
     def __repr__(self):
         return f"CochainScheme({self.spec!r}, {self.coefficients})"
@@ -375,169 +511,25 @@ def _toral_weights(spec):
     return [tuple(lam[j] for lam in columns) for j in range(spec.dim)]
 
 
-class TorusGrading:
-    """The torus weights of a scheme's basis cochains.
-
-    `weights[j]` is the weight tuple of e_j (see the module docstring),
-    so the basis cochain at (k, t) has weight weights[k] - sum of
-    weights[t_m], and weight 0 exactly when its arguments' weights sum
-    to its head's (to 0 for trivial coefficients).  Everything here is
-    counting over the distinct weights: `_sums[r]` maps each weight to
-    the number of r-tuples of arguments whose weights sum to it, and
-    the weight-0 indices are enumerated by prefix weight, each suffix
-    list built once per (length, weight) it must sum to, with no scan
-    over all tuples.  With no toral element the one weight is (), so
-    weight 0 is every cochain and nothing is acyclic.
-
-    Why the nonzero weights need no elimination: for a toral h, the
-    last-slot insertion (s f)(x_1 .. x_(n-1)) = (-1)^n f(x_1 .. x_(n-1), h)
-    satisfies delta s + s delta = theta_h on cochains of degree n >= 1,
-    where theta_h multiplies each basis cochain by its h-weight.  (In
-    (s delta f)(x_1 .. x_n) every term but those that bracket with h on
-    the right cancels a term of (delta s f)(x_1 .. x_n), so only [., h]
-    enters and [h, .] need not be diagonal.)  So a cocycle z of
-    weight w with w_h nonzero is delta(s z) / w_h: in every nonzero
-    weight, from degree 1 on, the cocycles are the coboundaries.
-    """
-
-    __slots__ = ("scheme", "weights", "_zero", "_slot_counts", "_sums",
-                 "_tails", "_cohomology")
-
-    def __init__(self, scheme: CochainScheme, weights):
-        self.scheme = scheme
-        self.weights = weights
-        self._zero = (ZERO,) * len(weights[0])
-        self._slot_counts = Counter(weights)
-        self._sums = [Counter([self._zero])]
-        self._tails = {}
-        self._cohomology = {}  # degree -> GradedCohomology
-
-    def _sum_counts(self, r: int) -> dict:
-        sums = self._sums
-        while len(sums) <= r:
-            grown = Counter()
-            for w, c in sums[-1].items():
-                for v, m in self._slot_counts.items():
-                    grown[tuple(map(add, w, v))] += c * m
-            sums.append(grown)
-        return sums[r]
-
-    def _tail_indices(self, r: int, target) -> list:
-        """Flat indices, increasing, of the r-tuples of arguments whose
-        weights sum to target; cached."""
-        key = (r, target)
-        out = self._tails.get(key)
-        if out is None:
-            if r == 0:
-                out = [0] if target == self._zero else []
-            else:
-                step = self.scheme.dim ** (r - 1)
-                reachable = self._sum_counts(r - 1)
-                out = []
-                for j, w in enumerate(self.weights):
-                    rest = tuple(map(sub, target, w))
-                    if rest in reachable:
-                        base = j * step
-                        out += [base + s for s in self._tail_indices(r - 1,
-                                                                     rest)]
-            self._tails[key] = out
-        return out
-
-    def zero_indices(self, n: int, weight=None) -> list:
-        """Flat indices, increasing, of the basis cochains of degree n
-        and the given weight, weight 0 by default: those whose arguments'
-        weights sum to their head's weight minus it."""
-        neg = self._zero if weight is None else tuple(map(sub, self._zero,
-                                                          weight))
-        if not self.scheme.adjoint:
-            return list(self._tail_indices(n, neg))
-        top = self.scheme.dim ** n
-        return [k * top + s for k, w in enumerate(self.weights)
-                for s in self._tail_indices(n, tuple(map(add, w, neg)))]
-
-    def weight(self, n: int, idx: int):
-        """The weight of the degree-n basis cochain at flat index idx."""
-        k, t = self.scheme.unflatten(n, idx)
-        out = self._zero if k is None else self.weights[k]
-        for a in t:
-            out = tuple(map(sub, out, self.weights[a]))
-        return out
-
-    def zero_dim(self, n: int) -> int:
-        """dim C^n_0, counted without listing an index."""
-        sums = self._sum_counts(n)
-        if not self.scheme.adjoint:
-            return sums[self._zero]
-        return sum(sums[w] for w in self.weights)
-
-    def acyclic_dim(self, n: int) -> int:
-        """dim B^n_(!=0) = dim Z^n_(!=0) for n >= 1: what the nonzero
-        weights add to both the cocycles and the coboundaries.
-
-        The nonzero-weight complex is exact from degree 1 on, so this is
-        dim C^(n-1)_(!=0) minus the same count one degree down, ending at
-        the rank of delta on the nonzero-weight 0-cochains.  That rank is
-        taken on its at most dim columns: for a Lie table delta is
-        injective there, but not for every Leibniz table (with
-        [e_j, h] = e_j and [h, e_j] = 0, delta e_j can vanish).
-        """
-        scheme = self.scheme
-        dim = 0
-        for k in range(1, n):
-            dim = scheme.cochain_dim(k) - self.zero_dim(k) - dim
-        columns = []
-        if scheme.adjoint:
-            columns = [scheme._delta_column(0, k)
-                       for k, w in enumerate(self.weights) if w != self._zero]
-        rank = Subspace(scheme.cochain_dim(1), columns).dim
-        return dim + (-1) ** (n - 1) * rank
-
-    def delta_matrix(self, n: int, weight=None) -> Matrix:
-        """The coboundary from the n-cochains to the (n+1)-cochains of
-        the given weight, weight 0 by default, in the increasing
-        coordinates of `zero_indices(n, weight)` and `zero_indices(n + 1,
-        weight)`.
-
-        The coboundary keeps the weight, so each column lands in its own
-        weight; an entry that does not means the weights are wrong, and
-        it raises instead of being dropped.  Columns are scattered in
-        order, so every row's keys ascend.
-        """
-        columns = self.zero_indices(n, weight)
-        # Rows keyed by flat index, in increasing order: a dict keeps it.
-        rows = {idx: {} for idx in self.zero_indices(n + 1, weight)}
-        column = self.scheme._delta_column
-        try:
-            for j, idx in enumerate(columns):
-                for key, v in column(n, idx).items():
-                    rows[key][j] = v
-        except KeyError:
-            which = "weight 0" if weight is None else "its weight"
-            raise ValueError(f"the coboundary leaves {which}: the torus "
-                             "weights are wrong") from None
-        return Matrix._trusted(len(rows), len(columns), list(rows.values()))
-
-
 @dataclass
 class GradedCohomology:
     """Cohomology of the full complex in degree n, from its weight-0 part.
 
     `zero` is the weight-0 part's CohomologySpace in the coordinates of
     `indices`, the increasing flat indices of the weight-0 cochains, and
-    `acyclic_dim` what the nonzero weights add to both z and b; `scheme`
-    is the complex's, for the coboundary of the nonzero weights.  Z and
+    `acyclic_dim` what the nonzero weights add to both z and b.  Z and
     B are sums over disjoint coordinate blocks, one per weight, and
     agree in every nonzero weight, so the quotient representatives of
     the whole complex all lie in weight 0.  An increasing index map
     keeps an RREF, so mapped back they are those the full complex's
     echelons give.  With no toral element, `indices` is every flat
-    index and `acyclic_dim` is 0.
+    index and `acyclic_dim` is 0.  `cocycle_basis` keeps the full
+    complex's Z^n basis here once it is built.
     """
 
     zero: CohomologySpace
     indices: list
     acyclic_dim: int
-    scheme: CochainScheme = field(repr=False, compare=False)
     reps: list = field(init=False)
     _cocycle_basis: list = field(default=None, init=False, repr=False,
                                  compare=False)
@@ -559,57 +551,53 @@ class GradedCohomology:
     def h_dim(self):
         return self.zero.h_dim
 
-    def cocycle_basis(self) -> list:
-        """The RREF basis of the full complex's Z^n, ordered by pivot.
-
-        Spanned by the weight-0 cocycles mapped back through `indices`
-        and by the coboundaries of the nonzero-weight (n-1)-cochains,
-        which are all of Z in every nonzero weight.  Its RREF is the
-        union of the blocks' over disjoint coordinates, so it is the
-        basis `kernel` of the full coboundary gives, z_dim rows long.
-        Built on the first call and kept, like the space itself on the
-        grading, so a `massey` request builds it once; callers only
-        read it.
-        """
-        if self._cocycle_basis is None:
-            self._cocycle_basis = self._build_cocycle_basis()
-        return self._cocycle_basis
-
-    def _build_cocycle_basis(self) -> list:
-        scheme = self.scheme
-        n = self.zero.degree
-        indices = self.indices
-        rows = [{indices[c]: v for c, v in r.items()}
-                for r in self.zero.cocycles.basis()]
-        zero = set(scheme.grading().zero_indices(n - 1))
-        rows += [scheme._delta_column(n - 1, idx)
-                 for idx in range(scheme.cochain_dim(n - 1))
-                 if idx not in zero]
-        return Subspace(scheme.cochain_dim(n), rows).basis()
-
 
 def graded_cohomology(scheme: CochainScheme, n: int) -> GradedCohomology:
     """The dimensions and representatives of the full complex's
     cohomology in degree n >= 1, with the coboundary built only on the
-    weight-0 cochains of `scheme.grading()` (all of them when the
-    algebra has no toral element).  Cached on the grading; callers only
-    read it.  delta o delta = 0 holds exactly when the table is right
-    Leibniz (a verdict kept on the spec), so any other table is refused
-    before a matrix is built; on a complex the coboundaries lie in the
+    weight-0 cochains of `scheme` (all of them when the algebra has no
+    toral element).  Cached on the scheme; callers only read it.
+    delta o delta = 0 holds exactly when the table is right Leibniz (a
+    verdict kept on the spec), so any other table is refused before a
+    matrix is built; on a complex the coboundaries lie in the
     kernel, and `certified_kernel` takes them as known."""
-    grading = scheme.grading()
-    space = grading._cohomology.get(n)
+    space = scheme._cohomology.get(n)
     if space is None:
         if n < 1:
             raise ValueError("degree must be at least 1")
         if not is_right_leibniz(scheme.spec):
             raise ValueError("not a complex: not right Leibniz")
-        coboundaries = image(grading.delta_matrix(n - 1))
-        cocycles = certified_kernel(grading.delta_matrix(n), coboundaries)
-        space = grading._cohomology[n] = GradedCohomology(
+        coboundaries = image(scheme.weight_block(n - 1))
+        cocycles = certified_kernel(scheme.weight_block(n), coboundaries)
+        space = scheme._cohomology[n] = GradedCohomology(
             CohomologySpace(n, cocycles, coboundaries),
-            grading.zero_indices(n), grading.acyclic_dim(n), scheme)
+            scheme.zero_indices(n), scheme.acyclic_dim(n))
     return space
+
+
+def cocycle_basis(scheme: CochainScheme, n: int) -> list:
+    """The RREF basis of the full complex's Z^n, ordered by pivot.
+
+    Spanned by the weight-0 cocycles of `graded_cohomology(scheme, n)`
+    mapped back through its `indices`, and by the coboundaries of the
+    nonzero-weight (n-1)-cochains, which are all of Z in every nonzero
+    weight.  Its RREF is the union of the blocks' over disjoint
+    coordinates, so it is the basis `kernel` of the full coboundary
+    gives, z_dim rows long.  Built on the first call and kept on that
+    cached space, so a `massey` request builds it once; callers only
+    read it.
+    """
+    space = graded_cohomology(scheme, n)
+    if space._cocycle_basis is None:
+        indices = space.indices
+        rows = [{indices[c]: v for c, v in r.items()}
+                for r in space.zero.cocycles.basis()]
+        zero = set(scheme.zero_indices(n - 1))
+        rows += [scheme._delta_column(n - 1, idx)
+                 for idx in range(scheme.cochain_dim(n - 1))
+                 if idx not in zero]
+        space._cocycle_basis = Subspace(scheme.cochain_dim(n), rows).basis()
+    return space._cocycle_basis
 
 
 def lie_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
@@ -655,14 +643,15 @@ class ClassCoordinates:
     echelons of a `GradedCohomology`: the coboundary keeps the weight,
     so the vector is a cocycle exactly when its weight-0 part is one
     and the coboundary of the rest vanishes, which one matrix-free
-    coboundary decides.  The rest then lies in Z = B of its weights,
-    and the representatives all have weight 0, so the coordinates are
-    those the full complex's echelons give.
+    coboundary decides, on `scheme`.  The rest then lies in Z = B of
+    its weights, and the representatives all have weight 0, so the
+    coordinates are those the full complex's echelons give.
     """
 
-    __slots__ = ("space", "_rep_pivots", "_positions")
+    __slots__ = ("scheme", "space", "_rep_pivots", "_positions")
 
-    def __init__(self, space: GradedCohomology):
+    def __init__(self, scheme: CochainScheme, space: GradedCohomology):
+        self.scheme = scheme
         self.space = space
         self._positions = {idx: i for i, idx in enumerate(space.indices)}
         # The pivot of an RREF row is its first nonzero coordinate.
@@ -679,7 +668,7 @@ class ClassCoordinates:
                 rest[idx] = v
             else:
                 zero[i] = v
-        if rest and space.scheme.delta_apply(space.zero.degree, rest):
+        if rest and self.scheme.delta_apply(space.zero.degree, rest):
             return None
         r = space.zero.coboundaries.reduce(zero)
         if not space.zero.cocycles.contains(r):

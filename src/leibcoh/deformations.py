@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 from .algebras import AlgebraSpec
-from .cochains import ClassCoordinates, CochainScheme, graded_cohomology
+from .cochains import (ClassCoordinates, CochainScheme, cocycle_basis,
+                       graded_cohomology)
 from .linalg import Solver, Subspace, vec_add_at, vec_add_scaled
 from .scalars import ONE
 
@@ -216,12 +217,12 @@ class ObstructionContext:
     that weight needs it.
     """
 
-    __slots__ = ("space3", "classes", "_grading", "_blocks")
+    __slots__ = ("space3", "classes", "_scheme", "_blocks")
 
     def __init__(self, scheme: CochainScheme):
         self.space3 = graded_cohomology(scheme, 3)
-        self.classes = ClassCoordinates(self.space3)
-        self._grading = scheme.grading()
+        self.classes = ClassCoordinates(scheme, self.space3)
+        self._scheme = scheme
         self._blocks = {}  # weight -> (Solver, row positions, columns)
 
     def witness(self, chi: dict):
@@ -234,19 +235,19 @@ class ObstructionContext:
         of the columns inside a block).  So that unique solution is the
         sum over chi's weights of the block solutions.
         """
-        grading = self._grading
+        scheme = self._scheme
         parts = {}
         for idx, v in chi.items():
-            parts.setdefault(grading.weight(3, idx), {})[idx] = v
+            parts.setdefault(scheme.weight(3, idx), {})[idx] = v
         x = {}
         for weight, part in parts.items():
             block = self._blocks.get(weight)
             if block is None:
-                rows = grading.zero_indices(3, weight)
+                rows = scheme.zero_indices(3, weight)
                 block = self._blocks[weight] = (
-                    Solver(grading.delta_matrix(2, weight)),
+                    Solver(scheme.weight_block(2, weight)),
                     {idx: i for i, idx in enumerate(rows)},
-                    grading.zero_indices(2, weight))
+                    scheme.zero_indices(2, weight))
             solver, position, columns = block
             local = solver.solve({position[idx]: v
                                   for idx, v in part.items()})
@@ -354,7 +355,7 @@ def massey_products(scheme: CochainScheme, generators, order: int,
 
     context = ObstructionContext(scheme)
     classes = context.classes
-    zl2_basis = graded_cohomology(scheme, 2).cocycle_basis()
+    zl2_basis = cocycle_basis(scheme, 2)
 
     witnesses = {}
     for a, g in enumerate(generators):

@@ -112,7 +112,10 @@ def _structure(doc, coeff_parser, coeff_label):
     kind = doc.get("kind", "lie")
     if kind not in _KINDS:
         raise FormatError("expected 'lie' or 'leibniz'", field="kind")
-    basis = doc.get("basis", [f"x{i + 1}" for i in range(dim)])
+    # Default names only when none are given: a huge dim may come with
+    # a short basis, refused below without building dim names.
+    basis = doc["basis"] if "basis" in doc else [
+        f"x{i + 1}" for i in range(dim)]
     if (not isinstance(basis, list)
             or any(not isinstance(b, str) or not b for b in basis)):
         raise FormatError("expected a list of nonempty names", field="basis")

@@ -2,7 +2,7 @@
 
 Just enough symbolic arithmetic to state structure constants that
 depend on named parameters and to check identities between them
-exactly: addition, multiplication, small powers, evaluation, and a
+exactly: addition, multiplication, powers, evaluation, and a
 canonical text form.  Monomials are exponent tuples over a fixed
 parameter list; polynomials only combine when their parameter lists
 agree, which keeps index meaning unambiguous.
@@ -104,10 +104,10 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponents must be non-negative integers")
-        out = Poly.constant(self.params, 1)
-        for _ in range(n):
-            out = out * self
-        return out
+        if n < 2:
+            return self if n else Poly.constant(self.params, 1)
+        half = self ** (n >> 1)  # by squaring: at most 2 log2(n) products
+        return half * half * self if n & 1 else half * half
 
     def evaluate(self, assignment) -> Scalar:
         """Exact value at a point; every parameter must be assigned."""

@@ -21,8 +21,7 @@ import pytest
 
 from leibcoh import algebras, cli, linalg
 from leibcoh.algebras import AlgebraSpec, catalog, is_right_leibniz
-from leibcoh.cochains import (CochainScheme, TorusGrading, graded_cohomology,
-                              lie_cohomology)
+from leibcoh.cochains import CochainScheme, graded_cohomology, lie_cohomology
 from leibcoh.formats import algebra_to_document, dumps_canonical
 from leibcoh.linalg import (PRIME, PRIME_I, Echelon, LinalgError, Matrix,
                             Subspace, _partition, _rank_mod_prime_reaches,
@@ -203,11 +202,12 @@ NON_LEIBNIZ = LEAKS + [
 
 def forbid_coboundary_matrices(monkeypatch):
     """Make every coboundary matrix of the Leibniz complex, a weight
-    block or the whole (the empty torus's one block), fail to build."""
+    block or the whole, fail to build: both are scattered by one
+    method."""
     def forbidden(*args, **kwargs):
         raise AssertionError("a coboundary matrix was built")
 
-    monkeypatch.setattr(TorusGrading, "delta_matrix", forbidden)
+    monkeypatch.setattr(CochainScheme, "_scatter", forbidden)
 
 
 @pytest.mark.parametrize("table, coefficients, n", NON_LEIBNIZ)

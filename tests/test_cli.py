@@ -501,6 +501,42 @@ def test_versal_rejects_bad_ideal_entry():
     assert "monomial" in result.stderr
 
 
+def test_versal_takes_a_huge_power_of_a_parameter():
+    # The ideal entry is one monomial, however large its exponent; a
+    # power by repeated products would not finish.
+    doc = dumps_canonical(family_to_document(family_catalog("diamond_family")))
+    result = subprocess.run(CLI + ["versal", "--ideal", "lam^99999999"],
+                            input=doc, capture_output=True, text=True,
+                            timeout=10)
+    report = check_report(result)
+    assert report["versal"]["ideal"] == ["lam^99999999"]
+    assert report["versal"]["contained"] is True
+
+
+def _limit_address_space():
+    import resource
+    limit = 2 * 1000 ** 3
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="the address-space limit is a Linux rlimit")
+def test_a_huge_dim_with_a_short_basis_exits_two():
+    # The default names are built only when the document gives none, so
+    # a dim of 10^9 beside four names is refused at once.  The child runs
+    # under a 2 GB address-space limit and a timeout, so a regression
+    # fails the test instead of exhausting the machine.
+    doc = json.loads(catalog_doc("diamond_e"))
+    doc["dim"] = 10 ** 9
+    result = subprocess.run(CLI + ["validate"], input=json.dumps(doc),
+                            capture_output=True, text=True, timeout=10,
+                            preexec_fn=_limit_address_space)
+    assert result.returncode == 2
+    assert ("field 'basis': expected 1000000000 distinct names"
+            in result.stderr)
+    assert "Traceback" not in result.stderr
+
+
 def test_concrete_commands_reject_parameterized_input():
     doc = dumps_canonical(family_to_document(family_catalog("diamond_family")))
     result = run_cli(["cohomology"], doc)

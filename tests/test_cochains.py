@@ -574,12 +574,11 @@ def test_the_one_sided_torus_is_not_exact_in_degree_zero():
     # acyclic only from degree 1 on, and B^1 counts the rank of delta
     # on the nonzero-weight 0-cochains, not their number.
     scheme = CochainScheme(one_sided_torus(), "adjoint")
-    grading = scheme.grading()
-    assert grading.weights == [(Scalar(0),), (ONE,)]
+    assert scheme.weights == [(Scalar(0),), (ONE,)]
     assert scheme.delta_apply(0, {1: ONE}) == {}
-    assert grading.acyclic_dim(1) == 0
-    assert grading.acyclic_dim(2) == scheme.cochain_dim(1) \
-        - grading.zero_dim(1)
+    assert scheme.acyclic_dim(1) == 0
+    assert scheme.acyclic_dim(2) == scheme.cochain_dim(1) \
+        - scheme.zero_dim(1)
 
 
 def brute_weight(scheme, weights, n, idx):
@@ -618,39 +617,38 @@ def test_weight_zero_indices_and_counts_match_a_filter(label, spec):
     assert spec.dim <= 5
     for coeffs in ("adjoint", "trivial"):
         scheme = CochainScheme(spec, coeffs)
-        grading = scheme.grading()
-        weights = grading.weights
+        weights = scheme.weights
         zero = (Scalar(0),) * len(weights[0])
         for n in range(5):
             every = [brute_weight(scheme, weights, n, idx)
                      for idx in range(scheme.cochain_dim(n))]
-            assert [grading.weight(n, idx)
+            assert [scheme.weight(n, idx)
                     for idx in range(scheme.cochain_dim(n))] == every
             expected = [idx for idx, w in enumerate(every) if w == zero]
-            assert grading.zero_indices(n) == expected, (label, coeffs, n)
-            assert grading.zero_dim(n) == len(expected)
+            assert scheme.zero_indices(n) == expected, (label, coeffs, n)
+            assert scheme.zero_dim(n) == len(expected)
             nonzero = sum(1 for w in every if w != zero)
-            assert scheme.cochain_dim(n) - grading.zero_dim(n) == nonzero
+            assert scheme.cochain_dim(n) - scheme.zero_dim(n) == nonzero
             sums = {}
             for t in product(range(spec.dim), repeat=n):
                 key = tuple(sum((weights[a][i] for a in t), Scalar(0))
                             for i in range(len(zero)))
                 sums[key] = sums.get(key, 0) + 1
-            assert grading._sum_counts(n) == sums, (label, n)
+            assert scheme._sum_counts(n) == sums, (label, n)
 
 
 def test_the_weights_are_read_off_the_toral_elements():
-    gl3 = CochainScheme(catalog("gl", 3)).grading()
+    gl3 = CochainScheme(catalog("gl", 3))
     # The two traceless diagonal differences grade; the identity, a
     # central toral element, has every weight 0 and is left out.
     assert len(gl3.weights[0]) == 2
     assert all(w == (Scalar(0),) * 2 for w in gl3.weights[6:])
-    non_real = CochainScheme(rescaled(catalog("gl", 2), 2, I)).grading()
+    non_real = CochainScheme(rescaled(catalog("gl", 2), 2, I))
     assert non_real.weights[0] == (-2 * I,)
     # With no toral element every weight is that of the empty torus.
     for spec in (catalog("heisenberg", 2), catalog("diamond_e"),
                  catalog("g54"), catalog("abelian", 3), sheared("g54")):
-        assert CochainScheme(spec).grading().weights == [()] * spec.dim
+        assert CochainScheme(spec).weights == [()] * spec.dim
 
 
 def graded_route_agrees(spec, coeffs, n):
@@ -677,7 +675,7 @@ TORAL_LADDER = [("gl 2", catalog("gl", 2)), ("gl 3", catalog("gl", 3)),
 @pytest.mark.parametrize("label,spec", TORAL_LADDER,
                          ids=[label for label, _ in TORAL_LADDER])
 def test_graded_route_equals_the_full_complex(label, spec, coeffs):
-    assert CochainScheme(spec, coeffs).grading().weights[0] != ()
+    assert CochainScheme(spec, coeffs).weights[0] != ()
     for n in (1, 2, 3):
         assert graded_route_agrees(spec, coeffs, n), (label, coeffs, n)
 
@@ -691,8 +689,7 @@ TORUS_FREE = [("diamond_e", catalog("diamond_e")), ("g54", catalog("g54")),
 @pytest.mark.parametrize("label,spec", TORUS_FREE,
                          ids=[label for label, _ in TORUS_FREE])
 def test_the_empty_torus_route_equals_the_full_complex(label, spec, coeffs):
-    grading = CochainScheme(spec, coeffs).grading()
-    assert grading.weights == [()] * spec.dim
+    assert CochainScheme(spec, coeffs).weights == [()] * spec.dim
     for n in (1, 2, 3):
         assert graded_route_agrees(spec, coeffs, n), (label, coeffs, n)
 
@@ -745,7 +742,7 @@ def test_torus_free_inputs_take_the_full_complex_and_bad_input_is_refused():
     # the weight-0 block is built.
     not_leibniz = CochainScheme(AlgebraSpec(
         2, {(1, 0): {1: ONE}, (0, 1): {0: ONE}}, kind="leibniz"))
-    assert not_leibniz.grading() is not None
+    assert not_leibniz.weights[0] != ()
     with pytest.raises(ValueError, match="not right Leibniz"):
         graded_cohomology(not_leibniz, 2)
 
@@ -774,8 +771,9 @@ def full_context(spec):
     whole δ2: the reference for the weight-graded one."""
     scheme = CochainScheme(spec, "adjoint")
     space3 = GradedCohomology(leibniz_cohomology(scheme, 3),
-                              list(range(scheme.cochain_dim(3))), 0, scheme)
-    return SimpleNamespace(space3=space3, classes=ClassCoordinates(space3),
+                              list(range(scheme.cochain_dim(3))), 0)
+    return SimpleNamespace(space3=space3,
+                           classes=ClassCoordinates(scheme, space3),
                            witness=Solver(scheme.delta_matrix(2)).solve)
 
 
@@ -792,8 +790,7 @@ def obstruction_inputs(scheme, full, seed):
     nonzero weight, cocycles spoiled only in a nonzero weight (anywhere
     on the empty torus, which has no other), and {}."""
     rng = random.Random(seed)
-    grading = scheme.grading()
-    zero = (Scalar(0),) * len(grading.weights[0])
+    zero = (Scalar(0),) * len(scheme.weights[0])
     full3 = full.space3.zero
     z3, b3 = full3.cocycles.basis(), full3.coboundaries.basis()
     out = [{}]
@@ -801,14 +798,14 @@ def obstruction_inputs(scheme, full, seed):
     out += [random_combination(rng, b3, 5) for _ in range(4)]
     by_weight = {}
     for idx in range(scheme.cochain_dim(2)):
-        by_weight.setdefault(grading.weight(2, idx), []).append(idx)
+        by_weight.setdefault(scheme.weight(2, idx), []).append(idx)
     nonzero = [w for w in by_weight if w != zero]
     for w in rng.sample(nonzero, min(3, len(nonzero))):
         x = {idx: Scalar(rng.randint(-2, 2), rng.randint(-1, 1))
              for idx in rng.sample(by_weight[w], min(4, len(by_weight[w])))}
         out.append(scheme.delta_apply(2, x))
     spoilers = [idx for idx in range(scheme.cochain_dim(3))
-                if (zero == () or grading.weight(3, idx) != zero)
+                if (zero == () or scheme.weight(3, idx) != zero)
                 and scheme.delta_apply(3, {idx: ONE})]
     for idx in rng.sample(spoilers, min(3, len(spoilers))):
         chi = random_combination(rng, z3)
@@ -853,7 +850,7 @@ def test_graded_obstruction_context_equals_the_full_complex(
                          ids=["diamond_e", "sl2_plus_abelian 3"])
 def test_a_second_obstruction_context_eliminates_nothing(
         monkeypatch, name, params):
-    # `graded_cohomology` is cached per degree on the scheme's grading,
+    # `graded_cohomology` is cached per degree on the scheme,
     # so the context `massey_products` builds on every call eliminates
     # δ3's weight-0 block once per scheme, with a torus or without.
     scheme = CochainScheme(catalog(name, *params), "adjoint")

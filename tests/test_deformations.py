@@ -8,12 +8,12 @@ from math import comb
 
 import pytest
 
-from leibcoh import cli
+from leibcoh import cli, deformations
 from leibcoh.algebras import AlgebraSpec, catalog
 from leibcoh.cochains import (
     ClassCoordinates,
     CochainScheme,
-    GradedCohomology,
+    cocycle_basis,
     graded_cohomology,
 )
 from leibcoh.deformations import (
@@ -241,7 +241,7 @@ def test_triple_product_verdict_survives_other_witnesses():
     report = diamond_massey(3)
     rec = report.record((0, 2, 1, 0))
     space3 = graded_cohomology(scheme, 3)
-    classes = ClassCoordinates(space3)
+    classes = ClassCoordinates(scheme, space3)
     zl2 = kernel(scheme.delta_matrix(2)).basis()
     rng = random.Random(11)
     base = report.witnesses[(0, 1, 1, 0)]
@@ -355,26 +355,23 @@ def test_massey_builds_the_zl2_basis_once_per_request(order, monkeypatch,
     # to span the indeterminacy; the second read takes the first build.
     doc = dumps_canonical(algebra_to_document(catalog("diamond_e")))
     calls, builds = [], []
-    read = GradedCohomology.cocycle_basis
-    build = GradedCohomology._build_cocycle_basis
 
-    def counted_read(self):
-        calls.append(self)
-        return read(self)
+    def counted_read(scheme, n):
+        if graded_cohomology(scheme, n)._cocycle_basis is None:
+            builds.append(scheme)
+        basis = cocycle_basis(scheme, n)
+        calls.append(basis)
+        return basis
 
-    def counted_build(self):
-        builds.append(self)
-        return build(self)
-
-    monkeypatch.setattr(GradedCohomology, "cocycle_basis", counted_read)
-    monkeypatch.setattr(GradedCohomology, "_build_cocycle_basis",
-                        counted_build)
+    for module in (cli, deformations):
+        monkeypatch.setattr(module, "cocycle_basis", counted_read)
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
     argv = ["massey", "--generators", "1,2", "--order", str(order)]
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert len(calls) == 2
     assert len(builds) == 1
+    assert calls[0] is calls[1]
 
 
 def test_classify3_verdict_stable_under_representative_shift():

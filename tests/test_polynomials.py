@@ -67,6 +67,31 @@ def test_hand_parsed_expressions():
     assert parse_poly("-(t+s)", PARAMS) == -(t + s)
 
 
+def test_powers_equal_repeated_products():
+    rng = random.Random(6)
+    checked = 0
+    for _ in range(12):
+        f = random_poly(rng, terms=4, degree=2)
+        if len(f.coeffs) < 2 or all(not v.im for v in f.coeffs.values()):
+            continue
+        checked += 1
+        product = Poly.constant(PARAMS, 1)
+        for n in range(7):
+            assert f ** n == product, (format_poly(f), n)
+            product = product * f
+    assert checked >= 5
+
+
+def test_a_huge_power_of_a_parameter_is_one_monomial():
+    # By repeated squaring: 27 squarings of a monomial, not 99999999
+    # products.
+    params = ("lam", "mu")
+    assert parse_poly("lam^99999999", params) == \
+        Poly(params, {(99999999, 0): ONE})
+    assert Poly.variable(params, "mu") ** (2 ** 70) == \
+        Poly(params, {(0, 2 ** 70): ONE})
+
+
 def test_scalar_literals_parse_as_in_concrete_documents():
     # A number immediately followed by i is one imaginary literal, as
     # parse_scalar reads it; "3/4-1/2i" is the README's example.

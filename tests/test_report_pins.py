@@ -8,6 +8,7 @@ here too.  Nothing under `bench/` is written: the modules are imported
 without bytecode caches.
 """
 
+import gc
 import importlib
 import sys
 from pathlib import Path
@@ -63,10 +64,39 @@ def test_seed0_reports_match_pinned_digests(workload):
 def test_seed0_reports_build_no_full_complex(workload, monkeypatch):
     # Every request reads the Leibniz complex through its torus weights,
     # so none needs the whole complex's coboundary matrix (a torus-free
-    # algebra's one weight block is built by `TorusGrading.delta_matrix`).
+    # algebra's one weight block is built by `weight_block`).
     def forbidden(*args):
         raise AssertionError("a request built the whole complex")
 
     monkeypatch.setattr(CochainScheme, "delta_matrix", forbidden)
     wrong = wrong_reports(workload)
     assert not wrong, "\n".join(wrong)
+
+
+def leibcoh_garbage(request) -> set:
+    """The leibcoh types of the objects one request leaves to the cycle
+    collector: run with the collector off, then collected with every
+    unreachable object saved instead of freed."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        worker.call(cli, request)
+        gc.collect()
+        return {type(o).__qualname__ for o in gc.garbage
+                if type(o).__module__.startswith("leibcoh")}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+@pytest.mark.parametrize("workload", REPLAYED)
+def test_seed0_requests_leave_no_reference_cycles(workload):
+    # A request's scheme owns its caches and nothing cached points back
+    # at it, so reference counting frees the complex when the request
+    # returns, before its report is written.
+    leaks = [f"{request.rid}: {sorted(kinds)}"
+             for request in workloads.build(workload, 0)
+             if (kinds := leibcoh_garbage(request))]
+    assert not leaks, "\n".join(leaks)
