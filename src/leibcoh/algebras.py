@@ -189,6 +189,24 @@ def leibniz_defect(bracket, i: int, j: int, k: int) -> dict:
     return defect
 
 
+def _jacobi_holds(table) -> bool:
+    """Whether the cyclic sum [[x,y],z] + [[y,z],x] + [[z,x],y] vanishes
+    on every basis triple.  On an antisymmetric table it is the Leibniz
+    defect, since [[y,z],x] = -[x,[y,z]] and [[z,x],y] = -[[x,z],y]."""
+    d = len(table)
+    for i, j, k in product(range(d), repeat=3):
+        bij, bjk, bki = table[i][j], table[j][k], table[k][i]
+        if not (bij or bjk or bki):
+            continue
+        cyc = {}
+        for cell, z in ((bij, k), (bjk, i), (bki, j)):
+            for m, c in cell.items():
+                vec_add_scaled(cyc, table[m][z], c)
+        if cyc:
+            return False
+    return True
+
+
 def validate(spec: AlgebraSpec) -> StructureReport:
     """Check antisymmetry, Jacobi, and the right Leibniz identity, and
     compute the center and derived subalgebra.
@@ -196,21 +214,6 @@ def validate(spec: AlgebraSpec) -> StructureReport:
     Failed identities are reported in the result, not raised.
     """
     d = spec.dim
-    table = spec.table
-    jacobi = True
-    for i, j, k in product(range(d), repeat=3):
-        bij, bjk, bki = table[i][j], table[j][k], table[k][i]
-        if not (bij or bjk or bki):
-            continue
-        # [[x,y],z] + [[y,z],x] + [[z,x],y], x, y, z = e_i, e_j, e_k.
-        cyc = {}
-        for cell, z in ((bij, k), (bjk, i), (bki, j)):
-            for m, c in cell.items():
-                vec_add_scaled(cyc, table[m][z], c)
-        if cyc:
-            jacobi = False
-            break
-
     # Center: x with [x, e_j] = [e_j, x] = 0 for all j.  Columns of the
     # constraint matrix are indexed by basis vectors, rows by the pair
     # (side, j, output coordinate).
@@ -229,10 +232,14 @@ def validate(spec: AlgebraSpec) -> StructureReport:
     for _, _, value in spec.nonzero_brackets():
         derived.insert(value)
 
+    # On an antisymmetric table the cyclic sum equals the Leibniz defect
+    # triple by triple, so the stored verdict answers for Jacobi too.
+    antisymmetric = is_antisymmetric(spec)
+    leibniz = is_right_leibniz(spec)
     return StructureReport(
-        is_antisymmetric=is_antisymmetric(spec),
-        is_jacobi=jacobi,
-        is_leibniz=is_right_leibniz(spec),
+        is_antisymmetric=antisymmetric,
+        is_jacobi=leibniz if antisymmetric else _jacobi_holds(spec.table),
+        is_leibniz=leibniz,
         center_basis=center,
         derived_basis=derived,
         p=d - derived.dim,

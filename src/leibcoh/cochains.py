@@ -19,7 +19,13 @@ The antisymmetric subcomplex (for Lie algebras) has the basis of
 increasing index tuples, and the symmetric degree-2 subspace that of
 weakly increasing pairs.  Each is included in tensor coordinates as the
 list of its basis cochains, so a vector w of either subspace embeds as
-`vec_combine(inclusion, w)`.
+`vec_combine(inclusion, w)`.  The antisymmetric coboundary never goes
+through the tensor complex: it is the Chevalley-Eilenberg formula in
+increasing-tuple coordinates, where the basis cochain (k, I) pushes
+forward to action terms, each inserting one index j not in I, and
+bracket terms, each replacing one index m of I by a pair a < b with
+[e_a, e_b] reaching e_m, signed by the sort that restores increasing
+order (see `lie_delta_matrix`).
 
 A basis element h is toral when [e_j, h] = lambda_j e_j for every j:
 right multiplication by h, a derivation of a right Leibniz algebra, is
@@ -40,6 +46,7 @@ user lets go of the scheme.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
@@ -47,7 +54,7 @@ from operator import add, sub
 
 from .algebras import is_lie, is_right_leibniz
 from .linalg import (Matrix, Subspace, certified_kernel, image, kernel,
-                     quotient_reps, vec_add_scaled, vec_combine)
+                     quotient_reps, vec_add_at, vec_add_scaled, vec_combine)
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
@@ -423,36 +430,74 @@ def sym2_inclusion(scheme: CochainScheme) -> list:
     return incl
 
 
-def _wedge_flat(scheme, ncombs, k, pos):
-    return pos if k is None else k * ncombs + pos
-
-
 def lie_delta_matrix(scheme: CochainScheme, n: int) -> Matrix:
     """Coboundary on antisymmetric cochains, in increasing-tuple coordinates.
 
     A complex exactly when the algebra is Lie (antisymmetric and right
-    Leibniz); any other table is refused before anything is built.  The
-    column of a basis cochain is its full coboundary read back at the
-    increasing coordinates.  Cached on the scheme.
+    Leibniz); any other table is refused before anything is built.  Rows
+    and columns are head-major: the basis cochain (k, I) is coordinate
+    k*C(d, |I|) + pos(I), pos(I) the rank of I in `wedge_basis` order
+    (pos(I) alone for trivial coefficients).  Its column is the
+    Chevalley-Eilenberg push-forward, read at each increasing
+    (n+1)-tuple J:
+    - action terms, adjoint only: for each j not in I, J = I + {j}
+      with j at position p gives (-1)^p [e_j, e_k]_m at row (m, J);
+    - bracket terms: for slot q of I holding m and each a < b with
+      c = [e_a, e_b]_m nonzero, neither of them in I - {m},
+      J = (I - {m}) + {a, b} gives (-1)^(pos_J(a) + pos_J(b) + q) c at
+      row (k, J).
+    These are the tensor coboundary's terms at e_J, read on the signed
+    sum of I's arrangements: (-1)^p moves e_j to the front of J, where
+    the antisymmetric table turns (-1)^(p+1) [f(..), e_j] into
+    (-1)^p [e_j, f(..)], and (-1)^q moves m to the front of I.  A
+    bracket term brackets a slot of J with a later one, so on increasing
+    J it reads [e_a, e_b] with a < b; the pairs with a > b only repeat
+    them, since [e_b, e_a] = -[e_a, e_b], and are never read.  Terms on
+    the same row are summed exactly.  Each column costs O(n (d + nnz))
+    for the table's nnz nonzero entries.  Cached on the scheme.
     """
     mat = scheme._lie_mats.get(n)
     if mat is not None:
         return mat
     if not is_lie(scheme.spec):
         raise ValueError("not a complex: not a Lie algebra")
-    out_combs = wedge_basis(scheme.dim, n + 1)
-    out_pos = {c: i for i, c in enumerate(out_combs)}
-    nout = len(out_combs)
-    cols = []
-    for vec in wedge_inclusion(scheme, n):
-        col = {}
-        for idx, v in scheme.delta_apply(n, vec).items():
-            k2, t = scheme.unflatten(n + 1, idx)
-            pos = out_pos.get(t)
-            if pos is not None:
-                col[_wedge_flat(scheme, nout, k2, pos)] = v
-        cols.append(col)
-    nrows = nout * (scheme.dim if scheme.adjoint else 1)
+    d = scheme.dim
+    table = scheme.spec.table
+    pairs = [[(a, b, c) for a, b, c in hits if a < b]
+             for hits in scheme._by_target]
+    out_pos = {u: i for i, u in enumerate(wedge_basis(d, n + 1))}
+    nout = len(out_pos)
+    combs = wedge_basis(d, n)
+    heads = _heads(scheme)
+    cols = [None] * (len(heads) * len(combs))
+    for i, t in enumerate(combs):
+        brackets = {}
+        for q, m in enumerate(t):
+            rest = t[:q] + t[q + 1:]
+            for a, b, c in pairs[m]:
+                if a in rest or b in rest:
+                    continue
+                # a sits at pa in J = u, and b after it at pb + 1.
+                pa = bisect_left(rest, a)
+                pb = bisect_left(rest, b)
+                u = rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]
+                vec_add_at(brackets, out_pos[u],
+                           -c if (pa + pb + 1 + q) & 1 else c)
+        inserts = []
+        for j in range(d):
+            p = bisect_left(t, j)
+            if p == n or t[p] != j:
+                inserts.append((out_pos[t[:p] + (j,) + t[p:]], p & 1, j))
+        for h, k in enumerate(heads):
+            col = brackets
+            if k is not None:
+                shift = k * nout
+                col = {shift + r: v for r, v in brackets.items()}
+                for r, odd, j in inserts:
+                    for m, c in table[j][k].items():
+                        vec_add_at(col, m * nout + r, -c if odd else c)
+            cols[h * len(combs) + i] = col
+    nrows = nout * (d if scheme.adjoint else 1)
     mat = scheme._lie_mats[n] = Matrix.from_columns(nrows, cols)
     return mat
 

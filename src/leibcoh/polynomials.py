@@ -22,6 +22,14 @@ def _monomial_key(exps):
     return (sum(exps), exps)
 
 
+def _power(base: Scalar, e: int) -> Scalar:
+    """base ** e by squaring: at most 2 log2(e) products."""
+    if e < 2:
+        return base if e else ONE
+    half = _power(base, e >> 1)
+    return half * half * base if e & 1 else half * half
+
+
 class Poly:
     """A polynomial as a map from exponent tuples to nonzero Scalars."""
 
@@ -119,8 +127,8 @@ class Poly:
         for exps, value in self.coeffs.items():
             term = value
             for base, e in zip(point, exps):
-                for _ in range(e):
-                    term = term * base
+                if e:
+                    term = term * _power(base, e)
             total = total + term
         return total
 

@@ -1,17 +1,20 @@
 """Shared fixtures: the imaginary unit I, cached cochain schemes and
 hand-entered cochains, the full-complex cohomology oracle, a
-tuple-building coboundary oracle, literal evaluation of a cochain on vectors, the reader of a report's cochain
-entries, and Fraction-based oracles for the two readers of a Scalar's
-integer triple, the filtered list of monomials of one degree, the
-row-wise solver that `linalg.Solver` must reproduce, and the
-semi-reduced modular rank whose verdicts the certificate's must equal."""
+tuple-building coboundary oracle, the antisymmetric coboundary read off
+the tensor complex, literal evaluation of a cochain on vectors, the
+reader of a report's cochain entries, and Fraction-based oracles for the
+two readers of a Scalar's integer triple, the filtered list of monomials
+of one degree, the row-wise solver that `linalg.Solver` must reproduce,
+and the semi-reduced modular rank whose verdicts the certificate's must
+equal."""
 
 from itertools import product
 
 import pytest
 
 from leibcoh.algebras import catalog, change_basis, is_right_leibniz
-from leibcoh.cochains import CochainScheme, CohomologySpace, sym2_inclusion
+from leibcoh.cochains import (CochainScheme, CohomologySpace, sym2_inclusion,
+                              wedge_basis, wedge_inclusion)
 from leibcoh.linalg import (PRIME, PRIME_I, Echelon, Matrix, Subspace,
                             _mod_prime, certified_kernel, image, kernel,
                             vec_add_at, vec_combine, vec_dot)
@@ -262,6 +265,27 @@ def oracle_delta_matrix(scheme, n) -> Matrix:
     cols = [oracle_delta_column(scheme, by_target, k, t)
             for k in heads for t in product(range(scheme.dim), repeat=n)]
     return Matrix.from_columns(scheme.cochain_dim(n + 1), cols)
+
+
+def tensor_lie_delta_matrix(scheme, n) -> Matrix:
+    """The antisymmetric coboundary by the tensor complex: the full
+    coboundary of each included antisymmetric basis cochain (all n!
+    arrangements of its tuple) read back at the increasing (n+1)-tuples,
+    in head-major coordinates.  The reference for
+    `cochains.lie_delta_matrix`, for a Lie table."""
+    out_pos = {c: i for i, c in enumerate(wedge_basis(scheme.dim, n + 1))}
+    nout = len(out_pos)
+    cols = []
+    for vec in wedge_inclusion(scheme, n):
+        col = {}
+        for idx, v in scheme.delta_apply(n, vec).items():
+            k, t = scheme.unflatten(n + 1, idx)
+            pos = out_pos.get(t)
+            if pos is not None:
+                col[pos if k is None else k * nout + pos] = v
+        cols.append(col)
+    nrows = nout * (scheme.dim if scheme.adjoint else 1)
+    return Matrix.from_columns(nrows, cols)
 
 
 def symmetric_cocycle_space(scheme):

@@ -10,24 +10,28 @@ other entries of the row fix, that the modular pass stops reading once
 the rows left cannot reach its target, that a table without
 delta o delta = 0 is refused before any coboundary matrix is built, by
 the Leibniz complex unless it is right Leibniz and by the antisymmetric
-one unless it is Lie, and that the check costs no second evaluation of
-the identity.
+one unless it is Lie, that the check costs no second evaluation of
+the identity, and that the Jacobi verdict read off it on an
+antisymmetric table is the one a full scan gives.
 """
 
 import io
+from itertools import product
 from math import isqrt
 
 import pytest
 
 from leibcoh import algebras, cli, linalg
-from leibcoh.algebras import AlgebraSpec, catalog, is_right_leibniz
+from leibcoh.algebras import (AlgebraSpec, catalog, is_right_leibniz,
+                              leibniz_defect, validate)
 from leibcoh.cochains import CochainScheme, graded_cohomology, lie_cohomology
 from leibcoh.formats import algebra_to_document, dumps_canonical
 from leibcoh.linalg import (PRIME, PRIME_I, Echelon, LinalgError, Matrix,
                             Subspace, _partition, _rank_mod_prime_reaches,
-                            certified_kernel, image, kernel)
+                            certified_kernel, image, kernel, vec_add_scaled)
 from leibcoh.scalars import ONE, Scalar
 from tests.conftest import leibniz_cohomology
+from tests.test_algebras import CATALOG_CASES
 from tests.test_cochains import one_sided_square
 from tests.test_koszul import sheared
 
@@ -203,11 +207,13 @@ NON_LEIBNIZ = LEAKS + [
 def forbid_coboundary_matrices(monkeypatch):
     """Make every coboundary matrix of the Leibniz complex, a weight
     block or the whole, fail to build: both are scattered by one
-    method."""
+    method.  So does the antisymmetric complex's, which
+    `lie_delta_matrix` gathers from its columns."""
     def forbidden(*args, **kwargs):
         raise AssertionError("a coboundary matrix was built")
 
     monkeypatch.setattr(CochainScheme, "_scatter", forbidden)
+    monkeypatch.setattr(Matrix, "from_columns", forbidden)
 
 
 @pytest.mark.parametrize("table, coefficients, n", NON_LEIBNIZ)
@@ -268,3 +274,38 @@ def test_leibniz_identity_is_evaluated_once_per_request(argv, monkeypatch,
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert len(passes) == 1
+
+
+def cyclic_sum_vanishes(spec) -> bool:
+    """Jacobi by bilinear brackets of basis vectors on every triple: the
+    reference for the verdict `validate` reports."""
+    basis = [{j: ONE} for j in range(spec.dim)]
+    for x, y, z in product(basis, repeat=3):
+        total = {}
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            vec_add_scaled(total, spec.bracket_vec(spec.bracket_vec(a, b), c),
+                           ONE)
+        if total:
+            return False
+    return True
+
+
+VERDICT_CASES = [(" ".join([name, *map(str, params)]), catalog(name, *params))
+                 for name, params in CATALOG_CASES] + sorted(NON_LIE.items())
+
+
+@pytest.mark.parametrize("spec", [spec for _, spec in VERDICT_CASES],
+                         ids=[label for label, _ in VERDICT_CASES])
+def test_jacobi_and_leibniz_verdicts_equal_the_full_scans(spec):
+    # An antisymmetric table's Jacobi verdict is read off the one scan of
+    # the Leibniz defect; both must equal the scans done in full.
+    d = spec.dim
+    leibniz = not any(leibniz_defect(spec.bracket, i, j, k)
+                      for i, j, k in product(range(d), repeat=3))
+    jacobi = cyclic_sum_vanishes(spec)
+    report = validate(spec)
+    assert report.is_leibniz == leibniz
+    assert report.is_jacobi == jacobi
+    assert algebras._jacobi_holds(spec.table) == jacobi
+    if report.is_antisymmetric:
+        assert jacobi == leibniz

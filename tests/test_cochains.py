@@ -34,7 +34,7 @@ from leibcoh.linalg import (Echelon, Matrix, Solver, Subspace,
 from leibcoh.scalars import ONE, Scalar
 from tests.conftest import (I, evaluate_cochain, leibniz_cohomology,
                             oracle_delta_matrix, shear, split_degree2,
-                            symmetric_cocycle_space)
+                            symmetric_cocycle_space, tensor_lie_delta_matrix)
 from tests.test_algebras import CATALOG_CASES
 from tests.test_koszul import sheared
 
@@ -335,6 +335,29 @@ def test_lie_delta_known_columns(g54_triv):
     assert cols[4] == {pairs.index((1, 2)): -ONE}
     assert cols[0] == {}
     assert cols[1] == {}
+
+
+LIE_ORACLE_CASES = [
+    (" ".join([name, *map(str, params)]), catalog(name, *params))
+    for name, params in [("diamond_e", ()), ("g54", ()), ("heisenberg", (2,)),
+                         ("heisenberg", (3,)), ("gl", (2,)), ("gl", (3,)),
+                         ("sl2_plus_abelian", (3,)), ("sl2", ())]
+] + [(f"sheared {name}", sheared(name)) for name in ("diamond_e", "g54")]
+
+
+@pytest.mark.parametrize("coefficients", ["adjoint", "trivial"])
+@pytest.mark.parametrize("spec", [spec for _, spec in LIE_ORACLE_CASES],
+                         ids=[label for label, _ in LIE_ORACLE_CASES])
+def test_lie_delta_matrix_equals_the_tensor_route(spec, coefficients):
+    # The Chevalley-Eilenberg columns against the tensor coboundary of
+    # every arrangement read back at the increasing tuples, with each
+    # row's entries in the same order.
+    scheme = CochainScheme(spec, coefficients)
+    for n in range(4):
+        mat = lie_delta_matrix(scheme, n)
+        oracle = tensor_lie_delta_matrix(scheme, n)
+        assert mat == oracle, n
+        assert [list(r) for r in mat.rows] == [list(r) for r in oracle.rows]
 
 
 def test_lie_cohomology_matches_the_full_complex_route():

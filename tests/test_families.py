@@ -1,6 +1,8 @@
 """Parameterized families: symbolic identity checks and specialization."""
 
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -151,6 +153,29 @@ def test_diamond_family_specializes_to_diamond():
     spec = specialize(pa, {"lam": 1, "mu": -1})
     assert spec.table == catalog("diamond_e").table
     assert (0, 3) not in spec.table
+
+
+# diamond_family with [e2, e4] = lam^99999999 e2, specialized at the
+# diamond's own point; run in a subprocess so that a hang times out.
+_HUGE_POWER = """
+from leibcoh.families import family_catalog, specialize
+from leibcoh.polynomials import parse_poly
+pa = family_catalog("diamond_family")
+power = parse_poly("lam^99999999", pa.params)
+pa.table[(1, 3)] = {1: power}
+pa.table[(3, 1)] = {1: -power}
+point = {"lam": 1, "mu": 0}
+plain = specialize(family_catalog("diamond_family"), point)
+assert specialize(pa, point).table == plain.table
+"""
+
+
+def test_specialize_takes_a_huge_power_of_a_parameter():
+    # Powers are taken by squaring; by repeated products this would not
+    # finish.
+    result = subprocess.run([sys.executable, "-c", _HUGE_POWER],
+                            capture_output=True, text=True, timeout=10)
+    assert result.returncode == 0, result.stderr
 
 
 def test_sl2_line_passes_through_diamond():

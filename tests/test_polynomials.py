@@ -53,6 +53,24 @@ def test_evaluation_is_a_ring_homomorphism():
         assert (f ** 3).evaluate(point) == fv * fv * fv
 
 
+def test_evaluated_powers_equal_repeated_products():
+    # Evaluation raises each base by squaring; repeated products are the
+    # oracle, at Gaussian points and for every exponent up to 6.
+    rng = random.Random(6)
+    t = Poly.variable(PARAMS, "t")
+    s = Poly.variable(PARAMS, "s")
+    for _ in range(10):
+        point = random_point(rng)
+        for n in range(7):
+            for m in range(3):
+                expected = ONE
+                for _ in range(n):
+                    expected = expected * point["t"]
+                for _ in range(m):
+                    expected = expected * point["s"]
+                assert (t ** n * s ** m).evaluate(point) == expected
+
+
 def test_hand_parsed_expressions():
     t = Poly.variable(PARAMS, "t")
     s = Poly.variable(PARAMS, "s")
