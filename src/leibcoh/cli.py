@@ -26,6 +26,7 @@ from .formats import (
     FormatError,
     algebra_to_document,
     cochain_entries,
+    dump_canonical,
     dumps_canonical,
     parse_document,
 )
@@ -482,12 +483,13 @@ def _text_lines(value, prefix, lines):
         lines.append(f"{prefix}: {value}")
 
 
-def render_report(report: dict, fmt: str) -> str:
+def _write_report(report: dict, fmt: str, write) -> None:
     if fmt == "json":
-        return dumps_canonical(report)
+        dump_canonical(report, write)
+        return
     lines = []
     _text_lines(report, "", lines)
-    return "\n".join(lines) + "\n"
+    write("\n".join(lines) + "\n")
 
 
 _RUNNERS = {
@@ -500,13 +502,15 @@ _RUNNERS = {
 }
 
 
-def _write_output(text: str, out_path):
+def _write_output(out_path, emit):
+    """Hand `emit` the write method of stdout, or of the file at
+    `out_path` when one is given."""
     if not out_path:
-        sys.stdout.write(text)
+        emit(sys.stdout.write)
         return
     try:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            emit(handle.write)
     except OSError as exc:
         raise UsageError(f"cannot write {out_path}: {exc.strerror}") from exc
 
@@ -516,13 +520,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "catalog":
-            _write_output(_run_catalog(args), args.out)
+            text = _run_catalog(args)
+            _write_output(args.out, lambda write: write(text))
             return 0
         echo, sections, code = _RUNNERS[args.command](args)
         report = {"tool": "leibcoh", "version": __version__,
                   "command": args.command, "algebra": echo}
         report.update(sections)
-        _write_output(render_report(report, args.format), args.out)
+        _write_output(args.out, functools.partial(_write_report, report,
+                                                  args.format))
         return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

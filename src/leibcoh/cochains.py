@@ -12,20 +12,29 @@ That column is read off a stencil, built once per degree from the
 structure constants with every sign applied: each term inserts one
 index j at a position p of t (and may replace one slot), so its flat
 index is an integer offset from t's own, worked out from the flat
-indices of t's prefix and suffix with no index tuple built.  The matrix
-scatters the columns straight into its rows, in column order.
+indices of t's prefix and suffix with no index tuple built.  Its
+bracket terms depend on the argument tuple t only and land on the
+column's own head; its action terms depend on the head too.  So a
+matrix is built once per argument tuple: t's bracket terms are summed
+once and shared by every head that carries t among its columns, each
+head adds only its action terms, and every entry is placed by position,
+its head's offset plus its tail's position in that head's list of
+tails.  The shared terms are kept from a weight's first head to its
+last, and not at all for a weight that one head carries.
 
 The antisymmetric subcomplex (for Lie algebras) has the basis of
 increasing index tuples, and the symmetric degree-2 subspace that of
 weakly increasing pairs.  Each is included in tensor coordinates as the
 list of its basis cochains, so a vector w of either subspace embeds as
-`vec_combine(inclusion, w)`.  The antisymmetric coboundary never goes
-through the tensor complex: it is the Chevalley-Eilenberg formula in
-increasing-tuple coordinates, where the basis cochain (k, I) pushes
-forward to action terms, each inserting one index j not in I, and
-bracket terms, each replacing one index m of I by a pair a < b with
-[e_a, e_b] reaching e_m, signed by the sort that restores increasing
-order (see `lie_delta_matrix`).
+`vec_combine(inclusion, w)`; `lie_cohomology` writes that combination
+directly, each coordinate as +-w_j, since the antisymmetric basis
+cochains have disjoint supports and coefficients +-1.  The
+antisymmetric coboundary never goes through the tensor complex: it is
+the Chevalley-Eilenberg formula in increasing-tuple coordinates, where
+the basis cochain (k, I) pushes forward to action terms, each inserting
+one index j not in I, and bracket terms, each replacing one index m of
+I by a pair a < b with [e_a, e_b] reaching e_m, signed by the sort that
+restores increasing order (see `lie_delta_matrix`).
 
 A basis element h is toral when [e_j, h] = lambda_j e_j for every j:
 right multiplication by h, a derivation of a right Leibniz algebra, is
@@ -49,13 +58,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from operator import add, sub
 
 from .algebras import is_lie, is_right_leibniz
 from .linalg import (Matrix, Subspace, certified_kernel, image, kernel,
-                     quotient_reps, vec_add_at, vec_add_scaled, vec_combine)
-from .scalars import ONE, ZERO, Scalar
+                     quotient_reps, vec_add_at, vec_add_scaled)
+from .scalars import ONE, ZERO
 
 __all__ = [
     "ClassCoordinates",
@@ -71,6 +80,8 @@ __all__ = [
     "sym2_basis",
     "sym2_inclusion",
 ]
+
+_MINUS_ONE = -ONE
 
 
 class CochainScheme:
@@ -156,17 +167,20 @@ class CochainScheme:
 
         The flat index of the argument tuple t with j inserted at
         position p is base[p] + j*d^(n-p), where base[p] is that of t
-        with 0 inserted there (see `_delta_column`).  So every term is a
-        triple (p, offset, signed constant), and only base[p] depends on
-        the column:
-        - actions[k] holds, for head k, [e_j, e_k] at p = 0 and
-          (-1)^(p+1) [e_k, e_j] at p = 1 .. n, each with offset
-          j*d^(n-p) + m*d^(n+1) for the output head m;
-        - brackets[i-1][s] holds, for slot i holding s, the terms
-          (-1)^p [e_a, e_b]_s with b inserted at p = i .. n: a
-          replacing s in slot i adds (a - s)*d^(n+1-i) to the index.
-        Both keep the order of the coboundary formula's terms, so a
-        column's keys come out in one fixed order.  Cached per degree.
+        with 0 inserted there (see `_bases`).  So every term is a triple
+        (p, offset, signed constant), and only base[p] depends on the
+        column.  The action terms of head k are [e_j, e_k] at p = 0 and
+        (-1)^(p+1) [e_k, e_j] at p = 1 .. n, each landing on an output
+        head m:
+        - own[k] holds those with m = k, offset j*d^(n-p), to be read
+          on the bases shifted by the head as the bracket terms are;
+        - far[k] holds the others, offset j*d^(n-p) + m*d^(n+1).
+        For trivial coefficients both hold one empty list, for the one
+        head.  brackets[i-1][s] holds, for slot i holding s, the terms
+        (-1)^p [e_a, e_b]_s with b inserted at p = i .. n: a replacing s
+        in slot i adds (a - s)*d^(n+1-i) to the index.  All keep the
+        order of the coboundary formula's terms, so a column's keys come
+        out in one fixed order.  Cached per degree.
         """
         stencil = self._stencils.get(n)
         if stencil is not None:
@@ -174,17 +188,21 @@ class CochainScheme:
         d = self.dim
         table = self.spec.table
         top = d ** (n + 1)
-        actions = []
+        own, far = [[]], [[]]
         if self.adjoint:
-            for k in range(d):
-                terms = [(0, j * d ** n + m * top, c)
-                         for j in range(d) for m, c in table[j][k].items()]
-                for p in range(1, n + 1):
-                    step = d ** (n - p)
-                    terms += [(p, j * step + m * top, c if p % 2 else -c)
-                              for j in range(d)
-                              for m, c in table[k][j].items()]
-                actions.append(terms)
+            own, far = [[] for _ in range(d)], [[] for _ in range(d)]
+        for k in range(d) if self.adjoint else ():
+            terms = [(0, j * d ** n, m, c)
+                     for j in range(d) for m, c in table[j][k].items()]
+            for p in range(1, n + 1):
+                step = d ** (n - p)
+                terms += [(p, j * step, m, c if p % 2 else -c)
+                          for j in range(d) for m, c in table[k][j].items()]
+            for p, off, m, c in terms:
+                if m == k:
+                    own[k].append((p, off, c))
+                else:
+                    far[k].append((p, off + m * top, c))
         brackets = []
         for i in range(1, n + 1):
             shift = d ** (n + 1 - i)
@@ -193,21 +211,15 @@ class CochainScheme:
                   -c if p % 2 else c)
                  for a, b, c in hits for p in range(i, n + 1)]
                 for s, hits in enumerate(self._by_target)])
-        stencil = self._stencils[n] = (actions, brackets)
+        stencil = self._stencils[n] = (own, far, brackets)
         return stencil
 
-    def _delta_column(self, n: int, idx: int) -> dict:
-        """Push-forward of the degree-n basis cochain at flat index idx
-        under the coboundary: its column of the coboundary matrix.
-
-        With t's prefix t[:p] at flat index hi and suffix t[p:] at lo,
-        base[p] = hi*d^(n+1-p) + lo; the bracket terms also carry the
-        output head k*d^(n+1).  Colliding terms are summed exactly and
-        a sum that cancels is dropped, so every value is nonzero.
-        """
-        actions, brackets = self._stencil(n)
+    def _bases(self, n: int, tail: int):
+        """The stencil's bases for the argument tuple t at flat index
+        `tail`, and t itself: base[p] = hi*d^(n+1-p) + lo, with t's
+        prefix t[:p] at flat index hi and suffix t[p:] at lo, is the
+        flat index of t with 0 inserted at p (see `_stencil`)."""
         d = self.dim
-        k, tail = divmod(idx, d ** n) if self.adjoint else (None, idx)
         base = [0] * (n + 1)
         slots = [0] * n
         q = 1
@@ -217,27 +229,28 @@ class CochainScheme:
             if p:
                 slots[p - 1] = hi % d
             q *= d
-        groups = []
-        if k is not None:
-            groups.append((base, actions[k]))
-            head = k * q  # q is now d^(n+1)
-            base = [head + b for b in base]
-        groups += [(base, terms[s]) for terms, s in zip(brackets, slots)]
+        return base, slots
+
+    def _delta_column(self, n: int, idx: int) -> dict:
+        """Push-forward of the degree-n basis cochain at flat index idx
+        under the coboundary: its column of the coboundary matrix.
+
+        The action terms of its head on other heads read the tail's bases
+        as they are; the rest read them shifted by the head k*d^(n+1).
+        Colliding terms are summed exactly and a sum that cancels is
+        dropped, so every value is nonzero.
+        """
+        own, far, brackets = self._stencil(n)
+        k, tail = divmod(idx, self.dim ** n) if self.adjoint else (None, idx)
+        base, slots = self._bases(n, tail)
         col = {}
-        get = col.get
-        for bases, terms in groups:
-            # vec_add_at, inlined: this runs once per coboundary entry.
-            for p, off, v in terms:
-                key = bases[p] + off
-                w = get(key)
-                if w is None:
-                    col[key] = v
-                else:
-                    w = w + v
-                    if w:
-                        col[key] = w
-                    else:
-                        del col[key]
+        if k is not None:
+            _gather(col, base, far[k])
+            head = k * self.dim ** (n + 1)
+            base = [head + b for b in base]
+            _gather(col, base, own[k])
+        for terms, s in zip(brackets, slots):
+            _gather(col, base, terms[s])
         return col
 
     def delta_apply(self, n: int, data: dict) -> dict:
@@ -247,25 +260,99 @@ class CochainScheme:
             vec_add_scaled(out, self._delta_column(n, idx), coeff)
         return out
 
-    def _scatter(self, n: int, columns, rows) -> Matrix:
-        """The coboundary from the n-cochains at the increasing flat
-        indices `columns` to the (n+1)-cochains at the increasing flat
-        indices `rows`, in their positions' coordinates.  Columns are
-        scattered in order, so every row's keys ascend; a column entry
-        outside `rows` raises KeyError."""
-        # Rows keyed by flat index, in increasing order: a dict keeps it.
-        rows = {idx: {} for idx in rows}
-        column = self._delta_column
-        for j, idx in enumerate(columns):
-            for key, v in column(n, idx).items():
-                rows[key][j] = v
-        return Matrix._trusted(len(rows), len(columns), list(rows.values()))
+    def _block(self, n: int, keys, tails) -> Matrix:
+        """The coboundary from the n-cochains (h, t) with t in
+        `tails(n, keys[h])` to the (n+1)-cochains (m, u) with u in
+        `tails(n + 1, keys[m])`, for every head h (the one head None for
+        trivial coefficients), in head-major order of those increasing
+        lists; a term outside them raises KeyError.
+
+        Built once per argument tuple (see the module docstring): heads
+        with equal keys share both lists and the summed bracket terms of
+        their tails, kept from the key's first head to its last.  A
+        head's action terms on its own rows join those terms, the others
+        are placed on their heads' rows.  The kept terms carry their
+        rows' positions, which the heads with no action term on their
+        own rows read; every other entry is placed through a map from
+        tail to row, built only for the heads that need one.  Columns
+        are placed in order, so every row's keys ascend.
+        """
+        own, far, brackets = self._stencil(n)
+        top = self.dim ** (n + 1)
+        heads = range(len(keys))
+        # Heads with equal keys form one group, numbered in order of
+        # their first head, so a key is hashed once.
+        numbers = {}
+        group = [numbers.setdefault(key, len(numbers)) for key in keys]
+        col_tails = [tails(n, key) for key in numbers]
+        row_tails = [tails(n + 1, key) for key in numbers]
+        offsets = list(accumulate((len(row_tails[g]) for g in group),
+                                  initial=0))
+        rows = [{} for _ in range(offsets[-1])]
+        # A shared group's kept terms carry their positions, which its
+        # heads with no action term on their own rows read; every other
+        # entry is placed through a map from tail to row.
+        size = Counter(group)
+        reach = set()
+        for h, g in enumerate(group):
+            if own[h] or size[g] == 1:
+                reach.add(h)
+            reach.update(off // top for _, off, _ in far[h])
+        by_tail = [dict(zip(row_tails[group[m]],
+                            rows[offsets[m]:offsets[m + 1]]))
+                   if m in reach else None for m in heads]
+        last = {g: h for h, g in enumerate(group)}
+        kept = {}
+
+        def summed(t, found=None):
+            # Tail t's bases, its bracket terms summed by (n+1)-tail, and
+            # their positions in `found` when it is given.
+            base, slots = self._bases(n, t)
+            col = {}
+            for terms, s in zip(brackets, slots):
+                _gather(col, base, terms[s])
+            if found is None:
+                return base, col, None
+            return base, col, tuple(_position(found, u) for u in col)
+
+        j = 0
+        for h, g in enumerate(group):
+            shared = size[g] > 1
+            if not shared:
+                columns = map(summed, col_tails[g])
+            else:
+                columns = kept.get(g)
+                if columns is None:
+                    columns = kept[g] = [summed(t, row_tails[g])
+                                         for t in col_tails[g]]
+            mine, offset, ours = by_tail[h], offsets[h], own[h]
+            for base, col, positions in columns:
+                if positions is None or ours:
+                    if ours:
+                        if shared:
+                            col = col.copy()
+                        _gather(col, base, ours)
+                    for u, v in col.items():
+                        mine[u][j] = v
+                else:
+                    for r, v in zip(positions, col.values()):
+                        rows[offset + r][j] = v
+                if far[h]:
+                    col = {}
+                    _gather(col, base, far[h])
+                    for idx, v in col.items():
+                        m, u = divmod(idx, top)
+                        by_tail[m][u][j] = v
+                j += 1
+            if last[g] == h:
+                kept.pop(g, None)
+        return Matrix._trusted(len(rows), j, rows)
 
     def delta_matrix(self, n: int) -> Matrix:
         """Matrix of the coboundary CL^n -> CL^(n+1), built on each call
-        by the scatter of `weight_block` over every flat index."""
-        return self._scatter(n, range(self.cochain_dim(n)),
-                             range(self.cochain_dim(n + 1)))
+        by `_block` over every flat index."""
+        return self._block(n, [None] * len(_heads(self)),
+                           lambda r, key: range(self.dim ** r))
 
     def weight_block(self, n: int, weight=None) -> Matrix:
         """The coboundary from the n-cochains to the (n+1)-cochains of
@@ -278,8 +365,7 @@ class CochainScheme:
         it raises instead of being dropped.
         """
         try:
-            return self._scatter(n, self.zero_indices(n, weight),
-                                 self.zero_indices(n + 1, weight))
+            return self._block(n, self._targets(weight), self._tail_indices)
         except KeyError:
             which = "weight 0" if weight is None else "its weight"
             raise ValueError(f"the coboundary leaves {which}: the torus "
@@ -319,17 +405,23 @@ class CochainScheme:
             self._tails[key] = out
         return out
 
+    def _targets(self, weight=None) -> list:
+        """For each head (the one head None for trivial coefficients),
+        what its arguments' weights sum to in the given weight, weight 0
+        by default: the head's weight minus it."""
+        neg = self._zero if weight is None else tuple(map(sub, self._zero,
+                                                          weight))
+        if not self.adjoint:
+            return [neg]
+        return [tuple(map(add, w, neg)) for w in self.weights]
+
     def zero_indices(self, n: int, weight=None) -> list:
         """Flat indices, increasing, of the basis cochains of degree n
         and the given weight, weight 0 by default: those whose arguments'
         weights sum to their head's weight minus it."""
-        neg = self._zero if weight is None else tuple(map(sub, self._zero,
-                                                          weight))
-        if not self.adjoint:
-            return list(self._tail_indices(n, neg))
         top = self.dim ** n
-        return [k * top + s for k, w in enumerate(self.weights)
-                for s in self._tail_indices(n, tuple(map(add, w, neg)))]
+        return [h * top + s for h, key in enumerate(self._targets(weight))
+                for s in self._tail_indices(n, key)]
 
     def weight(self, n: int, idx: int):
         """The weight of the degree-n basis cochain at flat index idx."""
@@ -371,6 +463,33 @@ class CochainScheme:
         return f"CochainScheme({self.spec!r}, {self.coefficients})"
 
 
+def _gather(col: dict, bases, terms) -> None:
+    """Add each stencil term (p, offset, value) to col at bases[p] +
+    offset: vec_add_at, inlined, since it runs once per coboundary
+    term.  A sum that cancels is dropped."""
+    get = col.get
+    for p, off, v in terms:
+        key = bases[p] + off
+        w = get(key)
+        if w is None:
+            col[key] = v
+        else:
+            w = w + v
+            if w:
+                col[key] = w
+            else:
+                del col[key]
+
+
+def _position(tails, u) -> int:
+    """The position of u in the increasing list `tails`; KeyError when
+    it is not there."""
+    r = bisect_left(tails, u)
+    if r == len(tails) or tails[r] != u:
+        raise KeyError(u)
+    return r
+
+
 def _perm_sign(perm) -> int:
     sign = 1
     for i in range(len(perm)):
@@ -392,20 +511,22 @@ def wedge_inclusion(scheme: CochainScheme, n: int) -> list:
     """The antisymmetric basis cochains of degree n, in tensor coordinates.
 
     The one for (k, i_1 < .. < i_n) is the signed sum over all
-    arrangements, with coefficient +1 on the increasing one.  Cached on
-    the scheme; callers only read the list.
+    arrangements, with coefficient +1 on the increasing one.  The signs
+    come from one table of the arrangements of n slots and are the
+    shared ONE and _MINUS_ONE, which `lie_cohomology` reads by identity.
+    Cached on the scheme; callers only read the list.
     """
     incl = scheme._wedge.get(n)
     if incl is not None:
         return incl
-    combs = wedge_basis(scheme.dim, n)
+    signs = [(perm, ONE if _perm_sign(perm) > 0 else _MINUS_ONE)
+             for perm in permutations(range(n))]
     incl = []
     for k in _heads(scheme):
-        for comb in combs:
+        for comb in wedge_basis(scheme.dim, n):
             incl.append({
-                scheme.flat_index(k, tuple(comb[p] for p in perm)):
-                    Scalar(_perm_sign(perm))
-                for perm in permutations(range(n))})
+                scheme.flat_index(k, tuple(comb[p] for p in perm)): sign
+                for perm, sign in signs})
     scheme._wedge[n] = incl
     return incl
 
@@ -666,7 +787,17 @@ def lie_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
     incl = wedge_inclusion(scheme, n)
 
     def embed(space):
-        return Subspace(ambient, [vec_combine(incl, w) for w in space.basis()])
+        # Each coordinate lands on its own arrangements with sign +-1: no
+        # two basis cochains share one, so nothing is summed or scaled.
+        rows = []
+        for w in space.basis():
+            row = {}
+            for j, v in w.items():
+                minus = -v
+                for idx, sign in incl[j].items():
+                    row[idx] = v if sign is ONE else minus
+            rows.append(row)
+        return Subspace(ambient, rows)
 
     return CohomologySpace(n, embed(kernel(lie_delta_matrix(scheme, n))),
                            embed(image(lie_delta_matrix(scheme, n - 1))))

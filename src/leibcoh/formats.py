@@ -8,8 +8,9 @@ A `name` field is optional metadata on either flavor.
 
 Documents are emitted in a canonical form (fixed key order, sorted
 bracket pairs, two-space indent) so identical inputs produce identical
-bytes.  Every JSON report is written by `dumps_canonical`, whose text is
-that of `json.dumps(indent=2)`.
+bytes.  Every JSON report is written by `dump_canonical`, in chunks, or
+`dumps_canonical`, as one string; the text of both is that of
+`json.dumps(indent=2)`.
 """
 
 import functools
@@ -30,6 +31,7 @@ __all__ = [
     "algebra_to_document",
     "family_to_document",
     "dumps_canonical",
+    "dump_canonical",
     "cochain_entries",
 ]
 
@@ -245,12 +247,35 @@ def dumps_canonical(doc) -> str:
     The text is `json.dumps(doc, indent=2, ensure_ascii=True,
     allow_nan=False) + "\\n"` byte for byte, but written directly: with
     `indent` set the stdlib leaves its C encoder for a chain of Python
-    generators that yields every token.  Keys must be strings.
+    generators that yields every token.  Keys must be strings.  The
+    fragments go to a list, joined once at the end; `dump_canonical`
+    writes the same text in chunks.
     """
     out = []
-    _write(doc, out, 0)
+    _write(doc, out, 0, None)
     out.append("\n")
     return "".join(out)
+
+
+# Fragments gathered before `dump_canonical` hands them on.
+_CHUNK = 4096
+
+
+def dump_canonical(doc, write) -> None:
+    """Write the text of `dumps_canonical(doc)` through `write`, a str
+    writer such as a file's `write`, in chunks of a few thousand
+    fragments, each ending after a list item that is a list or dict, so
+    a large report is never held whole, neither as fragments nor as one
+    string (a report's bulk is lists of dicts)."""
+    out = []
+
+    def flush():
+        write("".join(out))
+        out.clear()
+
+    _write(doc, out, 0, flush)
+    out.append("\n")
+    flush()
 
 
 @functools.cache
@@ -263,11 +288,14 @@ def _separators(depth):
             ("[" + inner, "," + inner, outer + "]"))
 
 
-def _write(o, out, depth):
+def _write(o, out, depth, flush):
     """Append the JSON fragments of `o`, nested `depth` levels deep, to
-    `out`.  Exact str and int items are written in the loops; any other
-    leaf json.dumps encodes itself (a float, an int or str subclass) or
-    rejects with the error json.dumps(indent=2) raises (nan, a set)."""
+    `out`, calling `flush` (when not None) once `out` holds `_CHUNK`
+    fragments, after the list item that reached it, when that item is
+    itself a list or dict.  Exact str and int items are written in
+    the loops; any other leaf json.dumps encodes itself (a float, an
+    int or str subclass) or rejects with the error json.dumps(indent=2)
+    raises (nan, a set)."""
     append = out.append
     if isinstance(o, dict):
         if not o:
@@ -286,7 +314,7 @@ def _write(o, out, depth):
             elif t is int:
                 append(int.__repr__(value))
             else:
-                _write(value, out, depth + 1)
+                _write(value, out, depth + 1, flush)
             opening = between
         append(closing)
     elif isinstance(o, (list, tuple)):
@@ -302,7 +330,9 @@ def _write(o, out, depth):
             elif t is int:
                 append(int.__repr__(value))
             else:
-                _write(value, out, depth + 1)
+                _write(value, out, depth + 1, flush)
+                if flush is not None and len(out) >= _CHUNK:
+                    flush()
             opening = between
         append(closing)
     elif o is None:

@@ -4,7 +4,8 @@ Vectors are sparse maps {coordinate: Scalar} with no zero values stored.
 `vec_add_at` and `vec_add_scaled` are the only writers that add into
 such a map and keep that invariant; every accumulation in the library
 goes through them, except the back-substitution loops inside `Echelon`
-and the coboundary column of `cochains`, which inline `vec_add_at`.
+and `cochains._gather`, which sums the coboundary's stencil terms: both
+inline `vec_add_at`.
 `vec_combine` builds a linear combination of vectors on the second.
 Matrices are logically dense rows x cols grids but keep their rows sparse,
 since the coboundary operators that dominate the workload are very sparse

@@ -254,17 +254,51 @@ def oracle_delta_column(scheme, by_target, k, t) -> dict:
     return col
 
 
-def oracle_delta_matrix(scheme, n) -> Matrix:
-    """The degree-n coboundary matrix from the oracle's columns, in
-    flat-index order."""
+def _by_target(scheme):
     by_target = [[] for _ in range(scheme.dim)]
     for a, b, value in scheme.spec.nonzero_brackets():
         for m, c in value.items():
             by_target[m].append((a, b, c))
+    return by_target
+
+
+def oracle_delta_matrix(scheme, n) -> Matrix:
+    """The degree-n coboundary matrix from the oracle's columns, in
+    flat-index order."""
+    by_target = _by_target(scheme)
     heads = range(scheme.dim) if scheme.adjoint else (None,)
     cols = [oracle_delta_column(scheme, by_target, k, t)
             for k in heads for t in product(range(scheme.dim), repeat=n)]
     return Matrix.from_columns(scheme.cochain_dim(n + 1), cols)
+
+
+def oracle_weight_block(scheme, n, weight=None) -> Matrix:
+    """`oracle_delta_matrix` restricted to the columns
+    `zero_indices(n, weight)` and the rows `zero_indices(n + 1,
+    weight)`, in their positions, built from the oracle's columns at
+    those indices only.  An entry outside those rows raises KeyError."""
+    by_target = _by_target(scheme)
+    rows = {idx: i for i, idx in enumerate(scheme.zero_indices(n + 1,
+                                                               weight))}
+    cols = []
+    for idx in scheme.zero_indices(n, weight):
+        k, t = scheme.unflatten(n, idx)
+        col = oracle_delta_column(scheme, by_target, k, t)
+        cols.append({rows[key]: v for key, v in col.items()})
+    return Matrix.from_columns(len(rows), cols)
+
+
+def scatter_block(scheme, n, columns, rows) -> Matrix:
+    """The coboundary from the n-cochains at the increasing flat indices
+    `columns` to the (n+1)-cochains at the increasing flat indices
+    `rows`, each column pushed forward whole by `_delta_column` and
+    scattered into rows keyed by flat index, in column order: the
+    builder `CochainScheme._block` replaced, kept as its reference."""
+    rows = {idx: {} for idx in rows}
+    for j, idx in enumerate(columns):
+        for key, v in scheme._delta_column(n, idx).items():
+            rows[key][j] = v
+    return Matrix(len(rows), len(columns), list(rows.values()))
 
 
 def tensor_lie_delta_matrix(scheme, n) -> Matrix:

@@ -206,13 +206,13 @@ NON_LEIBNIZ = LEAKS + [
 
 def forbid_coboundary_matrices(monkeypatch):
     """Make every coboundary matrix of the Leibniz complex, a weight
-    block or the whole, fail to build: both are scattered by one
-    method.  So does the antisymmetric complex's, which
-    `lie_delta_matrix` gathers from its columns."""
+    block or the whole, fail to build: both are built by one method.
+    So does the antisymmetric complex's, which `lie_delta_matrix`
+    gathers from its columns."""
     def forbidden(*args, **kwargs):
         raise AssertionError("a coboundary matrix was built")
 
-    monkeypatch.setattr(CochainScheme, "_scatter", forbidden)
+    monkeypatch.setattr(CochainScheme, "_block", forbidden)
     monkeypatch.setattr(Matrix, "from_columns", forbidden)
 
 

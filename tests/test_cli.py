@@ -604,3 +604,42 @@ def test_catalog_round_trips_through_validate():
         result = run_cli(["validate"], doc)
         report = check_report(result)
         assert report["validate"]["ok"] is True
+
+
+class CountingWriter(io.StringIO):
+    """A stdout that counts the calls to write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("name,params,argv,chunks", [
+    ("heisenberg", (3,), ["cohomology", "--deg", "3"], "several"),
+    ("diamond_e", (), ["cohomology", "--deg", "2"], "one"),
+])
+def test_chunked_report_is_the_canonical_text(monkeypatch, tmp_path, name,
+                                              params, argv, chunks):
+    doc = catalog_doc(name, *params)
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    stdout = CountingWriter()
+    monkeypatch.setattr("sys.stdout", stdout)
+    assert cli.main(argv) == 0
+    text = stdout.getvalue()
+    if chunks == "one":
+        assert stdout.writes == 1
+    else:
+        assert stdout.writes >= 3, stdout.writes
+    report = json.loads(text)
+    assert text == dumps_canonical(report)
+    assert text == json.dumps(report, indent=2, ensure_ascii=True,
+                              allow_nan=False) + "\n"
+    target = tmp_path / "report.json"
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert cli.main(argv + ["--out", str(target)]) == 0
+    with open(target, encoding="utf-8", newline="") as handle:
+        assert handle.read() == text

@@ -25,6 +25,7 @@ from leibcoh.cochains import (
     wedge_basis,
     wedge_inclusion,
 )
+from leibcoh.cochains import cocycle_basis
 from leibcoh.deformations import (ObstructionContext, classify3,
                                   massey_products)
 from leibcoh.families import family_catalog, family_names, specialize
@@ -33,7 +34,8 @@ from leibcoh.linalg import (Echelon, Matrix, Solver, Subspace,
                             vec_add_scaled, vec_combine)
 from leibcoh.scalars import ONE, Scalar
 from tests.conftest import (I, evaluate_cochain, leibniz_cohomology,
-                            oracle_delta_matrix, shear, split_degree2,
+                            oracle_delta_matrix, oracle_weight_block,
+                            scatter_block, shear, split_degree2,
                             symmetric_cocycle_space, tensor_lie_delta_matrix)
 from tests.test_algebras import CATALOG_CASES
 from tests.test_koszul import sheared
@@ -895,3 +897,115 @@ def test_a_second_obstruction_context_eliminates_nothing(
     assert second.space3 is first.space3
     assert graded_cohomology(scheme, 2) is not first.space3
     assert graded_cohomology(scheme, 2) is graded_cohomology(scheme, 2)
+
+
+def assert_same_rows(got, want, label):
+    # Equal as dicts and in key order: an elimination reads them in
+    # that order.
+    assert (got.nrows, got.ncols) == (want.nrows, want.ncols), label
+    assert got.rows == want.rows, label
+    assert [list(r) for r in got.rows] == [list(r) for r in want.rows], label
+
+
+def some_weights(scheme, n, count=3):
+    """None and up to `count` nonzero weights of the degree-n cochains,
+    in a fixed order."""
+    zero = scheme._zero
+    seen = {}
+    for idx in range(min(scheme.cochain_dim(n), 4000)):
+        w = scheme.weight(n, idx)
+        if w != zero:
+            seen.setdefault(w)
+    return [None] + list(seen)[:count]
+
+
+BLOCK_CASES = [("diamond_e", catalog("diamond_e")), ("g54", catalog("g54")),
+               ("heisenberg 2", catalog("heisenberg", 2)),
+               ("heisenberg 3", catalog("heisenberg", 3)),
+               ("gl 2", catalog("gl", 2)), ("gl 3", catalog("gl", 3)),
+               ("sl2_plus_abelian 3", catalog("sl2_plus_abelian", 3)),
+               ("sheared diamond_e", sheared("diamond_e")),
+               ("sheared g54", sheared("g54"))]
+
+
+@pytest.mark.parametrize("coeffs", ["adjoint", "trivial"])
+@pytest.mark.parametrize("label,spec", BLOCK_CASES,
+                         ids=[label for label, _ in BLOCK_CASES])
+def test_weight_blocks_equal_the_oracle_restricted(label, spec, coeffs):
+    # Degree 3 of the 9-dimensional gl 3 only at weight 0: its nonzero
+    # weights are checked in degrees 0-2 and by the massey test below.
+    scheme = CochainScheme(spec, coeffs)
+    for n in range(4):
+        weights = [None] if n == 3 and spec.dim > 7 else \
+            some_weights(scheme, n)
+        for weight in weights:
+            got = scheme.weight_block(n, weight)
+            want = oracle_weight_block(scheme, n, weight)
+            assert_same_rows(got, want, (label, coeffs, n, weight))
+
+
+@pytest.mark.parametrize("name,params", [("sl2_plus_abelian", (6,)),
+                                         ("gl", (3,))],
+                         ids=["sl2_plus_abelian 6", "gl 3"])
+def test_degree_three_blocks_equal_the_column_scatter(name, params):
+    # The pushed-forward columns scattered one by one, as the build did
+    # before tails were shared: sl2_plus_abelian 6 has seven weight-0
+    # heads, gl 3 three.
+    scheme = CochainScheme(catalog(name, *params), "adjoint")
+    got = scheme.weight_block(3)
+    want = scatter_block(scheme, 3, scheme.zero_indices(3),
+                         scheme.zero_indices(4))
+    assert_same_rows(got, want, name)
+
+
+def test_the_obstruction_context_blocks_equal_the_oracle(monkeypatch):
+    # The nonzero weights `witness` solves in on gl 3's generator 1.
+    scheme = CochainScheme(catalog("gl", 3), "adjoint")
+    built = []
+    block = CochainScheme.weight_block
+
+    def recorded(self, n, weight=None):
+        built.append((n, weight))
+        return block(self, n, weight)
+
+    monkeypatch.setattr(CochainScheme, "weight_block", recorded)
+    massey_products(scheme, [cocycle_basis(scheme, 2)[0]], 2)
+    nonzero = [(n, w) for n, w in built if w is not None]
+    assert nonzero and all(n == 2 for n, _ in nonzero)
+    assert len({w for _, w in nonzero}) == len(nonzero)
+    for n, weight in nonzero:
+        assert_same_rows(block(scheme, n, weight),
+                         oracle_weight_block(scheme, n, weight), weight)
+
+
+def test_delta_matrix_and_every_weight_block_share_one_builder(monkeypatch):
+    scheme = CochainScheme(catalog("gl", 2), "adjoint")
+    weight = scheme.weight(1, 1)
+    assert weight != scheme._zero
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(CochainScheme, "_block", forbidden)
+    for build in (lambda: scheme.delta_matrix(1),
+                  lambda: scheme.weight_block(1),
+                  lambda: scheme.weight_block(1, weight)):
+        with pytest.raises(AssertionError, match="built"):
+            build()
+
+
+def test_a_perturbed_weight_is_refused_in_every_weight(monkeypatch):
+    # e_0 of gl 2 given weight -1 instead of -2, as in WRONG_WEIGHTS[0].
+    right = cochains._toral_weights
+    monkeypatch.setattr(cochains, "_toral_weights",
+                        lambda s: WRONG_WEIGHTS[0](right(s)))
+    adjoint = CochainScheme(catalog("gl", 2), "adjoint")
+    trivial = CochainScheme(catalog("gl", 2), "trivial")
+    with pytest.raises(ValueError, match="the coboundary leaves weight 0"):
+        adjoint.weight_block(1)
+    for scheme, n, weight in ((adjoint, 0, (Scalar(-1),)),
+                              (adjoint, 1, (Scalar(2),)),
+                              (trivial, 2, (Scalar(1),))):
+        with pytest.raises(ValueError,
+                           match="the coboundary leaves its weight"):
+            scheme.weight_block(n, weight)

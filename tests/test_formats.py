@@ -9,11 +9,13 @@ from leibcoh.algebras import AlgebraSpec, catalog, catalog_names, validate
 from leibcoh.cochains import CochainScheme
 from leibcoh.deformations import family_deformation, verify_versal
 from leibcoh.families import ParamAlgebra, family_catalog, family_names, jacobi_defect
+from leibcoh import formats
 from leibcoh.formats import (
     FormatError,
     algebra_to_document,
     cochain_entries,
     document_to_algebra,
+    dump_canonical,
     dumps_canonical,
     family_to_document,
     parse_document,
@@ -369,6 +371,25 @@ def test_dumps_canonical_matches_json_dumps():
         assert dumps_canonical(doc) == _stdlib_canonical(doc)
 
     check()
+
+
+def test_dump_canonical_writes_the_same_text_in_chunks(monkeypatch):
+    # Three fragments a chunk: once three are gathered, every list item
+    # that is a list or dict hands them on, so the lists are cut there.
+    monkeypatch.setattr(formats, "_CHUNK", 3)
+    doc = {"a": [{"b": [1, "x", [2, {"c": None}]]}, (), {}, [[3]] * 4],
+           "d": {"e": ["y"] * 5}}
+    chunks = []
+    dump_canonical(doc, chunks.append)
+    assert "".join(chunks) == dumps_canonical(doc) == _stdlib_canonical(doc)
+    assert len(chunks) > 5
+    # Each chunk ends at a list item, so the next opens with the comma
+    # before the following item or the line of the list's "]".
+    assert all(chunk.startswith((",", "\n")) for chunk in chunks[1:])
+    one = []
+    monkeypatch.setattr(formats, "_CHUNK", 4096)
+    dump_canonical(doc, one.append)
+    assert one == [dumps_canonical(doc)]
 
 
 def test_dumps_canonical_fails_as_json_dumps_does():
