@@ -17,7 +17,6 @@ from .cochains import (
     ClassCoordinates,
     CochainScheme,
     CohomologySpace,
-    GradedCohomology,
     cocycle_basis,
     graded_cohomology,
     lie_cohomology,
@@ -79,7 +78,6 @@ __all__ = [
     "ClassCoordinates",
     "CochainScheme",
     "CohomologySpace",
-    "GradedCohomology",
     "cocycle_basis",
     "graded_cohomology",
     "lie_cohomology",

@@ -70,7 +70,6 @@ __all__ = [
     "ClassCoordinates",
     "CochainScheme",
     "CohomologySpace",
-    "GradedCohomology",
     "cocycle_basis",
     "graded_cohomology",
     "lie_cohomology",
@@ -138,7 +137,7 @@ class CochainScheme:
         self._stencils = {}
         self._sums = [Counter([self._zero]), Counter(self.weights)]
         self._tails = {}
-        self._cohomology = {}  # degree -> GradedCohomology
+        self._cohomology = {}  # degree -> CohomologySpace
         self._lie_mats = {}
         self._wedge = {}
 
@@ -280,28 +279,24 @@ class CochainScheme:
         own, far, brackets = self._stencil(n)
         top = self.dim ** (n + 1)
         heads = range(len(keys))
-        # Heads with equal keys form one group, numbered in order of
-        # their first head, so a key is hashed once.
-        numbers = {}
-        group = [numbers.setdefault(key, len(numbers)) for key in keys]
-        col_tails = [tails(n, key) for key in numbers]
-        row_tails = [tails(n + 1, key) for key in numbers]
-        offsets = list(accumulate((len(row_tails[g]) for g in group),
+        size = Counter(keys)
+        col_tails = {key: tails(n, key) for key in size}
+        row_tails = {key: tails(n + 1, key) for key in size}
+        offsets = list(accumulate((len(row_tails[key]) for key in keys),
                                   initial=0))
         rows = [{} for _ in range(offsets[-1])]
-        # A shared group's kept terms carry their positions, which its
+        # A shared key's kept terms carry their positions, which its
         # heads with no action term on their own rows read; every other
         # entry is placed through a map from tail to row.
-        size = Counter(group)
         reach = set()
-        for h, g in enumerate(group):
-            if own[h] or size[g] == 1:
+        for h, key in enumerate(keys):
+            if own[h] or size[key] == 1:
                 reach.add(h)
             reach.update(off // top for _, off, _ in far[h])
-        by_tail = [dict(zip(row_tails[group[m]],
+        by_tail = [dict(zip(row_tails[keys[m]],
                             rows[offsets[m]:offsets[m + 1]]))
                    if m in reach else None for m in heads]
-        last = {g: h for h, g in enumerate(group)}
+        last = {key: h for h, key in enumerate(keys)}
         kept = {}
 
         def summed(t, found=None):
@@ -316,15 +311,15 @@ class CochainScheme:
             return base, col, tuple(_position(found, u) for u in col)
 
         j = 0
-        for h, g in enumerate(group):
-            shared = size[g] > 1
+        for h, key in enumerate(keys):
+            shared = size[key] > 1
             if not shared:
-                columns = map(summed, col_tails[g])
+                columns = map(summed, col_tails[key])
             else:
-                columns = kept.get(g)
+                columns = kept.get(key)
                 if columns is None:
-                    columns = kept[g] = [summed(t, row_tails[g])
-                                         for t in col_tails[g]]
+                    columns = kept[key] = [summed(t, row_tails[key])
+                                           for t in col_tails[key]]
             mine, offset, ours = by_tail[h], offsets[h], own[h]
             for base, col, positions in columns:
                 if positions is None or ours:
@@ -344,8 +339,8 @@ class CochainScheme:
                         m, u = divmod(idx, top)
                         by_tail[m][u][j] = v
                 j += 1
-            if last[g] == h:
-                kept.pop(g, None)
+            if last[key] == h:
+                kept.pop(key, None)
         return Matrix._trusted(len(rows), j, rows)
 
     def delta_matrix(self, n: int) -> Matrix:
@@ -625,32 +620,39 @@ def lie_delta_matrix(scheme: CochainScheme, n: int) -> Matrix:
 
 @dataclass
 class CohomologySpace:
-    """Cocycles, coboundaries, and chosen representatives in one degree.
+    """Cohomology of a complex in degree n, as both routes return it.
 
-    All three live in tensor coordinates of the ambient cochain space,
-    also for the antisymmetric subcomplex; the weight-0 part inside a
-    `GradedCohomology` lives in that part's own coordinates.  The
+    `cocycles` and `coboundaries` stay in the coordinates they were
+    eliminated in: the weight-0 cochains, at the increasing flat indices
+    `scheme.zero_indices(degree)`, for `graded_cohomology`, and the
+    increasing tuples of `lie_delta_matrix` for `lie_cohomology`.  The
     coboundaries lie in the cocycles because both come from a complex,
-    checked where it is built; the representatives are always
-    `quotient_reps(cocycles, coboundaries)`, and `ClassCoordinates`
-    relies on both.
+    checked where it is built.  `acyclic_dim` is what the nonzero
+    weights add to both z and b; it is 0 for the antisymmetric complex,
+    graded by the empty torus as a torus-free Leibniz algebra is.
+    `reps` are `quotient_reps(cocycles, coboundaries)` mapped into
+    tensor coordinates by the builder.  Either map keeps an RREF and the
+    order of its pivots (see the two builders), so they are the
+    representatives an elimination in tensor coordinates gives.
+    `cocycle_basis` keeps the full complex's Z^n basis on a
+    `graded_cohomology` space once it is built.
     """
 
     degree: int
     cocycles: Subspace
     coboundaries: Subspace
-    reps: list = field(init=False)
-
-    def __post_init__(self):
-        self.reps = quotient_reps(self.cocycles, self.coboundaries)
+    acyclic_dim: int
+    reps: list
+    _cocycle_basis: list = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     @property
     def z_dim(self):
-        return self.cocycles.dim
+        return self.cocycles.dim + self.acyclic_dim
 
     @property
     def b_dim(self):
-        return self.coboundaries.dim
+        return self.coboundaries.dim + self.acyclic_dim
 
     @property
     def h_dim(self):
@@ -677,48 +679,7 @@ def _toral_weights(spec):
     return [tuple(lam[j] for lam in columns) for j in range(spec.dim)]
 
 
-@dataclass
-class GradedCohomology:
-    """Cohomology of the full complex in degree n, from its weight-0 part.
-
-    `zero` is the weight-0 part's CohomologySpace in the coordinates of
-    `indices`, the increasing flat indices of the weight-0 cochains, and
-    `acyclic_dim` what the nonzero weights add to both z and b.  Z and
-    B are sums over disjoint coordinate blocks, one per weight, and
-    agree in every nonzero weight, so the quotient representatives of
-    the whole complex all lie in weight 0.  An increasing index map
-    keeps an RREF, so mapped back they are those the full complex's
-    echelons give.  With no toral element, `indices` is every flat
-    index and `acyclic_dim` is 0.  `cocycle_basis` keeps the full
-    complex's Z^n basis here once it is built.
-    """
-
-    zero: CohomologySpace
-    indices: list
-    acyclic_dim: int
-    reps: list = field(init=False)
-    _cocycle_basis: list = field(default=None, init=False, repr=False,
-                                 compare=False)
-
-    def __post_init__(self):
-        indices = self.indices
-        self.reps = [{indices[c]: v for c, v in r.items()}
-                     for r in self.zero.reps]
-
-    @property
-    def z_dim(self):
-        return self.zero.z_dim + self.acyclic_dim
-
-    @property
-    def b_dim(self):
-        return self.zero.b_dim + self.acyclic_dim
-
-    @property
-    def h_dim(self):
-        return self.zero.h_dim
-
-
-def graded_cohomology(scheme: CochainScheme, n: int) -> GradedCohomology:
+def graded_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
     """The dimensions and representatives of the full complex's
     cohomology in degree n >= 1, with the coboundary built only on the
     weight-0 cochains of `scheme` (all of them when the algebra has no
@@ -726,7 +687,13 @@ def graded_cohomology(scheme: CochainScheme, n: int) -> GradedCohomology:
     delta o delta = 0 holds exactly when the table is right Leibniz (a
     verdict kept on the spec), so any other table is refused before a
     matrix is built; on a complex the coboundaries lie in the
-    kernel, and `certified_kernel` takes them as known."""
+    kernel, and `certified_kernel` takes them as known.
+
+    Z and B are sums over disjoint coordinate blocks, one per weight,
+    and agree in every nonzero weight, so the quotient representatives
+    of the whole complex all lie in weight 0.  An increasing index map
+    keeps an RREF, so mapped through `zero_indices(n)` they are those
+    the full complex's echelons give."""
     space = scheme._cohomology.get(n)
     if space is None:
         if n < 1:
@@ -735,9 +702,11 @@ def graded_cohomology(scheme: CochainScheme, n: int) -> GradedCohomology:
             raise ValueError("not a complex: not right Leibniz")
         coboundaries = image(scheme.weight_block(n - 1))
         cocycles = certified_kernel(scheme.weight_block(n), coboundaries)
-        space = scheme._cohomology[n] = GradedCohomology(
-            CohomologySpace(n, cocycles, coboundaries),
-            scheme.zero_indices(n), scheme.acyclic_dim(n))
+        indices = scheme.zero_indices(n)
+        reps = [{indices[c]: v for c, v in r.items()}
+                for r in quotient_reps(cocycles, coboundaries)]
+        space = scheme._cohomology[n] = CohomologySpace(
+            n, cocycles, coboundaries, scheme.acyclic_dim(n), reps)
     return space
 
 
@@ -745,19 +714,19 @@ def cocycle_basis(scheme: CochainScheme, n: int) -> list:
     """The RREF basis of the full complex's Z^n, ordered by pivot.
 
     Spanned by the weight-0 cocycles of `graded_cohomology(scheme, n)`
-    mapped back through its `indices`, and by the coboundaries of the
-    nonzero-weight (n-1)-cochains, which are all of Z in every nonzero
-    weight.  Its RREF is the union of the blocks' over disjoint
-    coordinates, so it is the basis `kernel` of the full coboundary
-    gives, z_dim rows long.  Built on the first call and kept on that
-    cached space, so a `massey` request builds it once; callers only
-    read it.
+    mapped back through `scheme.zero_indices(n)`, and by the
+    coboundaries of the nonzero-weight (n-1)-cochains, which are all of
+    Z in every nonzero weight.  Its RREF is the union of the blocks'
+    over disjoint coordinates, so it is the basis `kernel` of the full
+    coboundary gives, z_dim rows long.  Built on the first call and kept
+    on that cached space, so a `massey` request builds it once; callers
+    only read it.
     """
     space = graded_cohomology(scheme, n)
     if space._cocycle_basis is None:
-        indices = space.indices
+        indices = scheme.zero_indices(n)
         rows = [{indices[c]: v for c, v in r.items()}
-                for r in space.zero.cocycles.basis()]
+                for r in space.cocycles.basis()]
         zero = set(scheme.zero_indices(n - 1))
         rows += [scheme._delta_column(n - 1, idx)
                  for idx in range(scheme.cochain_dim(n - 1))
@@ -767,9 +736,11 @@ def cocycle_basis(scheme: CochainScheme, n: int) -> list:
 
 
 def lie_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
-    """Cohomology of the antisymmetric subcomplex, embedded in tensor
-    coordinates so the result is directly comparable with the full
-    complex.  `lie_delta_matrix` refuses a table that is not Lie.
+    """Cohomology of the antisymmetric subcomplex, with its cocycles and
+    coboundaries in increasing-tuple coordinates and its representatives
+    embedded in tensor coordinates, so they are directly comparable with
+    the full complex's.  `lie_delta_matrix` refuses a table that is not
+    Lie.
 
     Z is the kernel of the antisymmetric delta(n) and B the image of
     delta(n-1); for a Lie algebra delta o incl = incl o delta, so B is
@@ -778,47 +749,45 @@ def lie_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
     later increasing tuple has a larger flat index than an earlier
     increasing tuple, so an embedded row's pivot is the flat index of
     its pivot tuple, and the row keeps its wedge coordinates at the
-    increasing tuples, so it is zero at the other pivots.  The Subspaces
-    built from the embedded rows reduce nothing.
+    increasing tuples, so it is zero at the other pivots.  So only the
+    representatives are embedded, and they are those the embedded
+    echelons of Z and B would give.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
-    ambient = scheme.cochain_dim(n)
     incl = wedge_inclusion(scheme, n)
-
-    def embed(space):
+    cocycles = kernel(lie_delta_matrix(scheme, n))
+    coboundaries = image(lie_delta_matrix(scheme, n - 1))
+    reps = []
+    for w in quotient_reps(cocycles, coboundaries):
         # Each coordinate lands on its own arrangements with sign +-1: no
         # two basis cochains share one, so nothing is summed or scaled.
-        rows = []
-        for w in space.basis():
-            row = {}
-            for j, v in w.items():
-                minus = -v
-                for idx, sign in incl[j].items():
-                    row[idx] = v if sign is ONE else minus
-            rows.append(row)
-        return Subspace(ambient, rows)
-
-    return CohomologySpace(n, embed(kernel(lie_delta_matrix(scheme, n))),
-                           embed(image(lie_delta_matrix(scheme, n - 1))))
+        rep = {}
+        for j, v in w.items():
+            minus = -v
+            for idx, sign in incl[j].items():
+                rep[idx] = v if sign is ONE else minus
+        reps.append(rep)
+    return CohomologySpace(n, cocycles, coboundaries, 0, reps)
 
 
 class ClassCoordinates:
     """Coordinates of cohomology classes over chosen representatives.
 
-    Read off the two RREF echelons the space already holds, with no
-    further elimination.  B is inside Z, so every pivot of B's RREF is a
-    pivot of Z's, and the representatives are Z's RREF rows at the
-    remaining pivots.  The residue r of a vector modulo B is zero at
-    every B pivot; when r is a cocycle it is therefore the sum of r[p]
-    times the representative with pivot p, and the vector minus r lies
-    in B.  Coordinates over (B basis, representatives) are unique, so
-    these are the class coordinates.
+    Read off the two RREF echelons a `graded_cohomology` space already
+    holds, with no further elimination.  B is inside Z, so every pivot
+    of B's RREF is a pivot of Z's, and the representatives are Z's RREF
+    rows at the remaining pivots, the rule `quotient_reps` follows.  The
+    residue r of a vector modulo B is zero at every B pivot; when r is a
+    cocycle it is therefore the sum of r[p] times the representative
+    with pivot p, and the vector minus r lies in B.  Coordinates over
+    (B basis, representatives) are unique, so these are the class
+    coordinates.
 
-    Only the vector's weight-0 part is read off, from the weight-0
-    echelons of a `GradedCohomology`: the coboundary keeps the weight,
-    so the vector is a cocycle exactly when its weight-0 part is one
-    and the coboundary of the rest vanishes, which one matrix-free
+    Only the vector's weight-0 part is read off, at the positions of
+    `scheme.zero_indices(degree)`: the coboundary keeps the weight, so
+    the vector is a cocycle exactly when its weight-0 part is one and
+    the coboundary of the rest vanishes, which one matrix-free
     coboundary decides, on `scheme`.  The rest then lies in Z = B of
     its weights, and the representatives all have weight 0, so the
     coordinates are those the full complex's echelons give.
@@ -826,12 +795,14 @@ class ClassCoordinates:
 
     __slots__ = ("scheme", "space", "_rep_pivots", "_positions")
 
-    def __init__(self, scheme: CochainScheme, space: GradedCohomology):
+    def __init__(self, scheme: CochainScheme, space: CohomologySpace):
         self.scheme = scheme
         self.space = space
-        self._positions = {idx: i for i, idx in enumerate(space.indices)}
-        # The pivot of an RREF row is its first nonzero coordinate.
-        self._rep_pivots = [min(r) for r in space.zero.reps]
+        self._positions = {idx: i for i, idx
+                           in enumerate(scheme.zero_indices(space.degree))}
+        bpiv = set(space.coboundaries.pivots)
+        self._rep_pivots = [p for p in space.cocycles.pivots
+                            if p not in bpiv]
 
     def coords(self, vec: dict):
         """Class coordinates of a cocycle, or None if vec is not one."""
@@ -844,9 +815,9 @@ class ClassCoordinates:
                 rest[idx] = v
             else:
                 zero[i] = v
-        if rest and self.scheme.delta_apply(space.zero.degree, rest):
+        if rest and self.scheme.delta_apply(space.degree, rest):
             return None
-        r = space.zero.coboundaries.reduce(zero)
-        if not space.zero.cocycles.contains(r):
+        r = space.coboundaries.reduce(zero)
+        if not space.cocycles.contains(r):
             return None
         return [r.get(p, ZERO) for p in self._rep_pivots]

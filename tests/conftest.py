@@ -1,8 +1,9 @@
 """Shared fixtures: the imaginary unit I, cached cochain schemes and
-hand-entered cochains, the full-complex cohomology oracle, a
-tuple-building coboundary oracle, the antisymmetric coboundary read off
-the tensor complex, literal evaluation of a cochain on vectors, the
-reader of a report's cochain entries, and Fraction-based oracles for the
+hand-entered cochains, the full-complex cohomology oracle, the
+antisymmetric complex's cohomology embedded whole in tensor
+coordinates, a tuple-building coboundary oracle, the antisymmetric
+coboundary read off the tensor complex, literal evaluation of a cochain
+on vectors, the reader of a report's cochain entries, and Fraction-based oracles for the
 two readers of a Scalar's integer triple, the filtered list of monomials
 of one degree, the row-wise solver that `linalg.Solver` must reproduce,
 and the semi-reduced modular rank whose verdicts the certificate's must
@@ -13,11 +14,11 @@ from itertools import product
 import pytest
 
 from leibcoh.algebras import catalog, change_basis, is_right_leibniz
-from leibcoh.cochains import (CochainScheme, CohomologySpace, sym2_inclusion,
-                              wedge_basis, wedge_inclusion)
+from leibcoh.cochains import (CochainScheme, CohomologySpace, lie_cohomology,
+                              sym2_inclusion, wedge_basis, wedge_inclusion)
 from leibcoh.linalg import (PRIME, PRIME_I, Echelon, Matrix, Subspace,
                             _mod_prime, certified_kernel, image, kernel,
-                            vec_add_at, vec_combine, vec_dot)
+                            quotient_reps, vec_add_at, vec_combine, vec_dot)
 from leibcoh.scalars import ONE, ZERO, Scalar, parse_scalar
 
 HALF = Scalar(1) / 2
@@ -160,8 +161,29 @@ def leibniz_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
     if not is_right_leibniz(scheme.spec):
         raise ValueError("not a complex: not right Leibniz")
     coboundaries = image(scheme.delta_matrix(n - 1))
-    return CohomologySpace(n, certified_kernel(scheme.delta_matrix(n),
-                                               coboundaries), coboundaries)
+    cocycles = certified_kernel(scheme.delta_matrix(n), coboundaries)
+    return CohomologySpace(n, cocycles, coboundaries, 0,
+                           quotient_reps(cocycles, coboundaries))
+
+
+def embed_wedge(scheme: CochainScheme, n: int, space: Subspace) -> Subspace:
+    """A subspace of antisymmetric n-cochains, given in increasing-tuple
+    coordinates, embedded in tensor coordinates: each basis row w goes
+    to the combination of `wedge_inclusion` with coefficients w."""
+    incl = wedge_inclusion(scheme, n)
+    return Subspace(scheme.cochain_dim(n),
+                    [vec_combine(incl, w) for w in space.basis()])
+
+
+def tensor_lie_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
+    """`lie_cohomology(scheme, n)` with its Z and B embedded whole in
+    tensor coordinates and its representatives taken there: the
+    reference for the representatives `lie_cohomology` embeds alone."""
+    lie = lie_cohomology(scheme, n)
+    cocycles = embed_wedge(scheme, n, lie.cocycles)
+    coboundaries = embed_wedge(scheme, n, lie.coboundaries)
+    return CohomologySpace(n, cocycles, coboundaries, 0,
+                           quotient_reps(cocycles, coboundaries))
 
 
 def evaluate_cochain(scheme: CochainScheme, data: dict, vectors):

@@ -32,8 +32,8 @@ from leibcoh.koszul import decompose_degree2, koszul_data, uncoupling_report
 from leibcoh.linalg import Subspace, vec_add_scaled, vec_combine
 from leibcoh.polynomials import parse_poly
 from leibcoh.scalars import ONE, Scalar
-from tests.conftest import (diamond_phi_basis, leibniz_cohomology,
-                            symmetric_cocycle_space)
+from tests.conftest import (diamond_phi_basis, embed_wedge,
+                            leibniz_cohomology, symmetric_cocycle_space)
 from tests.test_algebras import CATALOG_CASES
 
 _CACHE = {}
@@ -389,7 +389,8 @@ def test_criterion_8_structural_properties():
             full = leibniz_cohomology(scheme, 2)
             lie = lie_cohomology(scheme, 2)
             clauses.append((f"{label}/{coeffs}: BL2 = B2",
-                            full.coboundaries == lie.coboundaries))
+                            full.coboundaries
+                            == embed_wedge(scheme, 2, lie.coboundaries)))
             hl2[coeffs] = full.h_dim
         data = koszul_data(spec, report)
         triv = CochainScheme(spec, "trivial")

@@ -17,7 +17,6 @@ from leibcoh.cochains import (
     ClassCoordinates,
     CochainScheme,
     CohomologySpace,
-    GradedCohomology,
     graded_cohomology,
     lie_cohomology,
     lie_delta_matrix,
@@ -30,13 +29,14 @@ from leibcoh.deformations import (ObstructionContext, classify3,
                                   massey_products)
 from leibcoh.families import family_catalog, family_names, specialize
 from leibcoh.linalg import (Echelon, Matrix, Solver, Subspace,
-                            certified_kernel, image, kernel, vec_add_at,
-                            vec_add_scaled, vec_combine)
+                            certified_kernel, image, kernel, quotient_reps,
+                            vec_add_at, vec_add_scaled, vec_combine)
 from leibcoh.scalars import ONE, Scalar
-from tests.conftest import (I, evaluate_cochain, leibniz_cohomology,
-                            oracle_delta_matrix, oracle_weight_block,
-                            scatter_block, shear, split_degree2,
-                            symmetric_cocycle_space, tensor_lie_delta_matrix)
+from tests.conftest import (I, embed_wedge, evaluate_cochain,
+                            leibniz_cohomology, oracle_delta_matrix,
+                            oracle_weight_block, scatter_block, shear,
+                            split_degree2, symmetric_cocycle_space,
+                            tensor_lie_cohomology, tensor_lie_delta_matrix)
 from tests.test_algebras import CATALOG_CASES
 from tests.test_koszul import sheared
 
@@ -365,40 +365,77 @@ def test_lie_delta_matrix_equals_the_tensor_route(spec, coefficients):
 def test_lie_cohomology_matches_the_full_complex_route():
     # Reference: Z is the full complex's cocycles inside the span of the
     # antisymmetric basis cochains, B the full coboundaries of the
-    # antisymmetric (n-1)-cochains.
-    cases = [("diamond_e", ()), ("g54", ()), ("heisenberg", (2,)),
-             ("sl2", ()), ("gl", (2,))]
-    for name, params in cases:
-        for coeffs in ("adjoint", "trivial"):
-            scheme = CochainScheme(catalog(name, *params), coeffs)
-            for n in (1, 2, 3):
-                ambient = scheme.cochain_dim(n)
-                incl = wedge_inclusion(scheme, n)
-                z = intersect(leibniz_cohomology(scheme, n).cocycles,
-                              Subspace(ambient, incl))
-                b = Subspace(ambient, [
-                    scheme.delta_apply(n - 1, vec)
-                    for vec in wedge_inclusion(scheme, n - 1)])
-                lie = lie_cohomology(scheme, n)
-                label = (name, coeffs, n)
-                assert lie.cocycles == z, label
-                assert lie.coboundaries == b, label
-                assert lie.reps == CohomologySpace(n, z, b).reps, label
-                # Embedding keeps the antisymmetric complex's RREF rows
-                # as they stand.
-                zw = kernel(lie_delta_matrix(scheme, n))
-                bw = image(lie_delta_matrix(scheme, n - 1))
-                assert [vec_combine(incl, w) for w in zw.basis()] \
-                    == lie.cocycles.basis(), label
-                assert [vec_combine(incl, w) for w in bw.basis()] \
-                    == lie.coboundaries.basis(), label
+    # antisymmetric (n-1)-cochains.  The sheared algebras carry Q(i)
+    # coefficients into the embedded representatives.
+    cases = [(" ".join([name, *map(str, params)]), catalog(name, *params))
+             for name, params in [("diamond_e", ()), ("g54", ()),
+                                  ("heisenberg", (2,)), ("sl2", ()),
+                                  ("gl", (2,))]]
+    cases += [(f"sheared {name}", sheared(name))
+              for name in ("diamond_e", "g54")]
+    for (label, spec), coeffs in product(cases, ("adjoint", "trivial")):
+        scheme = CochainScheme(spec, coeffs)
+        for n in (1, 2, 3):
+            ambient = scheme.cochain_dim(n)
+            incl = wedge_inclusion(scheme, n)
+            z = intersect(leibniz_cohomology(scheme, n).cocycles,
+                          Subspace(ambient, incl))
+            b = Subspace(ambient, [
+                scheme.delta_apply(n - 1, vec)
+                for vec in wedge_inclusion(scheme, n - 1)])
+            lie = lie_cohomology(scheme, n)
+            where = (label, coeffs, n)
+            # Z and B stay in increasing-tuple coordinates, as the
+            # antisymmetric complex's own echelons give them.
+            assert lie.cocycles == kernel(lie_delta_matrix(scheme, n)), where
+            assert lie.coboundaries \
+                == image(lie_delta_matrix(scheme, n - 1)), where
+            assert embed_wedge(scheme, n, lie.cocycles) == z, where
+            assert embed_wedge(scheme, n, lie.coboundaries) == b, where
+            assert (lie.z_dim, lie.b_dim, lie.acyclic_dim) \
+                == (z.dim, b.dim, 0), where
+            assert lie.reps == quotient_reps(z, b), where
+            # Embedding keeps the antisymmetric complex's RREF rows as
+            # they stand.
+            assert [vec_combine(incl, w) for w in lie.cocycles.basis()] \
+                == z.basis(), where
+            assert [vec_combine(incl, w) for w in lie.coboundaries.basis()] \
+                == b.basis(), where
+
+
+@pytest.mark.parametrize("spec,coeffs,n",
+                         [(catalog("diamond_e"), "adjoint", 2),
+                          (catalog("g54"), "trivial", 2),
+                          (catalog("gl", 2), "adjoint", 3)],
+                         ids=["diamond_e adjoint 2", "g54 trivial 2",
+                              "gl 2 adjoint 3"])
+def test_lie_cohomology_builds_no_echelon_as_wide_as_the_tensor_complex(
+        monkeypatch, spec, coeffs, n):
+    # Only the representatives are embedded in tensor coordinates; Z and
+    # B are eliminated on the increasing tuples alone.
+    scheme = CochainScheme(spec, coeffs)
+    widths = []
+    init = Echelon.__init__
+
+    def recording(self, ncols, pivot_limit=None):
+        widths.append(ncols)
+        init(self, ncols, pivot_limit)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Echelon, "__init__", recording)
+        space = lie_cohomology(scheme, n)
+    assert widths
+    assert scheme.cochain_dim(n) not in widths
+    assert space.reps == tensor_lie_cohomology(scheme, n).reps
+    assert all(scheme.is_cocycle(n, r) for r in space.reps)
 
 
 def test_degree_one_complexes_coincide(diamond_adj):
     lie = lie_cohomology(diamond_adj, 1)
     lei = leibniz_cohomology(diamond_adj, 1)
-    assert lie.cocycles == lei.cocycles
-    assert lie.coboundaries == lei.coboundaries
+    assert embed_wedge(diamond_adj, 1, lie.cocycles) == lei.cocycles
+    assert embed_wedge(diamond_adj, 1, lie.coboundaries) == lei.coboundaries
+    assert lie.reps == lei.reps
     # Inner derivations: image of ad has dimension dim - dim center.
     assert lie.b_dim == 3
 
@@ -427,7 +464,7 @@ def test_diamond_adjoint_degree_two_dimensions(diamond_adj):
     assert lie.h_dim == 2
     assert full.h_dim == 4
     assert symmetric_cocycle_space(diamond_adj).dim == 1
-    assert full.coboundaries == lie.coboundaries
+    assert full.coboundaries == embed_wedge(diamond_adj, 2, lie.coboundaries)
 
 
 def test_diamond_phis_are_independent_cocycles(diamond_adj, diamond_phis):
@@ -756,11 +793,12 @@ def test_torus_free_inputs_take_the_full_complex_and_bad_input_is_refused():
     # The empty torus: weight 0 is every cochain, and nothing is acyclic.
     scheme = CochainScheme(catalog("heisenberg", 2), "adjoint")
     space = graded_cohomology(scheme, 2)
-    assert space.indices == list(range(scheme.cochain_dim(2)))
+    assert scheme.zero_indices(2) == list(range(scheme.cochain_dim(2)))
     assert space.acyclic_dim == 0
     full = leibniz_cohomology(scheme, 2)
-    assert space.zero.cocycles == full.cocycles
-    assert space.zero.coboundaries == full.coboundaries
+    assert space.cocycles == full.cocycles
+    assert space.coboundaries == full.coboundaries
+    assert space.reps == full.reps
     with pytest.raises(ValueError):
         graded_cohomology(CochainScheme(catalog("gl", 2)), 0)
     # Toral (e_0 acts on e_1 by 1) but not right Leibniz: refused before
@@ -781,7 +819,7 @@ def test_massey_context_reads_the_weight_zero_block(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(CochainScheme, "delta_matrix", forbidden)
         context = ObstructionContext(scheme)
-    assert isinstance(context.space3, GradedCohomology)
+    assert isinstance(context.space3, CohomologySpace)
     full = leibniz_cohomology(CochainScheme(scheme.spec, "adjoint"), 3)
     space = context.space3
     assert (space.z_dim, space.b_dim, space.h_dim, space.reps) \
@@ -791,12 +829,14 @@ def test_massey_context_reads_the_weight_zero_block(monkeypatch):
 
 def full_context(spec):
     """The obstruction context of the whole complex, built here from
-    `leibniz_cohomology` read as the grading of no weight but 0 (every
-    index, nothing acyclic), `ClassCoordinates` and one `Solver` of the
-    whole δ2: the reference for the weight-graded one."""
-    scheme = CochainScheme(spec, "adjoint")
-    space3 = GradedCohomology(leibniz_cohomology(scheme, 3),
-                              list(range(scheme.cochain_dim(3))), 0)
+    `leibniz_cohomology` on a scheme graded by the empty torus whatever
+    its toral elements (weight 0 is every index, nothing is acyclic),
+    `ClassCoordinates` and one `Solver` of the whole δ2: the reference
+    for the weight-graded one."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cochains, "_toral_weights", lambda s: [()] * s.dim)
+        scheme = CochainScheme(spec, "adjoint")
+    space3 = leibniz_cohomology(scheme, 3)
     return SimpleNamespace(space3=space3,
                            classes=ClassCoordinates(scheme, space3),
                            witness=Solver(scheme.delta_matrix(2)).solve)
@@ -816,7 +856,7 @@ def obstruction_inputs(scheme, full, seed):
     on the empty torus, which has no other), and {}."""
     rng = random.Random(seed)
     zero = (Scalar(0),) * len(scheme.weights[0])
-    full3 = full.space3.zero
+    full3 = full.space3
     z3, b3 = full3.cocycles.basis(), full3.coboundaries.basis()
     out = [{}]
     out += [random_combination(rng, z3) for _ in range(4)]
@@ -851,7 +891,7 @@ def test_graded_obstruction_context_equals_the_full_complex(
         monkeypatch, label, spec):
     scheme = CochainScheme(spec, "adjoint")
     context = ObstructionContext(scheme)
-    assert isinstance(context.space3, GradedCohomology)
+    assert isinstance(context.space3, CohomologySpace)
     full = full_context(spec)
     verdicts = set()
     for chi in obstruction_inputs(scheme, full, seed=label):

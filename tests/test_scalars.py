@@ -142,6 +142,17 @@ def test_real_scalars_hash_like_the_rationals_they_equal(value):
     assert len({ONE, 1}) == 1
 
 
+@pytest.mark.parametrize("n", [0, 1, -1, -2, 7, -(2 ** 61), 2 ** 61 - 1,
+                               2 ** 80, -(2 ** 80)])
+def test_integral_scalars_hash_as_the_int_and_the_fraction(n):
+    # The integral fast path must agree with the Fraction path, -1
+    # included, whose int hash is -2.
+    s = Scalar(n)
+    assert (s.b, s.d) == (0, 1)
+    assert hash(s) == hash(n) == hash(Fraction(n))
+    assert hash(-s) == hash(-n) == hash(Fraction(-n))
+
+
 def test_non_real_scalars_keep_a_hash_of_both_parts():
     s = Scalar(1, 2)
     assert hash(s) == hash(parse_scalar("1+2*i"))
