@@ -14,7 +14,6 @@ this module; text mode prints the same values line by line.
 import argparse
 import functools
 import sys
-from math import comb
 
 from . import __version__
 from .algebras import AlgebraSpec, catalog, catalog_names, validate
@@ -217,13 +216,14 @@ def _require_lie(report, what: str):
 
 
 def _delta3_shape(scheme: CochainScheme, route: str):
-    """Rows and columns of the degree-3 coboundary a route builds:
-    "lie" the antisymmetric one, "graded" the weight-0 block that
-    `graded_cohomology` builds (the whole d^5 x d^4 matrix for an
-    algebra with no toral element).  Counted, with nothing built."""
-    d = scheme.dim
+    """Rows and columns of the degree-3 coboundary a route builds, its
+    weight-0 block: "lie" that of the antisymmetric complex, which
+    `lie_cohomology` builds, "graded" that of the full one, which
+    `graded_cohomology` builds (the whole matrix for an algebra with no
+    toral element).  Counted, with no matrix built."""
     if route == "lie":
-        return d * comb(d, 4), d * comb(d, 3)
+        return [sum(len(ts) for _, ts in scheme.zero_wedges(r))
+                for r in (4, 3)]
     return scheme.zero_dim(4), scheme.zero_dim(3)
 
 

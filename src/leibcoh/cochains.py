@@ -24,17 +24,16 @@ last, and not at all for a weight that one head carries.
 
 The antisymmetric subcomplex (for Lie algebras) has the basis of
 increasing index tuples, and the symmetric degree-2 subspace that of
-weakly increasing pairs.  Each is included in tensor coordinates as the
-list of its basis cochains, so a vector w of either subspace embeds as
-`vec_combine(inclusion, w)`; `lie_cohomology` writes that combination
-directly, each coordinate as +-w_j, since the antisymmetric basis
-cochains have disjoint supports and coefficients +-1.  The
-antisymmetric coboundary never goes through the tensor complex: it is
-the Chevalley-Eilenberg formula in increasing-tuple coordinates, where
-the basis cochain (k, I) pushes forward to action terms, each inserting
-one index j not in I, and bracket terms, each replacing one index m of
-I by a pair a < b with [e_a, e_b] reaching e_m, signed by the sort that
-restores increasing order (see `lie_delta_matrix`).
+weakly increasing pairs.  A symmetric vector w embeds in tensor
+coordinates as `vec_combine(sym2_inclusion(scheme), w)`, an
+antisymmetric one by `embed_zero_wedge`, each coordinate as +-w_j on
+its tuple's arrangements.  The antisymmetric coboundary never goes
+through the tensor complex: it is the Chevalley-Eilenberg formula in
+increasing-tuple coordinates, where the basis cochain (k, I) pushes
+forward to action terms, each inserting one index j not in I, and
+bracket terms, each replacing one index m of I by a pair a < b with
+[e_a, e_b] reaching e_m, signed by the sort that restores increasing
+order (see `lie_delta_matrix`).
 
 A basis element h is toral when [e_j, h] = lambda_j e_j for every j:
 right multiplication by h, a derivation of a right Leibniz algebra, is
@@ -44,9 +43,10 @@ weight lambda_k - sum lambda_(t_m) (for trivial coefficients,
 An algebra with no such h is graded by the empty torus: every weight
 is the empty tuple, so weight 0 is the whole complex.  The scheme
 counts the cochains of each weight and lists those of any one weight;
-`graded_cohomology` eliminates only at weight 0, because every
-nonzero-weight part of the complex is acyclic from degree 1 on, and
-`ClassCoordinates` reads classes off that weight-0 elimination.
+`graded_cohomology` and `lie_cohomology` eliminate only at weight 0,
+because every nonzero-weight part of either complex is acyclic from
+degree 1 on, and `ClassCoordinates` reads classes off that weight-0
+elimination.
 
 The scheme owns everything cached for its complex, and nothing it
 caches refers back to it, so a complex is freed as soon as its last
@@ -59,10 +59,11 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations, permutations
+from math import comb
 from operator import add, sub
 
 from .algebras import is_lie, is_right_leibniz
-from .linalg import (Matrix, Subspace, certified_kernel, image, kernel,
+from .linalg import (Matrix, Subspace, certified_kernel, image,
                      quotient_reps, vec_add_at, vec_add_scaled)
 from .scalars import ONE, ZERO
 
@@ -71,16 +72,14 @@ __all__ = [
     "CochainScheme",
     "CohomologySpace",
     "cocycle_basis",
+    "embed_zero_wedge",
     "graded_cohomology",
     "lie_cohomology",
     "lie_delta_matrix",
     "wedge_basis",
-    "wedge_inclusion",
     "sym2_basis",
     "sym2_inclusion",
 ]
-
-_MINUS_ONE = -ONE
 
 
 class CochainScheme:
@@ -88,9 +87,9 @@ class CochainScheme:
 
     Holds the flat-index conventions and the torus weights, and caches
     the coboundary stencils, the weight counts, the full complex's
-    cohomology per degree (`graded_cohomology`), the coboundary
-    matrices of the antisymmetric complex, and the lists of included
-    antisymmetric basis cochains.
+    cohomology per degree (`graded_cohomology`), and the weight-0
+    increasing tuples and coboundary matrices of the antisymmetric
+    complex.
 
     `weights[j]` is the weight tuple of e_j (see the module docstring),
     so the basis cochain at (k, t) has weight weights[k] - sum of
@@ -113,12 +112,14 @@ class CochainScheme:
     the right cancels a term of (delta s f)(x_1 .. x_n), so only [., h]
     enters and [h, .] need not be diagonal.)  So a cocycle z of
     weight w with w_h nonzero is delta(s z) / w_h: in every nonzero
-    weight, from degree 1 on, the cocycles are the coboundaries.
+    weight, from degree 1 on, the cocycles are the coboundaries.  s keeps
+    a cochain antisymmetric, so this holds on the antisymmetric complex
+    too, where it is the Cartan formula L_h = d i_h + i_h d.
     """
 
     __slots__ = ("spec", "coefficients", "dim", "adjoint", "weights",
                  "_zero", "_by_target", "_stencils", "_sums", "_tails",
-                 "_cohomology", "_lie_mats", "_wedge")
+                 "_cohomology", "_lie_mats", "_wedges")
 
     def __init__(self, spec, coefficients="adjoint"):
         if coefficients not in ("adjoint", "trivial"):
@@ -139,7 +140,7 @@ class CochainScheme:
         self._tails = {}
         self._cohomology = {}  # degree -> CohomologySpace
         self._lie_mats = {}
-        self._wedge = {}
+        self._wedges = {}  # degree -> increasing tuples by weight sum
 
     def cochain_dim(self, n: int) -> int:
         base = self.dim ** n
@@ -426,6 +427,22 @@ class CochainScheme:
             out = tuple(map(sub, out, self.weights[a]))
         return out
 
+    def zero_wedges(self, n: int) -> list:
+        """The antisymmetric basis cochains (k, I) of degree n and weight
+        0, as (k, its tuples I in `wedge_basis` order) for each head k in
+        turn, read off the increasing n-tuples bucketed by weight sum,
+        which are cached per degree."""
+        buckets = self._wedges.get(n)
+        if buckets is None:
+            buckets = self._wedges[n] = {}
+            for t in combinations(range(self.dim), n):
+                key = self._zero
+                for a in t:
+                    key = tuple(map(add, key, self.weights[a]))
+                buckets.setdefault(key, []).append(t)
+        return [(k, buckets.get(key, ()))
+                for k, key in zip(_heads(self), self._targets())]
+
     def zero_dim(self, n: int) -> int:
         """dim C^n_0, counted without listing an index."""
         sums = self._sum_counts(n)
@@ -433,20 +450,26 @@ class CochainScheme:
             return sums[self._zero]
         return sum(sums[w] for w in self.weights)
 
-    def acyclic_dim(self, n: int) -> int:
+    def acyclic_dim(self, n: int, lie: bool = False) -> int:
         """dim B^n_(!=0) = dim Z^n_(!=0) for n >= 1: what the nonzero
-        weights add to both the cocycles and the coboundaries.
+        weights add to both the cocycles and the coboundaries, of the
+        full complex, or of the antisymmetric one when `lie` is true.
 
         The nonzero-weight complex is exact from degree 1 on, so this is
         dim C^(n-1)_(!=0) minus the same count one degree down, ending at
-        the rank of delta on the nonzero-weight 0-cochains.  That rank is
-        taken on its at most dim columns: for a Lie table delta is
-        injective there, but not for every Leibniz table (with
-        [e_j, h] = e_j and [h, e_j] = 0, delta e_j can vanish).
+        the rank of delta on the nonzero-weight 0-cochains, which both
+        complexes share (they count d^k tuples against C(d, k) increasing
+        ones per head).  That rank is taken on its at most dim columns:
+        for a Lie table delta is injective there, but not for every
+        Leibniz table (with [e_j, h] = e_j and [h, e_j] = 0, delta e_j
+        can vanish).
         """
         dim = 0
         for k in range(1, n):
-            dim = self.cochain_dim(k) - self.zero_dim(k) - dim
+            size = (len(_heads(self)) * comb(self.dim, k)
+                    - sum(len(ts) for _, ts in self.zero_wedges(k)) if lie
+                    else self.cochain_dim(k) - self.zero_dim(k))
+            dim = size - dim
         columns = []
         if self.adjoint:
             columns = [self._delta_column(0, k)
@@ -485,45 +508,12 @@ def _position(tails, u) -> int:
     return r
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def wedge_basis(dim: int, n: int):
     return list(combinations(range(dim), n))
 
 
 def _heads(scheme):
     return range(scheme.dim) if scheme.adjoint else (None,)
-
-
-def wedge_inclusion(scheme: CochainScheme, n: int) -> list:
-    """The antisymmetric basis cochains of degree n, in tensor coordinates.
-
-    The one for (k, i_1 < .. < i_n) is the signed sum over all
-    arrangements, with coefficient +1 on the increasing one.  The signs
-    come from one table of the arrangements of n slots and are the
-    shared ONE and _MINUS_ONE, which `lie_cohomology` reads by identity.
-    Cached on the scheme; callers only read the list.
-    """
-    incl = scheme._wedge.get(n)
-    if incl is not None:
-        return incl
-    signs = [(perm, ONE if _perm_sign(perm) > 0 else _MINUS_ONE)
-             for perm in permutations(range(n))]
-    incl = []
-    for k in _heads(scheme):
-        for comb in wedge_basis(scheme.dim, n):
-            incl.append({
-                scheme.flat_index(k, tuple(comb[p] for p in perm)): sign
-                for perm, sign in signs})
-    scheme._wedge[n] = incl
-    return incl
 
 
 def sym2_basis(dim: int):
@@ -547,15 +537,14 @@ def sym2_inclusion(scheme: CochainScheme) -> list:
 
 
 def lie_delta_matrix(scheme: CochainScheme, n: int) -> Matrix:
-    """Coboundary on antisymmetric cochains, in increasing-tuple coordinates.
+    """The weight-0 block of the coboundary on antisymmetric cochains,
+    from the basis cochains of `scheme.zero_wedges(n)` to those of
+    `zero_wedges(n + 1)`, head by head as in the whole matrix.
 
     A complex exactly when the algebra is Lie (antisymmetric and right
-    Leibniz); any other table is refused before anything is built.  Rows
-    and columns are head-major: the basis cochain (k, I) is coordinate
-    k*C(d, |I|) + pos(I), pos(I) the rank of I in `wedge_basis` order
-    (pos(I) alone for trivial coefficients).  Its column is the
-    Chevalley-Eilenberg push-forward, read at each increasing
-    (n+1)-tuple J:
+    Leibniz); any other table is refused before anything is built.  A
+    column is the Chevalley-Eilenberg push-forward, read at each
+    increasing (n+1)-tuple J:
     - action terms, adjoint only: for each j not in I, J = I + {j}
       with j at position p gives (-1)^p [e_j, e_k]_m at row (m, J);
     - bracket terms: for slot q of I holding m and each a < b with
@@ -569,71 +558,93 @@ def lie_delta_matrix(scheme: CochainScheme, n: int) -> Matrix:
     bracket term brackets a slot of J with a later one, so on increasing
     J it reads [e_a, e_b] with a < b; the pairs with a > b only repeat
     them, since [e_b, e_a] = -[e_a, e_b], and are never read.  Terms on
-    the same row are summed exactly.  Each column costs O(n (d + nnz))
-    for the table's nnz nonzero entries.  Cached on the scheme.
+    the same row are summed exactly, and a tuple's terms are found once
+    for every head that carries it.  The coboundary keeps the weight, so
+    a term with no weight-0 row means the weights are wrong: it raises
+    as in `weight_block`.  Cached on the scheme.
     """
     mat = scheme._lie_mats.get(n)
     if mat is not None:
         return mat
     if not is_lie(scheme.spec):
         raise ValueError("not a complex: not a Lie algebra")
-    d = scheme.dim
     table = scheme.spec.table
     pairs = [[(a, b, c) for a, b, c in hits if a < b]
              for hits in scheme._by_target]
-    out_pos = {u: i for i, u in enumerate(wedge_basis(d, n + 1))}
-    nout = len(out_pos)
-    combs = wedge_basis(d, n)
-    heads = _heads(scheme)
-    cols = [None] * (len(heads) * len(combs))
-    for i, t in enumerate(combs):
-        brackets = {}
-        for q, m in enumerate(t):
-            rest = t[:q] + t[q + 1:]
-            for a, b, c in pairs[m]:
-                if a in rest or b in rest:
-                    continue
-                # a sits at pa in J = u, and b after it at pb + 1.
-                pa = bisect_left(rest, a)
-                pb = bisect_left(rest, b)
-                u = rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]
-                vec_add_at(brackets, out_pos[u],
-                           -c if (pa + pb + 1 + q) & 1 else c)
-        inserts = []
-        for j in range(d):
-            p = bisect_left(t, j)
-            if p == n or t[p] != j:
-                inserts.append((out_pos[t[:p] + (j,) + t[p:]], p & 1, j))
-        for h, k in enumerate(heads):
-            col = brackets
+    rows = {ku: i for i, ku in enumerate(
+        (m, u) for m, us in scheme.zero_wedges(n + 1) for u in us)}
+    shared = {}
+    cols = []
+    for k, t in ((k, t) for k, ts in scheme.zero_wedges(n) for t in ts):
+        if t not in shared:
+            brackets = {}
+            for q, m in enumerate(t):
+                rest = t[:q] + t[q + 1:]
+                for a, b, c in pairs[m]:
+                    if a in rest or b in rest:
+                        continue
+                    # a sits at pa in J = u, and b after it at pb + 1.
+                    pa = bisect_left(rest, a)
+                    pb = bisect_left(rest, b)
+                    u = rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]
+                    vec_add_at(brackets, u,
+                               -c if (pa + pb + 1 + q) & 1 else c)
+            inserts = []
+            for j in range(scheme.dim):
+                p = bisect_left(t, j)
+                if p == n or t[p] != j:
+                    inserts.append((t[:p] + (j,) + t[p:], p & 1, j))
+            shared[t] = (brackets, inserts)
+        brackets, inserts = shared[t]
+        try:
+            col = {rows[k, u]: v for u, v in brackets.items()}
             if k is not None:
-                shift = k * nout
-                col = {shift + r: v for r, v in brackets.items()}
-                for r, odd, j in inserts:
+                for u, odd, j in inserts:
                     for m, c in table[j][k].items():
-                        vec_add_at(col, m * nout + r, -c if odd else c)
-            cols[h * len(combs) + i] = col
-    nrows = nout * (d if scheme.adjoint else 1)
-    mat = scheme._lie_mats[n] = Matrix.from_columns(nrows, cols)
+                        vec_add_at(col, rows[m, u], -c if odd else c)
+        except KeyError:
+            raise ValueError("the coboundary leaves weight 0: the torus "
+                             "weights are wrong") from None
+        cols.append(col)
+    mat = scheme._lie_mats[n] = Matrix.from_columns(len(rows), cols)
     return mat
+
+
+def embed_zero_wedge(scheme: CochainScheme, n: int, vectors) -> list:
+    """The weight-0 antisymmetric n-cochains with coordinates `vectors`
+    over `scheme.zero_wedges(n)`, head by head, in tensor coordinates:
+    the basis cochain (k, I) is I's arrangements signed by their
+    inversions, and no two share one, so w_j is written as +-w_j on them."""
+    basis = [(k, t) for k, ts in scheme.zero_wedges(n) for t in ts]
+    perms = [(perm, sum(a > b for a, b in combinations(perm, 2)) & 1)
+             for perm in permutations(range(n))]
+    out = []
+    for w in vectors:
+        rep = {}
+        for j, v in w.items():
+            k, t = basis[j]
+            for perm, odd in perms:
+                rep[scheme.flat_index(k, tuple(t[p] for p in perm))] = \
+                    -v if odd else v
+        out.append(rep)
+    return out
 
 
 @dataclass
 class CohomologySpace:
     """Cohomology of a complex in degree n, as both routes return it.
 
-    `cocycles` and `coboundaries` stay in the coordinates they were
-    eliminated in: the weight-0 cochains, at the increasing flat indices
-    `scheme.zero_indices(degree)`, for `graded_cohomology`, and the
-    increasing tuples of `lie_delta_matrix` for `lie_cohomology`.  The
-    coboundaries lie in the cocycles because both come from a complex,
-    checked where it is built.  `acyclic_dim` is what the nonzero
-    weights add to both z and b; it is 0 for the antisymmetric complex,
-    graded by the empty torus as a torus-free Leibniz algebra is.
-    `reps` are `quotient_reps(cocycles, coboundaries)` mapped into
-    tensor coordinates by the builder.  Either map keeps an RREF and the
-    order of its pivots (see the two builders), so they are the
-    representatives an elimination in tensor coordinates gives.
+    `cocycles` and `coboundaries` stay in the weight-0 coordinates they
+    were eliminated in: `scheme.zero_indices(degree)` for
+    `graded_cohomology`, `scheme.zero_wedges(degree)` for
+    `lie_cohomology`.  The coboundaries lie in the cocycles because both
+    come from a complex, checked where it is built.  `acyclic_dim` is
+    what the nonzero weights add to both z and b; it is 0 for an algebra
+    graded by the empty torus.  `reps` are `quotient_reps(cocycles,
+    coboundaries)` mapped into tensor coordinates by the builder, which
+    keeps an RREF and the order of its pivots (see the two builders), so
+    they are the representatives an elimination in tensor coordinates
+    gives.
     `cocycle_basis` keeps the full complex's Z^n basis on a
     `graded_cohomology` space once it is built.
     """
@@ -736,39 +747,24 @@ def cocycle_basis(scheme: CochainScheme, n: int) -> list:
 
 
 def lie_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
-    """Cohomology of the antisymmetric subcomplex, with its cocycles and
-    coboundaries in increasing-tuple coordinates and its representatives
-    embedded in tensor coordinates, so they are directly comparable with
-    the full complex's.  `lie_delta_matrix` refuses a table that is not
-    Lie.
-
-    Z is the kernel of the antisymmetric delta(n) and B the image of
-    delta(n-1); for a Lie algebra delta o incl = incl o delta, so B is
-    the full coboundary of the antisymmetric (n-1)-cochains.  Embedding
-    keeps each RREF as it stands: within a head, every arrangement of a
-    later increasing tuple has a larger flat index than an earlier
-    increasing tuple, so an embedded row's pivot is the flat index of
-    its pivot tuple, and the row keeps its wedge coordinates at the
-    increasing tuples, so it is zero at the other pivots.  So only the
-    representatives are embedded, and they are those the embedded
-    echelons of Z and B would give.
+    """Cohomology of the antisymmetric subcomplex in degree n >= 1, by
+    `graded_cohomology`'s policy on the weight-0 blocks of
+    `lie_delta_matrix`: B the image of delta(n-1), Z the
+    `certified_kernel` of delta(n) with B known, and `acyclic_dim` added
+    to both.  Only the representatives, all of weight 0, are embedded,
+    and embedding keeps an RREF as it stands: within a head, every
+    arrangement of a later increasing tuple has a larger flat index than
+    an earlier increasing tuple, so an embedded row's pivot is the flat
+    index of its pivot tuple, and the row is zero at the other pivots.
+    So they are those the embedded echelons of the whole Z and B give.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
-    incl = wedge_inclusion(scheme, n)
-    cocycles = kernel(lie_delta_matrix(scheme, n))
     coboundaries = image(lie_delta_matrix(scheme, n - 1))
-    reps = []
-    for w in quotient_reps(cocycles, coboundaries):
-        # Each coordinate lands on its own arrangements with sign +-1: no
-        # two basis cochains share one, so nothing is summed or scaled.
-        rep = {}
-        for j, v in w.items():
-            minus = -v
-            for idx, sign in incl[j].items():
-                rep[idx] = v if sign is ONE else minus
-        reps.append(rep)
-    return CohomologySpace(n, cocycles, coboundaries, 0, reps)
+    cocycles = certified_kernel(lie_delta_matrix(scheme, n), coboundaries)
+    reps = embed_zero_wedge(scheme, n, quotient_reps(cocycles, coboundaries))
+    return CohomologySpace(n, cocycles, coboundaries,
+                           scheme.acyclic_dim(n, lie=True), reps)
 
 
 class ClassCoordinates:

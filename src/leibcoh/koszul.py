@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from .algebras import AlgebraSpec, is_lie, validate
 from .cochains import (
     CochainScheme,
+    embed_zero_wedge,
     lie_cohomology,
     lie_delta_matrix,
     sym2_basis,
     sym2_inclusion,
     wedge_basis,
-    wedge_inclusion,
 )
 from .linalg import (Matrix, Solver, Subspace, image, kernel, quotient_reps,
                      vec_add_at, vec_add_scaled, vec_combine)
@@ -114,16 +114,12 @@ def koszul_data(spec: AlgebraSpec, report=None) -> KoszulData:
     )
 
 
-def _tensor_head(z, data: dict, base: int) -> dict:
-    """Tensor a sparse vector z with a trivial-coefficient block; z=None
-    passes the block through unchanged."""
-    if z is None:
-        return dict(data)
-    out = {}
-    for k, zv in z.items():
-        for t, v in data.items():
-            out[k * base + t] = zv * v
-    return out
+def _tensor_head(z, data: dict, place) -> dict:
+    """z (x) data, head k's entry at t placed at place(k, t); z=None is
+    the one head None."""
+    return {place(k, t): zv * v
+            for k, zv in ({None: ONE} if z is None else z).items()
+            for t, v in data.items()}
 
 
 @dataclass
@@ -180,14 +176,20 @@ def _exact_combinations(scheme: CochainScheme, kos: KoszulData, heads):
     and the Subspace of candidate coefficient vectors with an exact image;
     its dimension is the coupled count.  The residue modulo B3 is linear
     and zero exactly on B3, so sum c_i g_i is exact when sum c_i r_i = 0
-    for the residues r_i of the candidates.
+    for the residues r_i of the candidates.  Each z (x) I(w) has weight 0
+    (z is central; an invariant form pairs weights summing to 0), so it
+    is read on the weight-0 rows of `lie_delta_matrix(scheme, 2)`, where
+    a missing row raises KeyError.
     """
     w_reps = quotient_reps(kos.forms, kos.kernel)
-    ncombs3 = len(wedge_basis(scheme.dim, 3))
     images3 = [kos.matrix.matvec(w) for w in w_reps]
-    g_cols = [_tensor_head(z, iw, ncombs3) for z in heads for iw in images3]
-    if not g_cols:
-        return w_reps, g_cols, Subspace(0)
+    if not heads or not images3:
+        return w_reps, [], Subspace(0)
+    combs3 = wedge_basis(scheme.dim, 3)
+    rows = {ku: i for i, ku in enumerate(
+        (k, u) for k, us in scheme.zero_wedges(3) for u in us)}
+    g_cols = [_tensor_head(z, iw, lambda k, p: rows[k, combs3[p]])
+              for z in heads for iw in images3]
     b3 = image(lie_delta_matrix(scheme, 2))
     residues = [b3.reduce(g) for g in g_cols]
     return w_reps, g_cols, kernel(Matrix.from_columns(b3.ambient_dim,
@@ -208,11 +210,13 @@ def decompose_degree2(spec: AlgebraSpec, coefficients="adjoint",
 
     sym_incl = sym2_inclusion(triv)
     heads = kos.center.basis() if adjoint else [None]
-    tensor_base = spec.dim ** 2
+
+    def flat(k, t):  # the flat index of head k over the 2-cochain t
+        return t if k is None else k * spec.dim ** 2 + t
 
     kernel_blocks = [vec_combine(sym_incl, q) for q in kos.kernel.basis()]
     symmetric_basis = [
-        _tensor_head(z, blk, tensor_base) for z in heads for blk in kernel_blocks
+        _tensor_head(z, blk, flat) for z in heads for blk in kernel_blocks
     ]
 
     # Coupled block: symmetric parts from a complement of the kernel
@@ -220,20 +224,19 @@ def decompose_degree2(spec: AlgebraSpec, coefficients="adjoint",
     # corrector solved on the antisymmetric complex.
     w_reps, g_cols, coeff_space = _exact_combinations(scheme, kos, heads)
     s_cols = [
-        _tensor_head(z, vec_combine(sym_incl, w), tensor_base)
+        _tensor_head(z, vec_combine(sym_incl, w), flat)
         for z in heads
         for w in w_reps
     ]
     coupled_reps = []
     if coeff_space.dim:
         solver = Solver(lie_delta_matrix(scheme, 2))
-        incl2 = wedge_inclusion(scheme, 2)
         for u in coeff_space.basis():
             omega = solver.solve(vec_combine(g_cols, u))
             if omega is None:
                 raise AssertionError("exactness certificate failed to solve")
             rep = vec_combine(s_cols, u)
-            vec_add_scaled(rep, vec_combine(incl2, omega), ONE)
+            vec_add_scaled(rep, embed_zero_wedge(scheme, 2, [omega])[0], ONE)
             if not scheme.is_cocycle(2, rep):
                 raise AssertionError("coupled representative is not a cocycle")
             coupled_reps.append(rep)

@@ -1,21 +1,23 @@
 """Shared fixtures: the imaginary unit I, cached cochain schemes and
 hand-entered cochains, the full-complex cohomology oracle, the
-antisymmetric complex's cohomology embedded whole in tensor
-coordinates, a tuple-building coboundary oracle, the antisymmetric
-coboundary read off the tensor complex, literal evaluation of a cochain
+antisymmetric basis cochains in tensor coordinates and the weight-0
+ones among them, the antisymmetric complex's whole cohomology in
+tensor coordinates, a tuple-building coboundary oracle, the
+antisymmetric coboundary read off the tensor complex, whole and at
+weight 0, literal evaluation of a cochain
 on vectors, the reader of a report's cochain entries, and Fraction-based oracles for the
 two readers of a Scalar's integer triple, the filtered list of monomials
 of one degree, the row-wise solver that `linalg.Solver` must reproduce,
 and the semi-reduced modular rank whose verdicts the certificate's must
 equal."""
 
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from leibcoh.algebras import catalog, change_basis, is_right_leibniz
-from leibcoh.cochains import (CochainScheme, CohomologySpace, lie_cohomology,
-                              sym2_inclusion, wedge_basis, wedge_inclusion)
+from leibcoh.cochains import (CochainScheme, CohomologySpace, sym2_inclusion,
+                              wedge_basis)
 from leibcoh.linalg import (PRIME, PRIME_I, Echelon, Matrix, Subspace,
                             _mod_prime, certified_kernel, image, kernel,
                             quotient_reps, vec_add_at, vec_combine, vec_dot)
@@ -166,22 +168,78 @@ def leibniz_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
                            quotient_reps(cocycles, coboundaries))
 
 
+def wedge_inclusion(scheme: CochainScheme, n: int) -> list:
+    """The antisymmetric basis cochains of degree n in tensor
+    coordinates, head-major and in `wedge_basis` order: the one for
+    (k, i_1 < .. < i_n) is the signed sum over all arrangements, +1 on
+    the increasing one, each sign counted from the arrangement's
+    inversions.  The reference for `cochains.embed_zero_wedge`."""
+    heads = range(scheme.dim) if scheme.adjoint else (None,)
+    incl = []
+    for k in heads:
+        for comb in wedge_basis(scheme.dim, n):
+            vec = {}
+            for perm in permutations(range(n)):
+                inversions = sum(perm[i] > perm[j] for i in range(n)
+                                 for j in range(i + 1, n))
+                vec[scheme.flat_index(k, tuple(comb[p] for p in perm))] = \
+                    -ONE if inversions % 2 else ONE
+            incl.append(vec)
+    return incl
+
+
+def zero_wedge_positions(scheme: CochainScheme, n: int) -> list:
+    """The positions, increasing, of the weight-0 antisymmetric basis
+    cochains among all of them (head-major, `wedge_basis` order within a
+    head), by a weight filter on every one: the reference for
+    `CochainScheme.zero_wedges`."""
+    combs = wedge_basis(scheme.dim, n)
+    heads = range(scheme.dim) if scheme.adjoint else (None,)
+    return [h * len(combs) + i for h, k in enumerate(heads)
+            for i, t in enumerate(combs)
+            if scheme.weight(n, scheme.flat_index(k, t)) == scheme._zero]
+
+
+def lift_zero_wedge(scheme: CochainScheme, n: int, rows) -> list:
+    """Weight-0 antisymmetric n-cochains, given over
+    `zero_wedge_positions(scheme, n)`, read at their positions among all
+    the increasing-tuple coordinates."""
+    positions = zero_wedge_positions(scheme, n)
+    return [{positions[j]: v for j, v in w.items()} for w in rows]
+
+
 def embed_wedge(scheme: CochainScheme, n: int, space: Subspace) -> Subspace:
-    """A subspace of antisymmetric n-cochains, given in increasing-tuple
-    coordinates, embedded in tensor coordinates: each basis row w goes
-    to the combination of `wedge_inclusion` with coefficients w."""
+    """A subspace of weight-0 antisymmetric n-cochains, given over
+    `zero_wedge_positions(scheme, n)`, embedded in tensor coordinates:
+    each basis row w goes to the combination of `wedge_inclusion` with
+    coefficients w at their positions."""
     incl = wedge_inclusion(scheme, n)
     return Subspace(scheme.cochain_dim(n),
-                    [vec_combine(incl, w) for w in space.basis()])
+                    [vec_combine(incl, w)
+                     for w in lift_zero_wedge(scheme, n, space.basis())])
+
+
+def weight_zero_part(scheme: CochainScheme, n: int, space: Subspace):
+    """The weight-0 part of a subspace of n-cochains that is the sum of
+    its weight parts: its RREF rows that lie in weight 0, since the RREF
+    of such a sum is the union of its parts' RREFs."""
+    zero = set(scheme.zero_indices(n))
+    return Subspace(scheme.cochain_dim(n),
+                    [r for r in space.basis() if zero.issuperset(r)])
 
 
 def tensor_lie_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
-    """`lie_cohomology(scheme, n)` with its Z and B embedded whole in
-    tensor coordinates and its representatives taken there: the
-    reference for the representatives `lie_cohomology` embeds alone."""
-    lie = lie_cohomology(scheme, n)
-    cocycles = embed_wedge(scheme, n, lie.cocycles)
-    coboundaries = embed_wedge(scheme, n, lie.coboundaries)
+    """The antisymmetric complex's whole cohomology in degree n, in
+    tensor coordinates: the kernel and image of `tensor_lie_delta_matrix`
+    in every weight, embedded through `wedge_inclusion`, and the
+    representatives taken there.  The reference for `lie_cohomology`,
+    whose z and b dims count the nonzero weights in `acyclic_dim`."""
+    incl = wedge_inclusion(scheme, n)
+    cocycles, coboundaries = (
+        Subspace(scheme.cochain_dim(n),
+                 [vec_combine(incl, w) for w in space.basis()])
+        for space in (kernel(tensor_lie_delta_matrix(scheme, n)),
+                      image(tensor_lie_delta_matrix(scheme, n - 1))))
     return CohomologySpace(n, cocycles, coboundaries, 0,
                            quotient_reps(cocycles, coboundaries))
 
@@ -327,8 +385,7 @@ def tensor_lie_delta_matrix(scheme, n) -> Matrix:
     """The antisymmetric coboundary by the tensor complex: the full
     coboundary of each included antisymmetric basis cochain (all n!
     arrangements of its tuple) read back at the increasing (n+1)-tuples,
-    in head-major coordinates.  The reference for
-    `cochains.lie_delta_matrix`, for a Lie table."""
+    in head-major coordinates, every weight included."""
     out_pos = {c: i for i, c in enumerate(wedge_basis(scheme.dim, n + 1))}
     nout = len(out_pos)
     cols = []
@@ -342,6 +399,19 @@ def tensor_lie_delta_matrix(scheme, n) -> Matrix:
         cols.append(col)
     nrows = nout * (scheme.dim if scheme.adjoint else 1)
     return Matrix.from_columns(nrows, cols)
+
+
+def tensor_lie_weight_block(scheme, n) -> Matrix:
+    """`tensor_lie_delta_matrix` restricted to the weight-0 columns
+    `zero_wedge_positions(scheme, n)` and rows `zero_wedge_positions(
+    scheme, n + 1)`, in their positions: the reference for
+    `cochains.lie_delta_matrix`, for a Lie table.  An entry of a weight-0
+    column outside those rows raises KeyError."""
+    whole = tensor_lie_delta_matrix(scheme, n).columns()
+    rows = {r: i for i, r in enumerate(zero_wedge_positions(scheme, n + 1))}
+    return Matrix.from_columns(len(rows), [
+        {rows[r]: v for r, v in whole[c].items()}
+        for c in zero_wedge_positions(scheme, n)])
 
 
 def symmetric_cocycle_space(scheme):

@@ -575,12 +575,13 @@ def test_degree_guard_and_force():
 
 
 def test_degree_guard_names_the_matrix_its_route_builds():
-    # Counted, not built: the antisymmetric d*C(d,4) x d*C(d,3), and
-    # the weight-0 block of a toral input, for a Leibniz cohomology
+    # Counted, not built: the weight-0 block of a toral input, of the
+    # antisymmetric complex (not its whole d*C(d,4) x d*C(d,3), 29120 x
+    # 8960) for --lie, and of the full complex for a Leibniz cohomology
     # request and for massey's obstruction context alike.
     gl4 = catalog_doc("gl", 4)
     for argv, shape in ((["cohomology", "--deg", "3", "--lie"],
-                         "29120 x 8960"),
+                         "1032 x 396"),
                         (["cohomology", "--deg", "3"], "31504 x 2716"),
                         (["massey", "--generators", "1"],
                          "31504 x 2716")):

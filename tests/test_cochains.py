@@ -5,6 +5,7 @@ cohomology and for the obstruction context."""
 import random
 import sys
 from itertools import product
+from math import comb
 from types import SimpleNamespace
 
 import pytest
@@ -22,21 +23,24 @@ from leibcoh.cochains import (
     lie_delta_matrix,
     sym2_inclusion,
     wedge_basis,
-    wedge_inclusion,
 )
 from leibcoh.cochains import cocycle_basis
 from leibcoh.deformations import (ObstructionContext, classify3,
                                   massey_products)
 from leibcoh.families import family_catalog, family_names, specialize
+from leibcoh.koszul import decompose_degree2, uncoupling_report
 from leibcoh.linalg import (Echelon, Matrix, Solver, Subspace,
                             certified_kernel, image, kernel, quotient_reps,
                             vec_add_at, vec_add_scaled, vec_combine)
 from leibcoh.scalars import ONE, Scalar
 from tests.conftest import (I, embed_wedge, evaluate_cochain,
-                            leibniz_cohomology, oracle_delta_matrix,
-                            oracle_weight_block, scatter_block, shear,
-                            split_degree2, symmetric_cocycle_space,
-                            tensor_lie_cohomology, tensor_lie_delta_matrix)
+                            leibniz_cohomology, lift_zero_wedge,
+                            oracle_delta_matrix, oracle_weight_block,
+                            scatter_block, shear, split_degree2,
+                            symmetric_cocycle_space, tensor_lie_cohomology,
+                            tensor_lie_delta_matrix, tensor_lie_weight_block,
+                            wedge_inclusion, weight_zero_part,
+                            zero_wedge_positions)
 from tests.test_algebras import CATALOG_CASES
 from tests.test_koszul import sheared
 
@@ -309,14 +313,6 @@ def test_wedge_inclusion_example():
     assert incl[0] == {1: ONE, 3: -ONE}
 
 
-def test_wedge_inclusion_is_cached_per_degree():
-    scheme = CochainScheme(catalog("g54"), "adjoint")
-    assert wedge_inclusion(scheme, 2) is wedge_inclusion(scheme, 2)
-    assert wedge_inclusion(scheme, 1) is not wedge_inclusion(scheme, 2)
-    other = CochainScheme(catalog("g54"), "trivial")
-    assert wedge_inclusion(other, 2) is not wedge_inclusion(scheme, 2)
-
-
 def test_coboundary_preserves_antisymmetry_on_lie(diamond_adj, g54_triv):
     for scheme, n in [(diamond_adj, 1), (diamond_adj, 2), (g54_triv, 2)]:
         incl = wedge_inclusion(scheme, n + 1)
@@ -352,14 +348,40 @@ LIE_ORACLE_CASES = [
                          ids=[label for label, _ in LIE_ORACLE_CASES])
 def test_lie_delta_matrix_equals_the_tensor_route(spec, coefficients):
     # The Chevalley-Eilenberg columns against the tensor coboundary of
-    # every arrangement read back at the increasing tuples, with each
-    # row's entries in the same order.
+    # every arrangement read back at the increasing tuples, restricted to
+    # weight 0, with each row's entries in the same order.
     scheme = CochainScheme(spec, coefficients)
     for n in range(4):
         mat = lie_delta_matrix(scheme, n)
-        oracle = tensor_lie_delta_matrix(scheme, n)
+        oracle = tensor_lie_weight_block(scheme, n)
         assert mat == oracle, n
         assert [list(r) for r in mat.rows] == [list(r) for r in oracle.rows]
+        # The weight-0 tuples at their positions among all of them.
+        pos = {t: i for i, t in enumerate(wedge_basis(spec.dim, n))}
+        assert [(k or 0) * len(pos) + pos[t]
+                for k, ts in scheme.zero_wedges(n) for t in ts] \
+            == zero_wedge_positions(scheme, n), n
+
+
+def assert_lie_route_matches_the_whole_complex(scheme, n, where):
+    """lie_cohomology against the antisymmetric complex eliminated in
+    every weight (`tensor_lie_cohomology`): the same z, b and h, the
+    nonzero weights counted in `acyclic_dim`, Z and B the whole RREF
+    rows that lie in weight 0, and the same representatives."""
+    lie = lie_cohomology(scheme, n)
+    whole = tensor_lie_cohomology(scheme, n)
+    assert (lie.z_dim, lie.b_dim, lie.h_dim) \
+        == (whole.cocycles.dim, whole.coboundaries.dim, whole.h_dim), where
+    assert lie.acyclic_dim == whole.cocycles.dim - lie.cocycles.dim, where
+    zero = set(zero_wedge_positions(scheme, n))
+    for got, want in ((lie.cocycles, kernel(tensor_lie_delta_matrix(
+                           scheme, n))),
+                      (lie.coboundaries, image(tensor_lie_delta_matrix(
+                          scheme, n - 1)))):
+        assert lift_zero_wedge(scheme, n, got.basis()) \
+            == [r for r in want.basis() if zero.issuperset(r)], where
+    assert lie.reps == whole.reps, where
+    return lie
 
 
 def test_lie_cohomology_matches_the_full_complex_route():
@@ -383,24 +405,26 @@ def test_lie_cohomology_matches_the_full_complex_route():
             b = Subspace(ambient, [
                 scheme.delta_apply(n - 1, vec)
                 for vec in wedge_inclusion(scheme, n - 1)])
-            lie = lie_cohomology(scheme, n)
             where = (label, coeffs, n)
-            # Z and B stay in increasing-tuple coordinates, as the
-            # antisymmetric complex's own echelons give them.
+            lie = assert_lie_route_matches_the_whole_complex(scheme, n, where)
+            # Z and B stay in weight-0 increasing-tuple coordinates, as
+            # the antisymmetric complex's own weight-0 echelons give them.
             assert lie.cocycles == kernel(lie_delta_matrix(scheme, n)), where
             assert lie.coboundaries \
                 == image(lie_delta_matrix(scheme, n - 1)), where
-            assert embed_wedge(scheme, n, lie.cocycles) == z, where
-            assert embed_wedge(scheme, n, lie.coboundaries) == b, where
-            assert (lie.z_dim, lie.b_dim, lie.acyclic_dim) \
-                == (z.dim, b.dim, 0), where
+            z0, b0 = weight_zero_part(scheme, n, z), weight_zero_part(
+                scheme, n, b)
+            assert embed_wedge(scheme, n, lie.cocycles) == z0, where
+            assert embed_wedge(scheme, n, lie.coboundaries) == b0, where
+            assert (lie.z_dim, lie.b_dim) == (z.dim, b.dim), where
+            assert lie.acyclic_dim == z.dim - z0.dim == b.dim - b0.dim, where
             assert lie.reps == quotient_reps(z, b), where
             # Embedding keeps the antisymmetric complex's RREF rows as
             # they stand.
-            assert [vec_combine(incl, w) for w in lie.cocycles.basis()] \
-                == z.basis(), where
-            assert [vec_combine(incl, w) for w in lie.coboundaries.basis()] \
-                == b.basis(), where
+            for space, part in ((lie.cocycles, z0), (lie.coboundaries, b0)):
+                assert [vec_combine(incl, w)
+                        for w in lift_zero_wedge(scheme, n, space.basis())] \
+                    == part.basis(), where
 
 
 @pytest.mark.parametrize("spec,coeffs,n",
@@ -1049,3 +1073,70 @@ def test_a_perturbed_weight_is_refused_in_every_weight(monkeypatch):
         with pytest.raises(ValueError,
                            match="the coboundary leaves its weight"):
             scheme.weight_block(n, weight)
+
+
+@pytest.mark.parametrize("coeffs", ["adjoint", "trivial"])
+def test_a_perturbed_weight_is_refused_by_the_antisymmetric_block(
+        monkeypatch, coeffs):
+    # As in WRONG_WEIGHTS[0]: a Chevalley-Eilenberg term that leaves
+    # weight 0 is refused, not dropped, and so is a candidate 3-form of
+    # the uncoupling count with no weight-0 row.
+    right = cochains._toral_weights
+    monkeypatch.setattr(cochains, "_toral_weights",
+                        lambda s: WRONG_WEIGHTS[0](right(s)))
+    spec = catalog("gl", 2)
+    degrees = (1, 2, 3) if coeffs == "adjoint" else (1, 2)
+    for n in degrees:
+        with pytest.raises(ValueError,
+                           match="the coboundary leaves weight 0"):
+            lie_delta_matrix(CochainScheme(spec, coeffs), n)
+    with pytest.raises(KeyError):
+        uncoupling_report(spec)
+
+
+def test_the_antisymmetric_routes_build_only_weight_zero_blocks(
+        monkeypatch):
+    # gl 3's whole antisymmetric coboundaries have d C(d, m) rows for
+    # adjoint coefficients; its weight-0 blocks have 3, 15, 42, 84, 120.
+    spec = catalog("gl", 3)
+    d = spec.dim
+    whole = {d * comb(d, m) for m in range(1, 5)}
+    shapes = []
+    build = Matrix.from_columns
+
+    def recorded(nrows, columns):
+        shapes.append(nrows)
+        return build(nrows, columns)
+
+    monkeypatch.setattr(Matrix, "from_columns", recorded)
+    for request in (lambda: lie_cohomology(CochainScheme(spec), 3),
+                    lambda: decompose_degree2(spec),
+                    lambda: uncoupling_report(spec)):
+        shapes.clear()
+        request()
+        assert shapes and not whole.intersection(shapes), shapes
+
+
+GAUSSIAN_LIE_CASES = [("sheared diamond_e", sheared("diamond_e")),
+                      ("sheared g54", sheared("g54")),
+                      ("gl 2, h times i", rescaled(catalog("gl", 2), 2, I))]
+
+
+@pytest.mark.parametrize("coeffs", ["adjoint", "trivial"])
+@pytest.mark.parametrize("label,spec", GAUSSIAN_LIE_CASES,
+                         ids=[label for label, _ in GAUSSIAN_LIE_CASES])
+def test_lie_cohomology_equals_the_whole_complex_over_q_i(label, spec,
+                                                          coeffs):
+    # The shears are graded by the empty torus, so nothing is acyclic;
+    # gl 2 with its basis element h scaled by i has the non-real
+    # weights +-2i, and its nonzero weights are counted.
+    scheme = CochainScheme(spec, coeffs)
+    torus_free = label.startswith("sheared")
+    assert torus_free == (scheme.weights[0] == ())
+    for n in (1, 2, 3):
+        lie = assert_lie_route_matches_the_whole_complex(
+            scheme, n, (label, coeffs, n))
+        if torus_free:
+            assert lie.acyclic_dim == 0
+        elif n > 1:
+            assert lie.acyclic_dim > 0

@@ -16,7 +16,6 @@ from leibcoh.cochains import (
     sym2_basis,
     sym2_inclusion,
     wedge_basis,
-    wedge_inclusion,
 )
 from leibcoh.koszul import (
     decompose_degree2,
@@ -30,7 +29,8 @@ from leibcoh.formats import algebra_to_document, dumps_canonical
 from leibcoh.linalg import Matrix, Solver, Subspace, vec_combine
 from leibcoh.scalars import ONE, Scalar
 from tests.conftest import (I, degree2_reps, leibniz_cohomology, shear,
-                            split_degree2, symmetric_cocycle_space)
+                            split_degree2, symmetric_cocycle_space,
+                            wedge_inclusion)
 from tests.test_algebras import CATALOG_CASES
 
 LIE_CASES = [

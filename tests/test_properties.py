@@ -37,7 +37,6 @@ from leibcoh.cochains import (  # noqa: E402
     cocycle_basis,
     graded_cohomology,
     lie_cohomology,
-    wedge_inclusion,
 )
 from leibcoh.linalg import (  # noqa: E402
     PRIME,
@@ -61,9 +60,11 @@ from tests.conftest import (  # noqa: E402
     fraction_format_scalar,
     fraction_mod_prime,
     leibniz_cohomology,
+    lift_zero_wedge,
     rowwise_solver,
     semireduced_rank_mod_prime_reaches,
     shear,
+    wedge_inclusion,
 )
 from tests.test_algebras import CATALOG_CASES  # noqa: E402
 from tests.test_cochains import SMALL_TORI  # noqa: E402
@@ -616,7 +617,8 @@ def assert_spaces_nest(spec, coefficients):
             chosen = [r for r in z.basis() if min(r) in rest]
             if build is lie_cohomology:
                 incl = wedge_inclusion(scheme, n)
-                chosen = [vec_combine(incl, r) for r in chosen]
+                chosen = [vec_combine(incl, r)
+                          for r in lift_zero_wedge(scheme, n, chosen)]
             assert space.reps == chosen
 
 
