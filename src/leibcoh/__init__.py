@@ -19,7 +19,6 @@ from .cochains import (
     CohomologySpace,
     cocycle_basis,
     graded_cohomology,
-    lie_cohomology,
 )
 from .deformations import (
     Deformation,
@@ -80,7 +79,6 @@ __all__ = [
     "CohomologySpace",
     "cocycle_basis",
     "graded_cohomology",
-    "lie_cohomology",
     "Deformation",
     "MasseyReport",
     "ObstructionClass",

@@ -52,11 +52,12 @@ class AlgebraSpec:
     `table[i][j]` is the sparse vector of [e_i, e_j]; indices are
     0-based internally, while basis names carry the 1-based labels used
     in input files and reports.  The table is fixed at construction,
-    which lets the identity checks keep their verdicts on the spec.
+    which lets the identity checks and `validate` keep their verdicts
+    on the spec.
     """
 
     __slots__ = ("dim", "name", "kind", "basis_names", "table", "_leibniz",
-                 "_antisymmetric")
+                 "_antisymmetric", "_report")
 
     def __init__(self, dim, brackets, kind="lie", name="", basis_names=None):
         self.basis_names = checked_basis_names(dim, kind, basis_names)
@@ -78,6 +79,7 @@ class AlgebraSpec:
         self.table = table
         self._leibniz = None
         self._antisymmetric = None
+        self._report = None
 
     def bracket(self, i: int, j: int) -> dict:
         """[e_i, e_j] as a sparse vector (do not mutate)."""
@@ -211,8 +213,11 @@ def validate(spec: AlgebraSpec) -> StructureReport:
     """Check antisymmetry, Jacobi, and the right Leibniz identity, and
     compute the center and derived subalgebra.
 
-    Failed identities are reported in the result, not raised.
+    Failed identities are reported in the result, not raised.  Computed
+    once per spec, like `is_right_leibniz`; callers only read it.
     """
+    if spec._report is not None:
+        return spec._report
     d = spec.dim
     # Center: x with [x, e_j] = [e_j, x] = 0 for all j.  Columns of the
     # constraint matrix are indexed by basis vectors, rows by the pair
@@ -236,7 +241,7 @@ def validate(spec: AlgebraSpec) -> StructureReport:
     # triple by triple, so the stored verdict answers for Jacobi too.
     antisymmetric = is_antisymmetric(spec)
     leibniz = is_right_leibniz(spec)
-    return StructureReport(
+    spec._report = StructureReport(
         is_antisymmetric=antisymmetric,
         is_jacobi=leibniz if antisymmetric else _jacobi_holds(spec.table),
         is_leibniz=leibniz,
@@ -245,6 +250,7 @@ def validate(spec: AlgebraSpec) -> StructureReport:
         p=d - derived.dim,
         c=center.dim,
     )
+    return spec._report
 
 
 def change_basis(spec: AlgebraSpec, t: Matrix, name="", basis_names=None) -> AlgebraSpec:

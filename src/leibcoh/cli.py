@@ -17,8 +17,7 @@ import sys
 
 from . import __version__
 from .algebras import AlgebraSpec, catalog, catalog_names, validate
-from .cochains import (CochainScheme, cocycle_basis, graded_cohomology,
-                       lie_cohomology)
+from .cochains import CochainScheme, cocycle_basis, graded_cohomology
 from .deformations import family_deformation, massey_products, verify_versal
 from .families import ParamAlgebra, jacobi_defect, leibniz_defect_sym
 from .formats import (
@@ -215,26 +214,17 @@ def _require_lie(report, what: str):
                          f"is {report.kind_verdict}")
 
 
-def _delta3_shape(scheme: CochainScheme, route: str):
-    """Rows and columns of the degree-3 coboundary a route builds, its
-    weight-0 block: "lie" that of the antisymmetric complex, which
-    `lie_cohomology` builds, "graded" that of the full one, which
-    `graded_cohomology` builds (the whole matrix for an algebra with no
-    toral element).  Counted, with no matrix built."""
-    if route == "lie":
-        return [sum(len(ts) for _, ts in scheme.zero_wedges(r))
-                for r in (4, 3)]
-    return scheme.zero_dim(4), scheme.zero_dim(3)
-
-
-def _guard_degree3(scheme: CochainScheme, force: bool, route: str):
+def _guard_degree3(scheme: CochainScheme, force: bool, lie: bool):
+    """Refuse a large degree-3 request unless forced, naming the shape
+    of the weight-0 coboundary block `graded_cohomology` would build for
+    the complex (the whole matrix for an algebra with no toral element),
+    counted with no matrix built."""
     dim = scheme.dim
     if dim > DEGREE_GUARD_DIM and not force:
-        rows, cols = _delta3_shape(scheme, route)
         raise UsageError(
             f"degree-3 adjoint cochains in dim {dim} need a "
-            f"{rows} x {cols} coboundary matrix; rerun with --force "
-            f"to compute it anyway")
+            f"{scheme.zero_dim(4, lie)} x {scheme.zero_dim(3, lie)} "
+            f"coboundary matrix; rerun with --force to compute it anyway")
 
 
 def _mono_display(params, monomial) -> str:
@@ -273,11 +263,10 @@ def _run_cohomology(args):
     scheme = CochainScheme(spec, args.coeff)
     lie = args.theory == "lie"
     if args.deg == 3 and args.coeff == "adjoint":
-        _guard_degree3(scheme, args.force, "lie" if lie else "graded")
+        _guard_degree3(scheme, args.force, lie)
     if lie:
         _require_lie(report, "the antisymmetric subcomplex")
-    build = lie_cohomology if lie else graded_cohomology
-    space = build(scheme, args.deg)
+    space = graded_cohomology(scheme, args.deg, lie)
     zkey, bkey, hkey = (("zl", "bl", "hl") if args.theory == "leibniz"
                         else ("z", "b", "h"))
     section = {
@@ -297,8 +286,8 @@ def _run_koszul(args):
     spec = _concrete(_parse_input(args.file))
     report = _checked(spec)
     _require_lie(report, "the cubic map on invariant forms")
-    data = koszul_data(spec, report)
-    unc = uncoupling_report(spec, report, data)
+    data = koszul_data(spec)
+    unc = uncoupling_report(spec, data)
     section = {
         "invariant_forms_dim": data.forms.dim,
         "p": data.p,
@@ -318,7 +307,7 @@ def _run_decompose(args):
     spec = _concrete(_parse_input(args.file))
     report = _checked(spec)
     _require_lie(report, "the degree-2 decomposition")
-    dec = decompose_degree2(spec, args.coeff, report)
+    dec = decompose_degree2(spec, args.coeff)
     scheme = dec.scheme
     section = {
         "coefficients": args.coeff,
@@ -352,7 +341,7 @@ def _run_massey(args):
     spec = _concrete(_parse_input(args.file))
     report = _checked(spec)
     scheme = CochainScheme(spec, "adjoint")
-    _guard_degree3(scheme, args.force, "graded")
+    _guard_degree3(scheme, args.force, lie=False)
     if args.order < 2:
         raise UsageError("--order must be at least 2")
     indices = _parse_generators(args.generators)

@@ -43,9 +43,9 @@ weight lambda_k - sum lambda_(t_m) (for trivial coefficients,
 An algebra with no such h is graded by the empty torus: every weight
 is the empty tuple, so weight 0 is the whole complex.  The scheme
 counts the cochains of each weight and lists those of any one weight;
-`graded_cohomology` and `lie_cohomology` eliminate only at weight 0,
-because every nonzero-weight part of either complex is acyclic from
-degree 1 on, and `ClassCoordinates` reads classes off that weight-0
+`graded_cohomology` eliminates either complex only at weight 0,
+because every nonzero-weight part of either is acyclic from degree 1
+on, and `ClassCoordinates` reads classes off that weight-0
 elimination.
 
 The scheme owns everything cached for its complex, and nothing it
@@ -58,6 +58,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate, combinations, permutations
 from math import comb
 from operator import add, sub
@@ -74,7 +75,6 @@ __all__ = [
     "cocycle_basis",
     "embed_zero_wedge",
     "graded_cohomology",
-    "lie_cohomology",
     "lie_delta_matrix",
     "wedge_basis",
     "sym2_basis",
@@ -86,7 +86,7 @@ class CochainScheme:
     """An algebra together with a coefficient choice, adjoint or trivial.
 
     Holds the flat-index conventions and the torus weights, and caches
-    the coboundary stencils, the weight counts, the full complex's
+    the coboundary stencils, the weight counts, both complexes'
     cohomology per degree (`graded_cohomology`), and the weight-0
     increasing tuples and coboundary matrices of the antisymmetric
     complex.
@@ -138,9 +138,9 @@ class CochainScheme:
         self._stencils = {}
         self._sums = [Counter([self._zero]), Counter(self.weights)]
         self._tails = {}
-        self._cohomology = {}  # degree -> CohomologySpace
+        self._cohomology = {}  # (degree, lie) -> CohomologySpace
         self._lie_mats = {}
-        self._wedges = {}  # degree -> increasing tuples by weight sum
+        self._wedges = {}  # degree -> {(k, I): position}
 
     def cochain_dim(self, n: int) -> int:
         base = self.dim ** n
@@ -427,24 +427,29 @@ class CochainScheme:
             out = tuple(map(sub, out, self.weights[a]))
         return out
 
-    def zero_wedges(self, n: int) -> list:
+    def zero_wedges(self, n: int) -> dict:
         """The antisymmetric basis cochains (k, I) of degree n and weight
-        0, as (k, its tuples I in `wedge_basis` order) for each head k in
-        turn, read off the increasing n-tuples bucketed by weight sum,
-        which are cached per degree."""
-        buckets = self._wedges.get(n)
-        if buckets is None:
-            buckets = self._wedges[n] = {}
+        0, each mapped to its position: head by head, and within a head
+        in `wedge_basis` order, read off the increasing n-tuples bucketed
+        by weight sum.  Cached per degree; callers only read it."""
+        wedges = self._wedges.get(n)
+        if wedges is None:
+            buckets = {}
             for t in combinations(range(self.dim), n):
                 key = self._zero
                 for a in t:
                     key = tuple(map(add, key, self.weights[a]))
                 buckets.setdefault(key, []).append(t)
-        return [(k, buckets.get(key, ()))
-                for k, key in zip(_heads(self), self._targets())]
+            basis = ((k, t) for k, key in zip(_heads(self), self._targets())
+                     for t in buckets.get(key, ()))
+            wedges = self._wedges[n] = {kt: i for i, kt in enumerate(basis)}
+        return wedges
 
-    def zero_dim(self, n: int) -> int:
-        """dim C^n_0, counted without listing an index."""
+    def zero_dim(self, n: int, lie: bool = False) -> int:
+        """dim C^n_0 of the full complex, counted without listing an
+        index, or of the antisymmetric one when `lie` is true."""
+        if lie:
+            return len(self.zero_wedges(n))
         sums = self._sum_counts(n)
         if not self.adjoint:
             return sums[self._zero]
@@ -466,10 +471,8 @@ class CochainScheme:
         """
         dim = 0
         for k in range(1, n):
-            size = (len(_heads(self)) * comb(self.dim, k)
-                    - sum(len(ts) for _, ts in self.zero_wedges(k)) if lie
-                    else self.cochain_dim(k) - self.zero_dim(k))
-            dim = size - dim
+            whole = comb(self.dim, k) if lie else self.dim ** k
+            dim = len(_heads(self)) * whole - self.zero_dim(k, lie) - dim
         columns = []
         if self.adjoint:
             columns = [self._delta_column(0, k)
@@ -571,11 +574,10 @@ def lie_delta_matrix(scheme: CochainScheme, n: int) -> Matrix:
     table = scheme.spec.table
     pairs = [[(a, b, c) for a, b, c in hits if a < b]
              for hits in scheme._by_target]
-    rows = {ku: i for i, ku in enumerate(
-        (m, u) for m, us in scheme.zero_wedges(n + 1) for u in us)}
+    rows = scheme.zero_wedges(n + 1)
     shared = {}
     cols = []
-    for k, t in ((k, t) for k, ts in scheme.zero_wedges(n) for t in ts):
+    for k, t in scheme.zero_wedges(n):
         if t not in shared:
             brackets = {}
             for q, m in enumerate(t):
@@ -615,7 +617,7 @@ def embed_zero_wedge(scheme: CochainScheme, n: int, vectors) -> list:
     over `scheme.zero_wedges(n)`, head by head, in tensor coordinates:
     the basis cochain (k, I) is I's arrangements signed by their
     inversions, and no two share one, so w_j is written as +-w_j on them."""
-    basis = [(k, t) for k, ts in scheme.zero_wedges(n) for t in ts]
+    basis = list(scheme.zero_wedges(n))
     perms = [(perm, sum(a > b for a, b in combinations(perm, 2)) & 1)
              for perm in permutations(range(n))]
     out = []
@@ -632,21 +634,21 @@ def embed_zero_wedge(scheme: CochainScheme, n: int, vectors) -> list:
 
 @dataclass
 class CohomologySpace:
-    """Cohomology of a complex in degree n, as both routes return it.
+    """Cohomology of a complex in degree n, as `graded_cohomology`
+    returns it for either complex.
 
     `cocycles` and `coboundaries` stay in the weight-0 coordinates they
-    were eliminated in: `scheme.zero_indices(degree)` for
-    `graded_cohomology`, `scheme.zero_wedges(degree)` for
-    `lie_cohomology`.  The coboundaries lie in the cocycles because both
-    come from a complex, checked where it is built.  `acyclic_dim` is
-    what the nonzero weights add to both z and b; it is 0 for an algebra
-    graded by the empty torus.  `reps` are `quotient_reps(cocycles,
-    coboundaries)` mapped into tensor coordinates by the builder, which
-    keeps an RREF and the order of its pivots (see the two builders), so
-    they are the representatives an elimination in tensor coordinates
-    gives.
-    `cocycle_basis` keeps the full complex's Z^n basis on a
-    `graded_cohomology` space once it is built.
+    were eliminated in: `scheme.zero_indices(degree)` for the full
+    complex, `scheme.zero_wedges(degree)` for the antisymmetric one.
+    The coboundaries lie in the cocycles because both come from a
+    complex, checked where it is built.  `acyclic_dim` is what the
+    nonzero weights add to both z and b; it is 0 for an algebra graded
+    by the empty torus.  `reps` are `quotient_reps(cocycles,
+    coboundaries)` mapped into tensor coordinates by a map that keeps an
+    RREF and the order of its pivots (see `graded_cohomology`), so they
+    are the representatives an elimination in tensor coordinates gives.
+    `cocycle_basis` keeps the full complex's Z^n basis on its space once
+    it is built.
     """
 
     degree: int
@@ -690,34 +692,52 @@ def _toral_weights(spec):
     return [tuple(lam[j] for lam in columns) for j in range(spec.dim)]
 
 
-def graded_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
-    """The dimensions and representatives of the full complex's
-    cohomology in degree n >= 1, with the coboundary built only on the
-    weight-0 cochains of `scheme` (all of them when the algebra has no
-    toral element).  Cached on the scheme; callers only read it.
-    delta o delta = 0 holds exactly when the table is right Leibniz (a
-    verdict kept on the spec), so any other table is refused before a
-    matrix is built; on a complex the coboundaries lie in the
-    kernel, and `certified_kernel` takes them as known.
+def graded_cohomology(scheme: CochainScheme, n: int,
+                      lie: bool = False) -> CohomologySpace:
+    """The dimensions and representatives of the cohomology in degree
+    n >= 1 of the full complex, or of the antisymmetric one when `lie`
+    is true, with the coboundary built only on the weight-0 cochains of
+    `scheme` (all of them when the algebra has no toral element): by
+    `weight_block`, or by `lie_delta_matrix`.  Cached per (n, lie) on
+    the scheme; callers only read it.  delta o delta = 0 holds exactly
+    when the table is right Leibniz (a verdict kept on the spec), and on
+    the antisymmetric cochains when it is Lie, so any other table is
+    refused before a matrix is built; on a complex the coboundaries lie
+    in the kernel, and `certified_kernel` takes them as known.
 
     Z and B are sums over disjoint coordinate blocks, one per weight,
     and agree in every nonzero weight, so the quotient representatives
-    of the whole complex all lie in weight 0.  An increasing index map
-    keeps an RREF, so mapped through `zero_indices(n)` they are those
-    the full complex's echelons give."""
-    space = scheme._cohomology.get(n)
+    of the whole complex all lie in weight 0, and `acyclic_dim` adds the
+    rest to z and b.  Only the representatives reach tensor
+    coordinates, and both maps keep an RREF as it stands, so they are
+    those the whole complex's echelons give:
+    - `zero_indices(n)` is an increasing index map;
+    - `embed_zero_wedge` writes each increasing tuple on its
+      arrangements, and within a head every arrangement of a later
+      increasing tuple has a larger flat index than an earlier tuple,
+      so an embedded row's pivot is the flat index of its pivot tuple,
+      and the row is zero at the other pivots.
+    """
+    space = scheme._cohomology.get((n, lie))
     if space is None:
         if n < 1:
             raise ValueError("degree must be at least 1")
-        if not is_right_leibniz(scheme.spec):
+        if lie:
+            block = partial(lie_delta_matrix, scheme)
+        elif is_right_leibniz(scheme.spec):
+            block = scheme.weight_block
+        else:
             raise ValueError("not a complex: not right Leibniz")
-        coboundaries = image(scheme.weight_block(n - 1))
-        cocycles = certified_kernel(scheme.weight_block(n), coboundaries)
-        indices = scheme.zero_indices(n)
-        reps = [{indices[c]: v for c, v in r.items()}
-                for r in quotient_reps(cocycles, coboundaries)]
-        space = scheme._cohomology[n] = CohomologySpace(
-            n, cocycles, coboundaries, scheme.acyclic_dim(n), reps)
+        coboundaries = image(block(n - 1))
+        cocycles = certified_kernel(block(n), coboundaries)
+        reps = quotient_reps(cocycles, coboundaries)
+        if lie:
+            reps = embed_zero_wedge(scheme, n, reps)
+        else:
+            indices = scheme.zero_indices(n)
+            reps = [{indices[c]: v for c, v in r.items()} for r in reps]
+        space = scheme._cohomology[n, lie] = CohomologySpace(
+            n, cocycles, coboundaries, scheme.acyclic_dim(n, lie), reps)
     return space
 
 
@@ -744,27 +764,6 @@ def cocycle_basis(scheme: CochainScheme, n: int) -> list:
                  if idx not in zero]
         space._cocycle_basis = Subspace(scheme.cochain_dim(n), rows).basis()
     return space._cocycle_basis
-
-
-def lie_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
-    """Cohomology of the antisymmetric subcomplex in degree n >= 1, by
-    `graded_cohomology`'s policy on the weight-0 blocks of
-    `lie_delta_matrix`: B the image of delta(n-1), Z the
-    `certified_kernel` of delta(n) with B known, and `acyclic_dim` added
-    to both.  Only the representatives, all of weight 0, are embedded,
-    and embedding keeps an RREF as it stands: within a head, every
-    arrangement of a later increasing tuple has a larger flat index than
-    an earlier increasing tuple, so an embedded row's pivot is the flat
-    index of its pivot tuple, and the row is zero at the other pivots.
-    So they are those the embedded echelons of the whole Z and B give.
-    """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    coboundaries = image(lie_delta_matrix(scheme, n - 1))
-    cocycles = certified_kernel(lie_delta_matrix(scheme, n), coboundaries)
-    reps = embed_zero_wedge(scheme, n, quotient_reps(cocycles, coboundaries))
-    return CohomologySpace(n, cocycles, coboundaries,
-                           scheme.acyclic_dim(n, lie=True), reps)
 
 
 class ClassCoordinates:

@@ -17,7 +17,7 @@ from .algebras import AlgebraSpec, is_lie, validate
 from .cochains import (
     CochainScheme,
     embed_zero_wedge,
-    lie_cohomology,
+    graded_cohomology,
     lie_delta_matrix,
     sym2_basis,
     sym2_inclusion,
@@ -93,8 +93,8 @@ class KoszulData:
         return self.image.dim == 0
 
 
-def koszul_data(spec: AlgebraSpec, report=None) -> KoszulData:
-    report = report if report is not None else validate(spec)
+def koszul_data(spec: AlgebraSpec) -> KoszulData:
+    report = validate(spec)
     forms = invariant_forms(spec)
     kmat = koszul_matrix(spec)
     basis = forms.basis()
@@ -161,13 +161,6 @@ class Degree2Decomposition:
         return len(self.coupled_reps)
 
 
-def _lie_report(spec: AlgebraSpec, report):
-    """Refuse any table but a Lie one, by the verdict kept on the spec."""
-    if not is_lie(spec):
-        raise ValueError("the degree-2 decomposition requires a Lie algebra")
-    return report if report is not None else validate(spec)
-
-
 def _exact_combinations(scheme: CochainScheme, kos: KoszulData, heads):
     """Combinations of kernel-complement forms, one per head, whose image
     3-form is exact on the antisymmetric complex.
@@ -186,8 +179,7 @@ def _exact_combinations(scheme: CochainScheme, kos: KoszulData, heads):
     if not heads or not images3:
         return w_reps, [], Subspace(0)
     combs3 = wedge_basis(scheme.dim, 3)
-    rows = {ku: i for i, ku in enumerate(
-        (k, u) for k, us in scheme.zero_wedges(3) for u in us)}
+    rows = scheme.zero_wedges(3)
     g_cols = [_tensor_head(z, iw, lambda k, p: rows[k, combs3[p]])
               for z in heads for iw in images3]
     b3 = image(lie_delta_matrix(scheme, 2))
@@ -196,17 +188,19 @@ def _exact_combinations(scheme: CochainScheme, kos: KoszulData, heads):
                                                       residues))
 
 
-def decompose_degree2(spec: AlgebraSpec, coefficients="adjoint",
-                      report=None) -> Degree2Decomposition:
+def decompose_degree2(spec: AlgebraSpec,
+                      coefficients="adjoint") -> Degree2Decomposition:
     """Split degree-2 Leibniz cohomology of a Lie algebra into the
     antisymmetric, central-symmetric, and coupled blocks, built from the
-    antisymmetric complex and the cubic map alone."""
-    report = _lie_report(spec, report)
+    antisymmetric complex and the cubic map alone.  Any table but a Lie
+    one is refused, by the verdict kept on the spec."""
+    if not is_lie(spec):
+        raise ValueError("the degree-2 decomposition requires a Lie algebra")
     scheme = CochainScheme(spec, coefficients)
     adjoint = scheme.adjoint
     triv = CochainScheme(spec, "trivial") if adjoint else scheme
-    kos = koszul_data(spec, report)
-    lie = lie_cohomology(scheme, 2)
+    kos = koszul_data(spec)
+    lie = graded_cohomology(scheme, 2, lie=True)
 
     sym_incl = sym2_inclusion(triv)
     heads = kos.center.basis() if adjoint else [None]
@@ -265,19 +259,21 @@ class UncouplingReport:
         return self.trivial_coupled_dim == 0
 
 
-def uncoupling_report(spec: AlgebraSpec, report=None,
+def uncoupling_report(spec: AlgebraSpec,
                       kos: KoszulData | None = None) -> UncouplingReport:
     """Coupled-class counts for both coefficient choices, without building
-    the degree-2 complexes or any representative."""
-    report = _lie_report(spec, report)
-    kos = kos if kos is not None else koszul_data(spec, report)
+    the degree-2 complexes or any representative.  Refuses what
+    `decompose_degree2` refuses."""
+    if not is_lie(spec):
+        raise ValueError("the degree-2 decomposition requires a Lie algebra")
+    kos = kos if kos is not None else koszul_data(spec)
     counts = {}
     for coefficients in ("adjoint", "trivial"):
         scheme = CochainScheme(spec, coefficients)
         heads = kos.center.basis() if scheme.adjoint else [None]
         counts[coefficients] = _exact_combinations(scheme, kos, heads)[2].dim
     return UncouplingReport(
-        center_dim=report.c,
+        center_dim=validate(spec).c,
         adjoint_coupled_dim=counts["adjoint"],
         trivial_coupled_dim=counts["trivial"],
     )

@@ -567,8 +567,8 @@ def certified_kernel(m: Matrix, known: Subspace) -> Subspace:
     subspace `known` of it.
 
     Precondition: m v = 0 for every v in `known`; without it the result
-    can be wrong.  `graded_cohomology` and `lie_cohomology` pass the
-    coboundaries of a complex, checked before it is built.
+    can be wrong.  `graded_cohomology` passes the coboundaries of a
+    complex, checked before it is built.
 
     Both passes work modulo known.  Let P be the pivot columns of
     known's RREF and Q the other columns.  Each RREF row k of known is 1

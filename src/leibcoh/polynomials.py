@@ -22,10 +22,11 @@ def _monomial_key(exps):
     return (sum(exps), exps)
 
 
-def _power(base: Scalar, e: int) -> Scalar:
-    """base ** e by squaring: at most 2 log2(e) products."""
-    if e < 2:
-        return base if e else ONE
+def _power(base, e: int):
+    """base ** e for e >= 1, a Scalar or a Poly, by squaring: at most
+    2 log2(e) products."""
+    if e == 1:
+        return base
     half = _power(base, e >> 1)
     return half * half * base if e & 1 else half * half
 
@@ -112,10 +113,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponents must be non-negative integers")
-        if n < 2:
-            return self if n else Poly.constant(self.params, 1)
-        half = self ** (n >> 1)  # by squaring: at most 2 log2(n) products
-        return half * half * self if n & 1 else half * half
+        return _power(self, n) if n else Poly.constant(self.params, 1)
 
     def evaluate(self, assignment) -> Scalar:
         """Exact value at a point; every parameter must be assigned."""

@@ -232,8 +232,9 @@ def tensor_lie_cohomology(scheme: CochainScheme, n: int) -> CohomologySpace:
     """The antisymmetric complex's whole cohomology in degree n, in
     tensor coordinates: the kernel and image of `tensor_lie_delta_matrix`
     in every weight, embedded through `wedge_inclusion`, and the
-    representatives taken there.  The reference for `lie_cohomology`,
-    whose z and b dims count the nonzero weights in `acyclic_dim`."""
+    representatives taken there.  The reference for
+    `graded_cohomology(scheme, n, lie=True)`, whose z and b dims count
+    the nonzero weights in `acyclic_dim`."""
     incl = wedge_inclusion(scheme, n)
     cocycles, coboundaries = (
         Subspace(scheme.cochain_dim(n),

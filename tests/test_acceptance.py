@@ -14,7 +14,7 @@ import random
 from leibcoh.algebras import catalog, validate
 from leibcoh.cochains import (
     CochainScheme,
-    lie_cohomology,
+    graded_cohomology,
     sym2_basis,
     sym2_inclusion,
     wedge_basis,
@@ -297,7 +297,7 @@ def test_criterion_5_heisenberg_dimensions():
         spec = catalog("heisenberg", n)
         scheme = CochainScheme(spec, "adjoint")
         sym = symmetric_cocycle_space(scheme).dim
-        lie = lie_cohomology(scheme, 2)
+        lie = graded_cohomology(scheme, 2, lie=True)
         full = leibniz_cohomology(scheme, 2)
         clauses.append((f"H_{n}: dim ZL2_0 = dim B2 = {zl0}",
                         sym == lie.b_dim == zl0 == n * (2 * n + 1)))
@@ -315,12 +315,14 @@ def test_criterion_6_g54_dimensions_and_coupled_class():
     triv_full = leibniz_cohomology(triv.scheme, 2)
     adj_full = leibniz_cohomology(adj.scheme, 2)
     clauses = [
-        ("trivial: dim Z2 = 6", lie_cohomology(triv.scheme, 2).z_dim == 6),
+        ("trivial: dim Z2 = 6",
+         graded_cohomology(triv.scheme, 2, lie=True).z_dim == 6),
         ("trivial: dim H2 = 3", triv.h2_dim == 3),
         ("trivial: dim ZL2_0 = 3", triv.symmetric_dim == 3),
         ("trivial: dim ZL2 = 10", triv_full.z_dim == 10),
         ("trivial: dim HL2 = 7", triv.hl2_dim == 7),
-        ("adjoint: dim Z2 = 24", lie_cohomology(adj.scheme, 2).z_dim == 24),
+        ("adjoint: dim Z2 = 24",
+         graded_cohomology(adj.scheme, 2, lie=True).z_dim == 24),
         ("adjoint: dim ZL2_0 = 6", adj.symmetric_dim == 6),
         ("adjoint: dim ZL2 = 32", adj_full.z_dim == 32),
         ("adjoint: dim H2 = 9", adj.h2_dim == 9),
@@ -387,7 +389,7 @@ def test_criterion_8_structural_properties():
             ok = all(not scheme.delta_apply(2, col) for col in d1.columns())
             clauses.append((f"{label}/{coeffs}: delta o delta = 0", ok))
             full = leibniz_cohomology(scheme, 2)
-            lie = lie_cohomology(scheme, 2)
+            lie = graded_cohomology(scheme, 2, lie=True)
             # B2 and BL2 agree in every weight: the weight-0 parts are
             # compared, and the nonzero weights through the dimensions.
             clauses.append((f"{label}/{coeffs}: BL2 = B2",
@@ -395,7 +397,7 @@ def test_criterion_8_structural_properties():
                             and weight_zero_part(scheme, 2, full.coboundaries)
                             == embed_wedge(scheme, 2, lie.coboundaries)))
             hl2[coeffs] = full.h_dim
-        data = koszul_data(spec, report)
+        data = koszul_data(spec)
         triv = CochainScheme(spec, "trivial")
         incl2 = sym2_inclusion(triv)
         incl3 = wedge_inclusion(triv, 3)

@@ -130,6 +130,15 @@ def test_broken_jacobi_is_reported_not_raised():
     assert report.kind_verdict == "invalid"
 
 
+def test_validate_is_kept_on_the_spec():
+    # One report per spec, so no caller can pass another algebra's.
+    spec = catalog("g54")
+    report = validate(spec)
+    assert validate(spec) is report
+    assert validate(catalog("g54")) is not report
+    assert (report.c, report.p) == (2, 2)
+
+
 def test_lie_implies_leibniz_across_random_transports():
     rng = random.Random(1201)
     for name, params in CATALOG_CASES:

@@ -11,7 +11,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from leibcoh import cli
+from leibcoh import cli, cochains
 from leibcoh.families import family_catalog
 from leibcoh.formats import dumps_canonical, family_to_document
 from tests.test_formats import _versal_family
@@ -591,6 +591,23 @@ def test_degree_guard_names_the_matrix_its_route_builds():
         assert "--force" in blocked.stderr
     blocked = run_cli(["cohomology", "--deg", "3"], catalog_doc("abelian", 10))
     assert "need a 100000 x 10000 coboundary matrix" in blocked.stderr
+
+
+def test_degree_guard_refuses_before_any_block_is_built(monkeypatch, capsys):
+    # Both complexes' weight-0 blocks are counted, never built, on the
+    # way to a refusal.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a coboundary block was built")
+
+    monkeypatch.setattr(cochains.CochainScheme, "_block", forbidden)
+    monkeypatch.setattr(cochains, "lie_delta_matrix", forbidden)
+    gl4 = catalog_doc("gl", 4)
+    for argv, shape in ((["cohomology", "--deg", "3", "--lie"],
+                         "1032 x 396"),
+                        (["cohomology", "--deg", "3"], "31504 x 2716")):
+        monkeypatch.setattr("sys.stdin", io.StringIO(gl4))
+        assert cli.main(argv) == 1, argv
+        assert f"need a {shape} coboundary matrix" in capsys.readouterr().err
 
 
 def test_version_flag():

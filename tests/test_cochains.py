@@ -19,7 +19,6 @@ from leibcoh.cochains import (
     CochainScheme,
     CohomologySpace,
     graded_cohomology,
-    lie_cohomology,
     lie_delta_matrix,
     sym2_inclusion,
     wedge_basis,
@@ -356,19 +355,22 @@ def test_lie_delta_matrix_equals_the_tensor_route(spec, coefficients):
         oracle = tensor_lie_weight_block(scheme, n)
         assert mat == oracle, n
         assert [list(r) for r in mat.rows] == [list(r) for r in oracle.rows]
-        # The weight-0 tuples at their positions among all of them.
+        # The weight-0 tuples, numbered in order, at their positions
+        # among all of them.
+        wedges = scheme.zero_wedges(n)
+        assert list(wedges.values()) == list(range(len(wedges))), n
         pos = {t: i for i, t in enumerate(wedge_basis(spec.dim, n))}
-        assert [(k or 0) * len(pos) + pos[t]
-                for k, ts in scheme.zero_wedges(n) for t in ts] \
+        assert [(k or 0) * len(pos) + pos[t] for k, t in wedges] \
             == zero_wedge_positions(scheme, n), n
 
 
 def assert_lie_route_matches_the_whole_complex(scheme, n, where):
-    """lie_cohomology against the antisymmetric complex eliminated in
-    every weight (`tensor_lie_cohomology`): the same z, b and h, the
-    nonzero weights counted in `acyclic_dim`, Z and B the whole RREF
-    rows that lie in weight 0, and the same representatives."""
-    lie = lie_cohomology(scheme, n)
+    """`graded_cohomology(scheme, n, lie=True)` against the antisymmetric
+    complex eliminated in every weight (`tensor_lie_cohomology`): the
+    same z, b and h, the nonzero weights counted in `acyclic_dim`, Z and
+    B the whole RREF rows that lie in weight 0, and the same
+    representatives."""
+    lie = graded_cohomology(scheme, n, lie=True)
     whole = tensor_lie_cohomology(scheme, n)
     assert (lie.z_dim, lie.b_dim, lie.h_dim) \
         == (whole.cocycles.dim, whole.coboundaries.dim, whole.h_dim), where
@@ -447,7 +449,7 @@ def test_lie_cohomology_builds_no_echelon_as_wide_as_the_tensor_complex(
 
     with monkeypatch.context() as patch:
         patch.setattr(Echelon, "__init__", recording)
-        space = lie_cohomology(scheme, n)
+        space = graded_cohomology(scheme, n, lie=True)
     assert widths
     assert scheme.cochain_dim(n) not in widths
     assert space.reps == tensor_lie_cohomology(scheme, n).reps
@@ -455,7 +457,7 @@ def test_lie_cohomology_builds_no_echelon_as_wide_as_the_tensor_complex(
 
 
 def test_degree_one_complexes_coincide(diamond_adj):
-    lie = lie_cohomology(diamond_adj, 1)
+    lie = graded_cohomology(diamond_adj, 1, lie=True)
     lei = leibniz_cohomology(diamond_adj, 1)
     assert embed_wedge(diamond_adj, 1, lie.cocycles) == lei.cocycles
     assert embed_wedge(diamond_adj, 1, lie.coboundaries) == lei.coboundaries
@@ -465,13 +467,13 @@ def test_degree_one_complexes_coincide(diamond_adj):
 
 
 def test_degree_one_trivial_cohomology_counts_generators(g54_triv):
-    lie = lie_cohomology(g54_triv, 1)
+    lie = graded_cohomology(g54_triv, 1, lie=True)
     assert lie.b_dim == 0
     assert lie.h_dim == 2
 
 
 def test_g54_trivial_degree_two_dimensions(g54_triv):
-    lie = lie_cohomology(g54_triv, 2)
+    lie = graded_cohomology(g54_triv, 2, lie=True)
     assert lie.z_dim == 6
     assert lie.b_dim == 3
     assert lie.h_dim == 3
@@ -483,7 +485,7 @@ def test_g54_trivial_degree_two_dimensions(g54_triv):
 
 
 def test_diamond_adjoint_degree_two_dimensions(diamond_adj):
-    lie = lie_cohomology(diamond_adj, 2)
+    lie = graded_cohomology(diamond_adj, 2, lie=True)
     full = leibniz_cohomology(diamond_adj, 2)
     assert lie.h_dim == 2
     assert full.h_dim == 4
@@ -778,6 +780,40 @@ def test_the_empty_torus_route_equals_the_full_complex(label, spec, coeffs):
     assert CochainScheme(spec, coeffs).weights == [()] * spec.dim
     for n in (1, 2, 3):
         assert graded_route_agrees(spec, coeffs, n), (label, coeffs, n)
+
+
+# The benchmark ladder, heisenberg 3 torus-free, and a Q(i) shear.
+ZERO_DIM_CASES = [("diamond_e", catalog("diamond_e")), ("g54", catalog("g54")),
+                  ("heisenberg 2", catalog("heisenberg", 2)),
+                  ("heisenberg 3", catalog("heisenberg", 3)),
+                  ("gl 2", catalog("gl", 2)), ("gl 3", catalog("gl", 3)),
+                  ("sl2_plus_abelian 3", catalog("sl2_plus_abelian", 3)),
+                  ("sheared diamond_e", sheared("diamond_e"))]
+
+
+@pytest.mark.parametrize("coeffs", ["adjoint", "trivial"])
+@pytest.mark.parametrize("label,spec", ZERO_DIM_CASES,
+                         ids=[label for label, _ in ZERO_DIM_CASES])
+def test_zero_dim_counts_the_blocks_both_routes_build(label, spec, coeffs):
+    # The counts the degree-3 guard prints are the shapes of the
+    # weight-0 blocks `graded_cohomology` builds for degrees 1-3, of
+    # the full complex and of the antisymmetric one.
+    scheme = CochainScheme(spec, coeffs)
+    for lie, block in ((False, scheme.weight_block),
+                       (True, lambda n: lie_delta_matrix(scheme, n))):
+        for n in (1, 2, 3):
+            size = scheme.zero_dim(n, lie)
+            assert block(n - 1).nrows == size == block(n).ncols, (lie, n)
+
+
+def test_one_scheme_caches_both_complexes_of_a_degree_apart():
+    scheme = CochainScheme(catalog("diamond_e"))
+    lie = graded_cohomology(scheme, 2, lie=True)
+    full = graded_cohomology(scheme, 2)
+    assert (full.z_dim, full.b_dim, full.h_dim) == (15, 11, 4)
+    assert (lie.z_dim, lie.b_dim, lie.h_dim) == (13, 11, 2)
+    assert graded_cohomology(scheme, 2) is full
+    assert graded_cohomology(scheme, 2, lie=True) is lie
 
 
 WRONG_WEIGHTS = [
@@ -1109,7 +1145,8 @@ def test_the_antisymmetric_routes_build_only_weight_zero_blocks(
         return build(nrows, columns)
 
     monkeypatch.setattr(Matrix, "from_columns", recorded)
-    for request in (lambda: lie_cohomology(CochainScheme(spec), 3),
+    for request in (lambda: graded_cohomology(CochainScheme(spec), 3,
+                                              lie=True),
                     lambda: decompose_degree2(spec),
                     lambda: uncoupling_report(spec)):
         shapes.clear()

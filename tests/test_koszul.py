@@ -12,7 +12,6 @@ from leibcoh.algebras import AlgebraSpec, catalog, change_basis, validate
 from leibcoh.cochains import (
     CochainScheme,
     graded_cohomology,
-    lie_cohomology,
     sym2_basis,
     sym2_inclusion,
     wedge_basis,
@@ -96,7 +95,7 @@ def test_trivial_coboundary_of_forms_is_minus_cubic_map(name, params):
 def test_kernel_and_form_dimensions(name, params):
     spec = catalog(name, *params)
     report = validate(spec)
-    data = koszul_data(spec, report)
+    data = koszul_data(spec)
     assert data.kernel.dim == report.p * (report.p + 1) // 2
     assert data.forms.dim == data.kernel.dim + data.image.dim
 
@@ -116,13 +115,13 @@ def test_g54_decompositions():
     full = leibniz_cohomology(triv.scheme, 2)
     assert full.z_dim == 10
     assert full.h_dim == 7
-    assert lie_cohomology(triv.scheme, 2).z_dim == 6
+    assert graded_cohomology(triv.scheme, 2, lie=True).z_dim == 6
     adj = decompose_degree2(spec, "adjoint")
     assert (adj.h2_dim, adj.symmetric_dim, adj.coupled_dim) == (9, 6, 2)
     assert adj.hl2_dim == 17
     full = leibniz_cohomology(adj.scheme, 2)
     assert full.z_dim == 32
-    assert lie_cohomology(adj.scheme, 2).z_dim == 24
+    assert graded_cohomology(adj.scheme, 2, lie=True).z_dim == 24
     assert full.h_dim == 17
 
 
@@ -161,9 +160,8 @@ THEOREM_CASES = theorem_cases()
 def test_hl2_dim_equals_the_full_complex(spec):
     # hl2_dim is the theorem's sum of the three blocks; the full
     # Leibniz complex is the independent reference.
-    report = validate(spec)
     for coeffs in ("adjoint", "trivial"):
-        dec = decompose_degree2(spec, coeffs, report)
+        dec = decompose_degree2(spec, coeffs)
         full = leibniz_cohomology(CochainScheme(spec, coeffs), 2)
         assert dec.hl2_dim == full.h_dim, coeffs
 
@@ -288,9 +286,8 @@ def test_uncoupling_refuses_non_lie_without_candidate_columns():
     spec = AlgebraSpec(2, {(1, 1): {0: ONE}}, kind="leibniz")
     kos = koszul_data(spec)
     assert kos.forms.dim == kos.kernel.dim == 1
-    for report in (None, validate(spec), validate(catalog("abelian", 2))):
-        with pytest.raises(ValueError, match="requires a Lie algebra"):
-            uncoupling_report(spec, report, kos)
+    with pytest.raises(ValueError, match="requires a Lie algebra"):
+        uncoupling_report(spec, kos)
 
 
 @pytest.mark.parametrize("argv", [
@@ -335,14 +332,13 @@ def sheared(name):
 def test_uncoupling_counts_equal_decomposition_counts(spec):
     # The count path builds no representative, so the decomposition's
     # cocycle and solve checks vouch for it only through this equality.
-    report = validate(spec)
-    unc = uncoupling_report(spec, report)
-    assert unc.center_dim == report.c
+    unc = uncoupling_report(spec)
+    assert unc.center_dim == validate(spec).c
     assert unc.adjoint_coupled_dim == decompose_degree2(
-        spec, "adjoint", report).coupled_dim
+        spec, "adjoint").coupled_dim
     assert unc.trivial_coupled_dim == decompose_degree2(
-        spec, "trivial", report).coupled_dim
-    assert uncoupling_report(spec) == unc
+        spec, "trivial").coupled_dim
+    assert uncoupling_report(spec, koszul_data(spec)) == unc
 
 
 def test_uncoupling_rejects_non_lie():
@@ -376,7 +372,6 @@ def test_koszul_command_runs_only_the_count_path(monkeypatch, capsys):
         (decompose_degree2, forbidden),
         (graded_cohomology, forbidden),
         (leibniz_cohomology, forbidden),
-        (lie_cohomology, forbidden),
         (Solver, forbidden),
     ]:
         for module in modules:

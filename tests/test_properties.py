@@ -16,7 +16,7 @@ Runs are derandomized, so the suite stays deterministic.
 
 import ast
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 from pathlib import Path
 
@@ -36,7 +36,6 @@ from leibcoh.cochains import (  # noqa: E402
     CochainScheme,
     cocycle_basis,
     graded_cohomology,
-    lie_cohomology,
 )
 from leibcoh.linalg import (  # noqa: E402
     PRIME,
@@ -606,16 +605,16 @@ def assert_spaces_nest(spec, coefficients):
     scheme = CochainScheme(spec, coefficients)
     builds = [leibniz_cohomology]
     if spec.kind == "lie":
-        builds.append(lie_cohomology)
+        builds.append(partial(graded_cohomology, lie=True))
     for n in (1, 2, 3):
-        for build in builds:
+        for lie, build in enumerate(builds):
             space = build(scheme, n)
             z, b = space.cocycles, space.coboundaries
             assert z.contains_subspace(b)
             rest = set(z.pivots) - set(b.pivots)
             assert len(rest) == space.h_dim
             chosen = [r for r in z.basis() if min(r) in rest]
-            if build is lie_cohomology:
+            if lie:
                 incl = wedge_inclusion(scheme, n)
                 chosen = [vec_combine(incl, r)
                           for r in lift_zero_wedge(scheme, n, chosen)]
