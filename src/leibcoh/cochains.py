@@ -119,7 +119,7 @@ class CochainScheme:
 
     __slots__ = ("spec", "coefficients", "dim", "adjoint", "weights",
                  "_zero", "_by_target", "_stencils", "_sums", "_tails",
-                 "_cohomology", "_lie_mats", "_wedges")
+                 "_cohomology", "_lie_mats", "_wedges", "_wedge_counts")
 
     def __init__(self, spec, coefficients="adjoint"):
         if coefficients not in ("adjoint", "trivial"):
@@ -141,6 +141,7 @@ class CochainScheme:
         self._cohomology = {}  # (degree, lie) -> CohomologySpace
         self._lie_mats = {}
         self._wedges = {}  # degree -> {(k, I): position}
+        self._wedge_counts = {}  # degree -> Counter of weight sums
 
     def cochain_dim(self, n: int) -> int:
         base = self.dim ** n
@@ -427,6 +428,15 @@ class CochainScheme:
             out = tuple(map(sub, out, self.weights[a]))
         return out
 
+    def _increasing(self, n: int):
+        """Each increasing n-tuple of arguments, in order, with the sum
+        of its weights."""
+        for t in combinations(range(self.dim), n):
+            key = self._zero
+            for a in t:
+                key = tuple(map(add, key, self.weights[a]))
+            yield key, t
+
     def zero_wedges(self, n: int) -> dict:
         """The antisymmetric basis cochains (k, I) of degree n and weight
         0, each mapped to its position: head by head, and within a head
@@ -435,10 +445,7 @@ class CochainScheme:
         wedges = self._wedges.get(n)
         if wedges is None:
             buckets = {}
-            for t in combinations(range(self.dim), n):
-                key = self._zero
-                for a in t:
-                    key = tuple(map(add, key, self.weights[a]))
+            for key, t in self._increasing(n):
                 buckets.setdefault(key, []).append(t)
             basis = ((k, t) for k, key in zip(_heads(self), self._targets())
                      for t in buckets.get(key, ()))
@@ -446,11 +453,16 @@ class CochainScheme:
         return wedges
 
     def zero_dim(self, n: int, lie: bool = False) -> int:
-        """dim C^n_0 of the full complex, counted without listing an
-        index, or of the antisymmetric one when `lie` is true."""
-        if lie:
-            return len(self.zero_wedges(n))
-        sums = self._sum_counts(n)
+        """dim C^n_0 of the full complex, or of the antisymmetric one
+        when `lie` is true, counted from how many tuples have each
+        weight sum, without listing a cochain."""
+        if not lie:
+            sums = self._sum_counts(n)
+        else:
+            sums = self._wedge_counts.get(n)
+            if sums is None:
+                sums = self._wedge_counts[n] = Counter(
+                    key for key, _ in self._increasing(n))
         if not self.adjoint:
             return sums[self._zero]
         return sum(sums[w] for w in self.weights)
