@@ -39,7 +39,7 @@ A basis element h is toral when [e_j, h] = lambda_j e_j for every j:
 right multiplication by h, a derivation of a right Leibniz algebra, is
 diagonal in the basis.  The basis cochain e_k (x) dual(t) then has the
 weight lambda_k - sum lambda_(t_m) (for trivial coefficients,
--sum lambda_(t_m)), one entry per toral h, and the coboundary keeps it.
+-sum lambda_(t_m)), written in int coordinates; the coboundary keeps it.
 An algebra with no such h is graded by the empty torus: every weight
 is the empty tuple, so weight 0 is the whole complex.  The scheme
 counts the cochains of each weight and lists those of any one weight;
@@ -60,7 +60,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, combinations, permutations
-from math import comb
+from math import comb, lcm
 from operator import add, sub
 
 from .algebras import is_lie, is_right_leibniz
@@ -134,7 +134,7 @@ class CochainScheme:
                 by_target[m].append((a, b, c))
         self._by_target = by_target
         self.weights = _toral_weights(spec)
-        self._zero = (ZERO,) * len(self.weights[0])
+        self._zero = (0,) * len(self.weights[0])
         self._stencils = {}
         self._sums = [Counter([self._zero]), Counter(self.weights)]
         self._tails = {}
@@ -685,10 +685,11 @@ class CohomologySpace:
 
 
 def _toral_weights(spec):
-    """The weight tuple of each basis element, one entry per toral basis
-    element h with some lambda_j nonzero (the entry is lambda_j), so ()
-    for every element when there is no such h.  A toral h with every
-    lambda_j zero grades nothing and is left out."""
+    """The weight tuple of each basis element, in ints: a toral basis
+    element h contributes its lambda_j times the lcm of their
+    denominators, real and imaginary parts as two entries, either left
+    out when zero for every j (so () when no h has a nonzero lambda_j).
+    Linear and injective, so sums, equality and blocks are unchanged."""
     table = spec.table
     columns = []
     for h in range(spec.dim):
@@ -699,8 +700,10 @@ def _toral_weights(spec):
                 break
             lam.append(right.get(j, ZERO))
         else:
-            if any(lam):
-                columns.append(lam)
+            scale = lcm(*(x.d for x in lam))
+            parts = [[x.a * scale // x.d for x in lam],
+                     [x.b * scale // x.d for x in lam]]
+            columns += [part for part in parts if any(part)]
     return [tuple(lam[j] for lam in columns) for j in range(spec.dim)]
 
 

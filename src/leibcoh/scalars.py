@@ -78,12 +78,9 @@ class Scalar:
 
     def __hash__(self):
         # A real Scalar equals its rational part, so it hashes like it
-        # (and like an equal int or Fraction); an integer hashes as
-        # itself, with no Fraction built.
+        # (and like an equal int or Fraction).
         if self.b:
             return hash((self.re, self.im))
-        if self.d == 1:
-            return hash(self.a)
         return hash(self.re)
 
     def __neg__(self):

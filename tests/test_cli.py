@@ -1,9 +1,12 @@
 """End-to-end command-line tests, through subprocesses except where a
 test needs two requests in one process."""
 
+import contextlib
+import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -12,8 +15,10 @@ import jsonschema
 import pytest
 
 from leibcoh import cli, cochains
+from leibcoh.algebras import catalog
 from leibcoh.families import family_catalog
-from leibcoh.formats import dumps_canonical, family_to_document
+from leibcoh.formats import (algebra_to_document, dumps_canonical,
+                             family_to_document)
 from tests.test_formats import _versal_family
 
 CLI = [sys.executable, "-m", "leibcoh.cli"]
@@ -275,6 +280,89 @@ def test_malformed_documents_exit_two_without_traceback(text, where):
     assert result.returncode == 2
     assert where in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def _node_paths(doc, path=()):
+    """The path of every node of a JSON document, the root () first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        keys = doc.keys() if isinstance(doc, dict) else range(len(doc))
+        for key in keys:
+            yield from _node_paths(doc[key], path + (key,))
+
+
+_DELETE = object()
+
+
+def _mutated_text(doc, path, value):
+    """The JSON text of doc with the node at path replaced by value, or
+    deleted when value is _DELETE (the empty text for the root)."""
+    if not path:
+        return "" if value is _DELETE else json.dumps(value)
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+def _validate_in_process(text):
+    """(exit code, stderr) of `validate` on text, run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["validate"])
+    finally:
+        sys.stdin = saved
+    return code, err.getvalue()
+
+
+def test_one_mutated_node_exits_zero_or_two_and_names_where():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    algebra, family = (json.loads(dumps_canonical(doc)) for doc in (
+        algebra_to_document(catalog("diamond_e")),
+        family_to_document(family_catalog("diamond_family"))))
+    # Leaves near the documents' own values reach past the first check.
+    near = st.sampled_from(["e1", "e4", "e5", "x1", "lam", "mu", "nu", "1",
+                            "-1", "0", "1/2i", "lam^2", "lie", "leibniz",
+                            "", 0, 1, 4, 5, -1, 10 ** 9])
+    leaves = st.one_of(near, st.one_of(
+        st.none(), st.booleans(), st.integers(), st.text(max_size=8),
+        st.floats(allow_nan=False, allow_infinity=False)))
+    keys = st.one_of(near.filter(lambda x: isinstance(x, str)),
+                     st.text(max_size=6))
+    values = st.one_of(leaves, st.recursive(
+        leaves, lambda kids: st.one_of(st.lists(kids, max_size=3),
+                                       st.dictionaries(keys, kids,
+                                                       max_size=3)),
+        max_leaves=8))
+
+    @hypothesis.settings(deadline=None, derandomize=True, max_examples=300)
+    @hypothesis.given(st.sampled_from([algebra, family]), st.data())
+    def check(doc, data):
+        # A depth first, so that the few top-level fields are mutated as
+        # often as the many bracket entries.
+        paths = list(_node_paths(doc))
+        depth = data.draw(st.integers(0, max(map(len, paths))))
+        path = data.draw(st.sampled_from([p for p in paths
+                                          if len(p) == depth]))
+        value = data.draw(st.one_of(st.just(_DELETE), values))
+        code, err = _validate_in_process(_mutated_text(doc, path, value))
+        assert code in (0, 2), (code, err)
+        if err:
+            assert err.startswith("error: "), err
+            assert "Traceback" not in err
+            assert (re.search(r"\bline \d+", err) or "field '" in err
+                    or "document must be a JSON object" in err), err
+
+    check()
 
 
 ABELIAN_AFTER_REPEAT = ('{"dim": 2, "brackets": [{"left": "x1", "right": "x2",'

@@ -4,6 +4,7 @@ cohomology and for the obstruction context."""
 
 import random
 import sys
+from fractions import Fraction
 from itertools import product
 from math import comb
 from types import SimpleNamespace
@@ -689,12 +690,17 @@ def permuted(spec, seed):
     return change_basis(spec, Matrix.from_columns(spec.dim, cols))
 
 
+HALF = Scalar(Fraction(1, 2))
+ONE_PLUS_I_THIRD = Scalar(Fraction(1, 3), Fraction(1, 3))
 SMALL_TORI = [("sl2", catalog("sl2")), ("gl 2", catalog("gl", 2)),
               ("sl2_plus_abelian 2", catalog("sl2_plus_abelian", 2)),
               ("one-sided torus", one_sided_torus()),
               ("one-sided torus 2", one_sided_torus2()),
               ("left-skewed torus", left_skewed_torus()),
               ("gl 2, h times i", rescaled(catalog("gl", 2), 2, I)),
+              ("gl 2, h times 1/2", rescaled(catalog("gl", 2), 2, HALF)),
+              ("gl 2, h times (1+i)/3",
+               rescaled(catalog("gl", 2), 2, ONE_PLUS_I_THIRD)),
               ("sl2_plus_abelian 2, permuted",
                permuted(catalog("sl2_plus_abelian", 2), 3))]
 
@@ -731,8 +737,18 @@ def test_the_weights_are_read_off_the_toral_elements():
     # central toral element, has every weight 0 and is left out.
     assert len(gl3.weights[0]) == 2
     assert all(w == (Scalar(0),) * 2 for w in gl3.weights[6:])
-    non_real = CochainScheme(rescaled(catalog("gl", 2), 2, I))
-    assert non_real.weights[0] == (-2 * I,)
+    # Read as ints: times the lcm of the denominators, with a real and
+    # an imaginary entry, each left out when it is 0 for every element.
+    specs = [catalog(name, *params) for name, params in CATALOG_CASES]
+    for spec in specs + [spec for _, spec in SMALL_TORI + TORAL_LADDER]:
+        weights = CochainScheme(spec).weights
+        assert all(type(x) is int for w in weights for x in w), spec.name
+    imaginary = CochainScheme(rescaled(catalog("gl", 2), 2, I))
+    assert imaginary.weights[0] == (-2,)
+    halved = CochainScheme(rescaled(catalog("gl", 2), 2, HALF))
+    assert halved.weights[0] == (-1,)
+    non_real = CochainScheme(rescaled(catalog("gl", 2), 2, ONE_PLUS_I_THIRD))
+    assert non_real.weights[0] == (-2, -2)
     # With no toral element every weight is that of the empty torus.
     for spec in (catalog("heisenberg", 2), catalog("diamond_e"),
                  catalog("g54"), catalog("abelian", 3), sheared("g54")):
