@@ -24,9 +24,11 @@ intermediate fill-in, not the result, is what elimination pays for.
 
 `certified_kernel` also takes ranks modulo a fixed prime, on plain ints
 in maps of their own.  Such a rank never decides a result by itself: it
-only proves that a known exact subspace is a whole block of the kernel.
+only proves that on a block of columns the kernel holds nothing beyond a
+known exact subspace.
 Both its passes read the rows only off the known subspace's pivot
-columns, which the other columns determine.  The modular elimination is
+columns, which the other columns determine, and off the columns that a
+row with one entry left forces to zero.  The modular elimination is
 `Echelon`'s, fully reduced with an occupancy index, but it pivots on a
 row's last column, the order `_null_echelon` reads a block in, and it
 stops once the rows left cannot reach the rank it must prove.  Its
@@ -34,8 +36,6 @@ verdict, and so every result, is the one any elimination order gives.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -381,20 +381,19 @@ def kernel(m: Matrix) -> Subspace:
 
 def _null_echelon(rows, columns, ncols: int, skip) -> Echelon:
     """RREF echelon of the null space of `rows` read without their
-    entries in `skip`, inside the coordinates of `columns` (increasing)
-    that are not in `skip`; `columns` holds every entry of every row.
+    entries in `skip`, inside the coordinates of `columns` (increasing,
+    none in `skip`), which hold every entry of every row off `skip`.
     One elimination, shortest rows first with column c read as
     ncols - 1 - c, leaves in pivot row p only free columns f < p: so
     e_f - sum_p prow[f] e_p is 1 at f and zero at the other free
     columns, and these vectors are the kernel's RREF as they stand.
     `kernel` skips nothing; `certified_kernel` skips the pivots of the
-    kernel part it knows."""
+    kernel part it knows and the columns it settles."""
     last = ncols - 1
     ech = Echelon(ncols)
     for r in sorted(rows, key=len):
         ech.insert({last - c: v for c, v in r.items() if c not in skip})
-    free = {f: {f: ONE} for f in columns
-            if f not in skip and last - f not in ech.pivot_rows}
+    free = {f: {f: ONE} for f in columns if last - f not in ech.pivot_rows}
     out = Echelon(ncols)
     for q, prow in ech.pivot_rows.items():
         for c, v in prow.items():
@@ -503,63 +502,75 @@ def _rank_mod_prime_reaches(rows, target: int, skip) -> bool:
 
 
 def _partition(m: Matrix, known: Subspace):
-    """Split m's columns into blocks and certify each block modulo PRIME.
+    """Settle the columns m's rows force to zero, split the others into
+    blocks, and certify each block modulo PRIME.
 
-    The blocks are the connected components of the supports of m's
-    nonzero rows and of known's RREF rows, so ker m and known both split
-    by block.  A block b is certified when the rank modulo PRIME of its
-    rows, read without their entries at known's pivots, reaches
-    |b| - dim known_b, the number of its other columns (see
-    `certified_kernel`).  `_rank_mod_prime_reaches` eliminates fully
-    reduced on last-column pivots and gives up on a block once its rows
-    left cannot reach that number; the rows it reads up to then, and so
-    which blocks are certified, are those of any elimination order.
-    Returns known's RREF rows on the certified blocks, then m's rows and
-    the increasing columns, known's pivots among them, of all the other
-    blocks.
+    Let P be known's pivots.  A column c is settled when some row of m
+    has c as its only entry off P; S is the set of them (one level: a
+    row left with one entry once S is removed settles nothing).  From
+    then on every row is read without its entries in skip = P | S.  The
+    blocks are the connected components of the supports of the rows so
+    read, over the columns off skip, so N (see `certified_kernel`)
+    splits by block.  A block is certified when the rank modulo PRIME of
+    its rows reaches its number of columns; one with no rows is not.
+    `_rank_mod_prime_reaches` eliminates fully reduced on last-column
+    pivots and gives up on a block once its rows left cannot reach that
+    number; the rows it reads up to then, and so which blocks are
+    certified, are those of any elimination order.  Returns skip, then
+    m's rows and the increasing columns of the blocks not certified.
     """
     n = m.ncols
+    pivots = known._ech.pivot_rows
+    skip = set(pivots)
+    # Most rows of a weight-0 block are empty; filter drops them in C.
+    for row in filter(None, m.rows):
+        live = None
+        for c in row:
+            if c not in pivots:
+                if live is not None:
+                    break
+                live = c
+        else:
+            if live is not None:
+                skip.add(live)
     parent = list(range(n))
-    known_rows = known._ech.sorted_rows()
-    skip = known._ech.pivot_rows
-    for row in chain(m.rows, known_rows):
+    for row in m.rows:
         if len(row) < 2:
             continue
-        it = iter(row)
-        a = next(it)
-        # Union-find with path halving: parent[x] skips to its grandparent.
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        for c in it:
+        a = None
+        for c in row:
+            if c in skip:
+                continue
+            # Union-find with path halving: parent[x] skips to its grandparent.
             while parent[c] != c:
                 parent[c] = c = parent[parent[c]]
-            if c != a:
+            if a is None:
+                a = c
+            elif c != a:
                 parent[c] = a
     root = []
     for c in range(n):
         while parent[c] != c:
             c = parent[c]
         root.append(c)
-    block_cols, block_rows, block_known = {}, {}, {}
+    block_cols, block_rows = {}, {}
     for c, b in enumerate(root):
-        block_cols.setdefault(b, []).append(c)
+        if c not in skip:
+            block_cols.setdefault(b, []).append(c)
     for r in m.rows:
-        if r:
-            block_rows.setdefault(root[next(iter(r))], []).append(r)
-    for r in known_rows:
-        block_known.setdefault(root[next(iter(r))], []).append(r)
+        for c in r:
+            if c not in skip:
+                block_rows.setdefault(root[c], []).append(r)
+                break
 
-    kept, rows, columns = [], [], []
+    rows, columns = [], []
     for b, cols in block_cols.items():
-        krows = block_known.get(b, ())
-        brows = block_rows.get(b, ())
-        if _rank_mod_prime_reaches(brows, len(cols) - len(krows), skip):
-            kept.extend(krows)
-        else:
+        brows = block_rows.get(b, [])
+        if not brows or not _rank_mod_prime_reaches(brows, len(cols), skip):
             rows.extend(brows)
             columns.extend(cols)
     columns.sort()
-    return kept, rows, columns
+    return skip, rows, columns
 
 
 def certified_kernel(m: Matrix, known: Subspace) -> Subspace:
@@ -579,24 +590,26 @@ def certified_kernel(m: Matrix, known: Subspace) -> Subspace:
     sum_p w_p k_p takes any w of ker m into N, and a nonzero vector of
     known is nonzero at some pivot).
 
-    The certificate, on each block b of `_partition`: reduction modulo
-    PRIME is a ring map, so no rank modulo PRIME of b's rows read on Q
-    exceeds rank m_b|_Q = rank m_b.  Once that rank reaches
-    |Q_b| = |b| - dim known_b, N is zero on b, so ker m_b = known_b.
-    Every other block is eliminated exactly, its rows read on Q alone
-    and its free columns drawn from its own Q coordinates, by one
-    `_null_echelon` that skips P: a block with cohomology, and one where
-    an entry on Q whose denominator PRIME divides was read before the
-    rank got there.  N is zero on the certified blocks and splits by
-    block, so that gives N's RREF.  Then every RREF row of known goes
-    in.  `Echelon` keeps full reduction, and a span has one RREF, so the
-    basis, and every representative taken from it, is the one `kernel`
-    gives.
+    `_partition` settles first: a row of m whose one entry on Q is at c,
+    a nonzero exact value whatever its image modulo PRIME, forces w_c = 0
+    for every w in N.  So with S those settled columns and R = Q - S,
+    N = {w : w is zero on P | S and m|_R w = 0}.  The certificate, on
+    each block b of R: reduction modulo PRIME is a ring map, so no rank
+    modulo PRIME of b's rows read on R exceeds their exact rank, and
+    once it reaches |b|, N is zero on b.  Every other block is
+    eliminated exactly, its rows read on R alone and its free columns
+    drawn from b, by one `_null_echelon` that skips P | S: a block with
+    cohomology, one that no row reaches, and one where an entry on R
+    whose denominator PRIME divides was read before the rank got there.
+    N is zero on the certified blocks and splits by block, so that
+    gives N's RREF.  Then every RREF row of known goes in.  `Echelon`
+    keeps full reduction, and a span has one RREF, so the basis, and
+    every representative taken from it, is the one `kernel` gives.
     """
     if known.ambient_dim != m.ncols:
         raise LinalgError("ambient dimension mismatch")
-    _, rows, columns = _partition(m, known)
-    out = _null_echelon(rows, columns, m.ncols, known._ech.pivot_rows)
+    skip, rows, columns = _partition(m, known)
+    out = _null_echelon(rows, columns, m.ncols, skip)
     for r in known._ech.sorted_rows():
         out.insert(r)
     return Subspace._from_echelon(m.ncols, out)

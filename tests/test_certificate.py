@@ -4,15 +4,17 @@ A block of coordinates takes the coboundaries as its cocycles only when
 a rank modulo PRIME proves that nothing else is there.  These tests pin
 the fixed prime, how much the certificate covers on the full complex's
 coboundaries, that it never claims a block whose rank modulo PRIME
-collapses or cannot be formed, that neither the modular nor the exact
-pass reads an entry at a pivot of the coboundaries' RREF, which the
-other entries of the row fix, that the modular pass stops reading once
-the rows left cannot reach its target, that a table without
-delta o delta = 0 is refused before any coboundary matrix is built, by
-the Leibniz complex unless it is right Leibniz and by the antisymmetric
-one unless it is Lie, that the check costs no second evaluation of
-the identity, and that the Jacobi verdict read off it on an
-antisymmetric table is the one a full scan gives.
+collapses or cannot be formed, that a row with one entry off the pivots
+of the coboundaries' RREF settles its column to zero with no rank, that
+neither the modular nor the exact pass reads an entry at such a pivot,
+which the other entries of the row fix, or at a settled column, that
+the modular pass stops reading once the rows left cannot reach its
+target, that a table without delta o delta = 0 is refused before any
+coboundary matrix is built, by the Leibniz complex unless it is right
+Leibniz and by the antisymmetric one unless it is Lie, that the check
+costs no second evaluation of the identity, that the Jacobi verdict
+read off it on an antisymmetric table is the one a full scan gives, and
+how many modular ranks and reads the `deg3` benchmark request costs.
 """
 
 import io
@@ -50,12 +52,13 @@ def certified_coordinates(scheme, n):
 
 # (algebra, coefficients) -> certified coordinates in degrees 1, 2, 3,
 # out of 36, 216, 1296 (sl2_plus_abelian 3 adjoint), 6, 36, 216, and
-# 16, 64, 256 (diamond_e adjoint).  In each degree the rest is
+# 16, 64, 256 (diamond_e adjoint): the coboundaries' pivots, the settled
+# columns and the blocks a rank certifies.  In each degree the rest is
 # cohomology or lies in one block with it.
 CERTIFIED = {
     (("sl2_plus_abelian", 3), "adjoint"): (27, 189, 1215),
     (("sl2_plus_abelian", 3), "trivial"): (3, 27, 189),
-    (("diamond_e",), "adjoint"): (9, 33, 129),
+    (("diamond_e",), "adjoint"): (11, 45, 172),
 }
 
 
@@ -85,24 +88,65 @@ def test_collapsed_ranks_certify_no_block(name, factor, coefficients):
     scheme = CochainScheme(scaled(catalog(name), factor), coefficients)
     for n in (1, 2, 3):
         m = scheme.delta_matrix(n)
-        kept, _, residual = _partition(m, image(scheme.delta_matrix(n - 1)))
-        # Only blocks that the coboundaries fill may pass: they need no rank.
-        assert len(kept) == m.ncols - len(residual)
+        known = image(scheme.delta_matrix(n - 1))
+        skip, _, residual = _partition(m, known)
+        settled = skip.difference(known.pivots)
+        # Only the coboundaries' pivots and the settled columns stay out
+        # of the exact pass: they need no rank, and no block passes one.
+        assert len(residual) == m.ncols - len(known.pivots) - len(settled)
         got = leibniz_cohomology(scheme, n)
         want = leibniz_cohomology(base, n)
         assert (got.z_dim, got.b_dim) == (want.z_dim, want.b_dim)
         assert got.cocycles == kernel(m)
 
 
-def test_an_entry_on_a_coboundary_pivot_is_never_read():
-    # r = (1/PRIME, 1) and B = span{(1, -1/PRIME)}, with r.k = 0.  The
-    # one entry without an image modulo PRIME sits at B's pivot 0, which
-    # a row's entries off B's pivots fix, so the certificate skips it.
-    m = Matrix(1, 2, [{0: ONE / PRIME, 1: ONE}])
-    known = Subspace(2, [{0: ONE, 1: -ONE / PRIME}])
-    kept, rows, residual = _partition(m, known)
-    assert (kept, rows, residual) == (known.basis(), [], [])
+def spy_mod_prime(monkeypatch):
+    """The values `_mod_prime` is given from now on, in order."""
+    seen = []
+    mod_prime = linalg._mod_prime
+
+    def spy(s):
+        seen.append(s)
+        return mod_prime(s)
+
+    monkeypatch.setattr(linalg, "_mod_prime", spy)
+    return seen
+
+
+def test_an_entry_on_a_coboundary_pivot_is_never_read(monkeypatch):
+    # r = (1/PRIME, 1, 1), s = e_2 and B = span{(1, -1/PRIME, 0)}, with
+    # r.k = s.k = 0.  s settles column 2, and the one entry of r without
+    # an image modulo PRIME sits at B's pivot 0, which a row's entries
+    # off B's pivots fix, so the certificate reads r at column 1 alone.
+    m = Matrix(2, 3, [{0: ONE / PRIME, 1: ONE, 2: ONE}, {2: ONE}])
+    known = Subspace(3, [{0: ONE, 1: -ONE / PRIME}])
+    seen = spy_mod_prime(monkeypatch)
+    assert _partition(m, known) == ({0, 2}, [], [])
+    assert seen == [ONE]
     assert certified_kernel(m, known) == kernel(m) == known
+
+
+def test_a_settled_column_is_not_read_again():
+    # The third row settles column 2.  Read without it the first two
+    # rows have rank 1 on the columns 0 and 1, so the block goes exact;
+    # read with it they would have rank 2 and certify the block.
+    m = Matrix(3, 3, [{0: ONE, 1: ONE, 2: ONE},
+                      {0: ONE, 1: ONE, 2: Scalar(2)},
+                      {2: ONE}])
+    assert _partition(m, Subspace(3)) == ({2}, m.rows[:2], [0, 1])
+    got = certified_kernel(m, Subspace(3))
+    assert got == kernel(m)
+    assert got.dim == 1
+
+
+def test_a_one_entry_row_settles_with_no_modular_read(monkeypatch):
+    # 1/PRIME has no image modulo PRIME and PRIME's is 0, so no rank
+    # modulo PRIME could certify these columns; settling needs none.
+    m = Matrix(2, 2, [{0: ONE / PRIME}, {1: Scalar(PRIME)}])
+    seen = spy_mod_prime(monkeypatch)
+    assert _partition(m, Subspace(2)) == ({0, 1}, [], [])
+    assert certified_kernel(m, Subspace(2)) == kernel(m) == Subspace(2)
+    assert seen == []
 
 
 # One block each, with no known subspace, so the target is 3.  The
@@ -122,19 +166,11 @@ def test_the_modular_pass_stops_once_the_target_is_out_of_reach(
         label, monkeypatch):
     rows, rows_read = EARLY_STOPS[label]
     m = Matrix(len(rows), 3, rows)
-    seen = []
-    mod_prime = linalg._mod_prime
-
-    def spy(s):
-        seen.append(s)
-        return mod_prime(s)
-
-    monkeypatch.setattr(linalg, "_mod_prime", spy)
+    seen = spy_mod_prime(monkeypatch)
     assert not _rank_mod_prime_reaches(m.rows, 3, {})
     assert seen == [v for r in rows[:rows_read] for v in r.values()]
     monkeypatch.undo()
-    kept, residual_rows, residual = _partition(m, Subspace(3))
-    assert (kept, residual_rows, residual) == ([], m.rows, [0, 1, 2])
+    assert _partition(m, Subspace(3)) == (set(), m.rows, [0, 1, 2])
     assert certified_kernel(m, Subspace(3)) == kernel(m)
 
 
@@ -148,23 +184,47 @@ def test_an_unreadable_entry_before_the_target_sends_the_block_exact():
                       {0: ONE, 1: ONE, 2: ONE, 3: ONE}])
     known = Subspace(4, [{0: ONE, 3: -ONE}])
     assert m.matvec(known.basis()[0]) == {}
-    kept, rows, residual = _partition(m, known)
-    assert (kept, rows, residual) == ([], m.rows, [0, 1, 2, 3])
+    assert _partition(m, known) == ({0}, m.rows, [1, 2, 3])
     assert certified_kernel(m, known) == kernel(m) == known
 
 
-@pytest.mark.parametrize("spec", [sheared("diamond_e"), one_sided_square()],
-                         ids=["sheared diamond_e", "one-sided square"])
-def test_the_exact_pass_reads_no_coboundary_pivot(spec, monkeypatch):
-    # The first echelon eliminates the residual rows with column c read
-    # as ncols - 1 - c; the second receives every row of B's RREF.
+# spec -> whether the rows the two passes get touch a settled column.
+NO_PIVOT_READS = {
+    "sheared diamond_e": (sheared("diamond_e"), False),
+    "diamond_e": (catalog("diamond_e"), True),
+    "one-sided square": (one_sided_square(), True),
+}
+
+
+@pytest.mark.parametrize("label", sorted(NO_PIVOT_READS))
+def test_the_exact_pass_reads_no_coboundary_pivot(label, monkeypatch):
+    # Every entry is its own Scalar, so each value the modular pass
+    # reads names its column.  The first echelon eliminates the residual
+    # rows with column c read as ncols - 1 - c; the second receives
+    # every row of B's RREF.
+    spec, touches_settled = NO_PIVOT_READS[label]
     scheme = CochainScheme(spec, "adjoint")
-    m = scheme.delta_matrix(3)
+    delta = scheme.delta_matrix(3)
+    m = Matrix._trusted(delta.nrows, delta.ncols, [
+        {c: Scalar(v.re, v.im) for c, v in r.items()} for r in delta.rows])
+    column_of = {id(v): c for r in m.rows for c, v in r.items()}
     known = image(scheme.delta_matrix(2))
     last = m.ncols - 1
     pivots = set(known.pivots)
-    _, rows, _ = _partition(m, known)
+    ranked = []
+    rank = linalg._rank_mod_prime_reaches
+
+    def rank_spy(rows, target, skip):
+        ranked.extend(rows)
+        return rank(rows, target, skip)
+
+    monkeypatch.setattr(linalg, "_rank_mod_prime_reaches", rank_spy)
+    skip, rows, _ = _partition(m, known)
+    settled = skip - pivots
+    assert pivots <= skip
     assert any(pivots.intersection(r) for r in rows)
+    assert any(settled.intersection(r)
+               for r in ranked + rows) == touches_settled
     inserts = []
     insert = Echelon.insert
 
@@ -173,12 +233,15 @@ def test_the_exact_pass_reads_no_coboundary_pivot(spec, monkeypatch):
         return insert(self, vec)
 
     monkeypatch.setattr(Echelon, "insert", spy)
+    seen = spy_mod_prime(monkeypatch)
     got = certified_kernel(m, known)
     monkeypatch.undo()
+    assert seen
+    assert not any(column_of[id(v)] in skip for v in seen)
     first = inserts[0][0]
     read = [vec for ech, vec in inserts if ech is first]
     assert read
-    assert not any(last - c in pivots for vec in read for c in vec)
+    assert not any(last - c in skip for vec in read for c in vec)
     assert [vec for ech, vec in inserts if ech is not first] == known.basis()
     assert got == kernel(m)
 
@@ -274,6 +337,28 @@ def test_leibniz_identity_is_evaluated_once_per_request(argv, monkeypatch,
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert len(passes) == 1
+
+
+def test_the_deg3_request_takes_few_modular_ranks(monkeypatch, capsys):
+    # sl2_plus_abelian 6's degree 3: 5,614 of the weight-0 block's 7,018
+    # nonzero rows have one entry off B's pivots.  Reading them through
+    # per-block ranks took 2,281 ranks and 3,837 modular reads; settled,
+    # their columns need neither.
+    doc = dumps_canonical(algebra_to_document(catalog("sl2_plus_abelian", 6)))
+    ranks = []
+    rank = linalg._rank_mod_prime_reaches
+
+    def rank_spy(rows, target, skip):
+        ranks.append(target)
+        return rank(rows, target, skip)
+
+    monkeypatch.setattr(linalg, "_rank_mod_prime_reaches", rank_spy)
+    seen = spy_mod_prime(monkeypatch)
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert cli.main(["cohomology", "--deg", "3"]) == 0
+    capsys.readouterr()
+    assert 0 < len(ranks) <= 300
+    assert len(seen) <= 1500
 
 
 def cyclic_sum_vanishes(spec) -> bool:

@@ -6,11 +6,13 @@ and QQ_I, the certified kernel and the cochain schemes' cocycles against
 the plain kernel, coboundaries inside cocycles with representatives
 the non-pivot completion, the integer-triple arithmetic against the
 coercing constructor, the modular image and the text form against their
-Fraction-based references, the two sparse-accumulate primitives against dense
-arithmetic, class coordinates against a solve over coboundaries and
-representatives, kernels, images and solves unchanged when the input
-vectors are permuted, repeated and padded with zeros, and the modular
-rank's verdicts against the semi-reduced loop it replaced.
+Fraction-based references, the text form read back as the same scalar,
+the two sparse-accumulate primitives against dense arithmetic, class
+coordinates against a solve over coboundaries and representatives,
+kernels, images and solves unchanged when the input vectors are
+permuted, repeated and padded with zeros, and the modular
+rank's verdicts against the semi-reduced loop it replaced, on matrices
+rich in rows with one entry off the columns skipped.
 Runs are derandomized, so the suite stays deterministic.
 """
 
@@ -53,7 +55,13 @@ from leibcoh.linalg import (  # noqa: E402
     vec_add_scaled,
     vec_combine,
 )
-from leibcoh.scalars import ONE, ZERO, Scalar, format_scalar  # noqa: E402
+from leibcoh.scalars import (  # noqa: E402
+    ONE,
+    ZERO,
+    Scalar,
+    format_scalar,
+    parse_scalar,
+)
 from tests.conftest import (  # noqa: E402
     I,
     fraction_format_scalar,
@@ -348,6 +356,13 @@ def test_triple_readers_match_fraction_references(re, im):
     assert format_scalar(s) == fraction_format_scalar(s)
     assert (_mod_prime(s) is None) == (re.denominator % PRIME == 0
                                        or im.denominator % PRIME == 0)
+
+
+@PROPERTY
+@given(st.one_of(real_scalars, gaussian_scalars,
+                 st.builds(Scalar, residue_rationals, residue_rationals)))
+def test_scalar_text_round_trips(s):
+    assert parse_scalar(format_scalar(s)) == s
 
 
 NCOORDS = 6
@@ -720,25 +735,37 @@ def test_rref_does_not_depend_on_input_order(m, data):
 
 @st.composite
 def modular_blocks(draw):
-    """Sparse Q(i) matrices; in half of them some entries have PRIME in
-    a denominator, so that their image modulo PRIME cannot be formed."""
+    """Sparse Q(i) matrices and a few columns to skip.  In half of them
+    some entries have PRIME in a denominator, so that their image
+    modulo PRIME cannot be formed.  In half some rows are cut to one
+    entry off the skipped columns, some of those 1/PRIME or PRIME, so
+    that the certified kernel settles columns."""
     nrows = draw(st.integers(0, 9))
     ncols = draw(st.integers(1, 8))
+    skip = set(draw(st.lists(st.integers(0, ncols - 1), max_size=3)))
     values = [st.just(ZERO), st.just(ZERO), st.just(ZERO), gaussian_scalars]
     if draw(st.booleans()):
         values.append(gaussian_scalars.filter(bool).map(lambda s: s / PRIME))
     cell = st.one_of(values)
-    return Matrix(nrows, ncols, [{c: draw(cell) for c in range(ncols)}
-                                 for _ in range(nrows)])
+    rows = [{c: draw(cell) for c in range(ncols)} for _ in range(nrows)]
+    off = [c for c in range(ncols) if c not in skip]
+    if off and draw(st.booleans()):
+        lone = st.one_of(gaussian_scalars.filter(bool),
+                         st.sampled_from([ONE / PRIME, Scalar(PRIME)]))
+        for i, row in enumerate(rows):
+            if draw(st.booleans()):
+                rows[i] = {c: v for c, v in row.items() if c in skip}
+                rows[i][draw(st.sampled_from(off))] = draw(lone)
+    return Matrix(nrows, ncols, rows), skip
 
 
 @PROPERTY
 @given(modular_blocks(), st.data())
-def test_modular_rank_matches_the_semireduced_loop(m, data):
+def test_modular_rank_matches_the_semireduced_loop(block, data):
     # Targets below, at and above the exact rank of the rows read off
     # skip, which is the rank modulo PRIME unless PRIME divides a
     # denominator or a small minor.
-    skip = set(data.draw(st.lists(st.integers(0, m.ncols - 1), max_size=3)))
+    m, skip = block
     read = Echelon(m.ncols)
     for r in m.rows:
         read.insert({c: v for c, v in r.items() if c not in skip})
