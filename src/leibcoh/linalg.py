@@ -28,7 +28,8 @@ only proves that on a block of columns the kernel holds nothing beyond a
 known exact subspace.
 Both its passes read the rows only off the known subspace's pivot
 columns, which the other columns determine, and off the columns that a
-row with one entry left forces to zero.  The modular elimination is
+row with one entry left forces to zero, peeled to the least fixpoint,
+which no reading order changes.  The modular elimination is
 `Echelon`'s, fully reduced with an occupancy index, but it pivots on a
 row's last column, the order `_null_echelon` reads a block in, and it
 stops once the rows left cannot reach the rank it must prove.  Its
@@ -505,38 +506,43 @@ def _partition(m: Matrix, known: Subspace):
     """Settle the columns m's rows force to zero, split the others into
     blocks, and certify each block modulo PRIME.
 
-    Let P be known's pivots.  A column c is settled when some row of m
-    has c as its only entry off P; S is the set of them (one level: a
-    row left with one entry once S is removed settles nothing).  From
-    then on every row is read without its entries in skip = P | S.  The
-    blocks are the connected components of the supports of the rows so
-    read, over the columns off skip, so N (see `certified_kernel`)
-    splits by block.  A block is certified when the rank modulo PRIME of
-    its rows reaches its number of columns; one with no rows is not.
+    Let P be known's pivots.  A column c is settled, put in S, once some
+    row of m has c as its only entry off P | S; passes repeat until one
+    settles nothing.  S only grows, so it ends as the least fixpoint,
+    whatever the order of rows and passes.  Only the rows left, each
+    with two or more entries off skip = P | S, are read from then on,
+    without their entries in skip.  The blocks are the connected
+    components of their supports over the columns off skip, so N (see
+    `certified_kernel`) splits by block.  A block is certified when the
+    rank modulo PRIME of its rows reaches its number of columns; one
+    with no rows is not.
     `_rank_mod_prime_reaches` eliminates fully reduced on last-column
     pivots and gives up on a block once its rows left cannot reach that
     number; the rows it reads up to then, and so which blocks are
     certified, are those of any elimination order.  Returns skip, then
-    m's rows and the increasing columns of the blocks not certified.
+    the rows and the increasing columns of the blocks not certified.
     """
     n = m.ncols
-    pivots = known._ech.pivot_rows
-    skip = set(pivots)
+    skip = set(known._ech.pivot_rows)
     # Most rows of a weight-0 block are empty; filter drops them in C.
-    for row in filter(None, m.rows):
-        live = None
-        for c in row:
-            if c not in pivots:
+    rows, settled = filter(None, m.rows), True
+    while settled:
+        settled, left = False, []
+        for row in rows:
+            live = None
+            for c in row:
+                if c not in skip:
+                    if live is not None:
+                        left.append(row)
+                        break
+                    live = c
+            else:
                 if live is not None:
-                    break
-                live = c
-        else:
-            if live is not None:
-                skip.add(live)
+                    skip.add(live)
+                    settled = True
+        rows = left
     parent = list(range(n))
-    for row in m.rows:
-        if len(row) < 2:
-            continue
+    for row in rows:
         a = None
         for c in row:
             if c in skip:
@@ -557,7 +563,7 @@ def _partition(m: Matrix, known: Subspace):
     for c, b in enumerate(root):
         if c not in skip:
             block_cols.setdefault(b, []).append(c)
-    for r in m.rows:
+    for r in rows:
         for c in r:
             if c not in skip:
                 block_rows.setdefault(root[c], []).append(r)
@@ -590,9 +596,10 @@ def certified_kernel(m: Matrix, known: Subspace) -> Subspace:
     sum_p w_p k_p takes any w of ker m into N, and a nonzero vector of
     known is nonzero at some pivot).
 
-    `_partition` settles first: a row of m whose one entry on Q is at c,
-    a nonzero exact value whatever its image modulo PRIME, forces w_c = 0
-    for every w in N.  So with S those settled columns and R = Q - S,
+    `_partition` settles first, to a fixpoint: with every w in N zero on
+    the columns S settled so far, a row of m whose one entry on Q - S is
+    at c, a nonzero exact value whatever its image modulo PRIME, forces
+    w_c = 0 for every w in N.  So with S all settled columns and R = Q - S,
     N = {w : w is zero on P | S and m|_R w = 0}.  The certificate, on
     each block b of R: reduction modulo PRIME is a ring map, so no rank
     modulo PRIME of b's rows read on R exceeds their exact rank, and

@@ -4,7 +4,9 @@ Echelon invariants and its column-occupancy index after random insert
 sequences, kernel and image against sympy `DomainMatrix` RREF over QQ
 and QQ_I, the certified kernel and the cochain schemes' cocycles against
 the plain kernel, coboundaries inside cocycles with representatives
-the non-pivot completion, the integer-triple arithmetic against the
+the non-pivot completion, delta o delta = 0 by the matrix-free
+coboundary on sparse Q(i) cochains and not on a table that fails the
+right Leibniz identity, the integer-triple arithmetic against the
 coercing constructor, the modular image and the text form against their
 Fraction-based references, the text form read back as the same scalar,
 the two sparse-accumulate primitives against dense arithmetic, class
@@ -12,7 +14,9 @@ coordinates against a solve over coboundaries and representatives,
 kernels, images and solves unchanged when the input vectors are
 permuted, repeated and padded with zeros, and the modular
 rank's verdicts against the semi-reduced loop it replaced, on matrices
-rich in rows with one entry off the columns skipped.
+rich in rows with one entry off the columns skipped, and the columns the
+certificate settles, peeled to a fixpoint, unchanged when those rows are
+shuffled.
 Runs are derandomized, so the suite stays deterministic.
 """
 
@@ -46,6 +50,7 @@ from leibcoh.linalg import (  # noqa: E402
     Solver,
     Subspace,
     _mod_prime,
+    _partition,
     _rank_mod_prime_reaches,
     certified_kernel,
     image,
@@ -74,7 +79,9 @@ from tests.conftest import (  # noqa: E402
     wedge_inclusion,
 )
 from tests.test_algebras import CATALOG_CASES  # noqa: E402
+from tests.test_certificate import TABLE_1  # noqa: E402
 from tests.test_cochains import SMALL_TORI  # noqa: E402
+from tests.test_koszul import sheared  # noqa: E402
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=150)
 
@@ -659,6 +666,40 @@ def test_coboundaries_lie_in_cocycles_after_gaussian_shears(
     assert_spaces_nest(shear(spec, a, b, c), coefficients)
 
 
+# The catalog's small algebras, and diamond_e and g54 over Q(i).
+SQUARE_ALGEBRAS = ([catalog(name, *params) for name, params in CATALOG_CASES]
+                   + [sheared("diamond_e"), sheared("g54")])
+
+
+@lru_cache(maxsize=None)
+def square_scheme(case, coefficients):
+    return CochainScheme(SQUARE_ALGEBRAS[case], coefficients)
+
+
+@PROPERTY
+@given(st.integers(0, len(SQUARE_ALGEBRAS) - 1),
+       st.sampled_from(["adjoint", "trivial"]), st.integers(1, 2), st.data())
+def test_delta_squared_is_zero_without_matrices(case, coefficients, n, data):
+    # certified_kernel's precondition, checked by the matrix-free
+    # coboundary alone on sparse Q(i) cochains.
+    scheme = square_scheme(case, coefficients)
+    c = data.draw(st.dictionaries(st.integers(0, scheme.cochain_dim(n) - 1),
+                                  gaussian_scalars, min_size=1, max_size=4))
+    assert scheme.delta_apply(n + 1, scheme.delta_apply(n, c)) == {}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("coefficients", ["adjoint", "trivial"])
+def test_delta_squared_moves_a_cochain_off_the_leibniz_identity(
+        coefficients, n):
+    # TABLE_1 is not right Leibniz, and there delta o delta is not zero on
+    # some basis cochain, so the property above can fail.
+    scheme = CochainScheme(AlgebraSpec(3, TABLE_1, kind="leibniz"),
+                           coefficients)
+    assert any(scheme.delta_apply(n + 1, scheme.delta_apply(n, {i: ONE}))
+               for i in range(scheme.cochain_dim(n)))
+
+
 @PROPERTY
 @given(st.booleans().flatmap(matrices), st.data())
 def test_solver_matches_the_rowwise_reference(m, data):
@@ -776,3 +817,25 @@ def test_modular_rank_matches_the_semireduced_loop(block, data):
     basis = ker.basis()
     known = Subspace(m.ncols, [combination(data.draw, basis) for _ in basis])
     assert certified_kernel(m, known) == ker
+
+
+@PROPERTY
+@given(modular_blocks(), st.data())
+def test_the_peel_does_not_depend_on_the_row_order(block, data):
+    # The peel ends at the least fixpoint, so skip and the blocks are the
+    # same in any row order, and every row left has two or more entries
+    # off skip.  So are the blocks certified, unless an entry with no
+    # image modulo PRIME is read in one order only, before the rank
+    # reaches its target: the rows {0:1, 1:1}, {0:1, 1:2} and
+    # {0:1/PRIME, 1:1} certify their block, and reversed they do not.
+    m, _ = block
+    basis = kernel(m).basis()
+    known = Subspace(m.ncols, [combination(data.draw, basis) for _ in basis])
+    shuffled = Matrix(m.nrows, m.ncols, data.draw(st.permutations(m.rows)))
+    skip, rows, residual = _partition(m, known)
+    skip2, rows2, residual2 = _partition(shuffled, known)
+    assert skip2 == skip
+    assert all(sum(c not in skip for c in r) >= 2 for r in rows + rows2)
+    if all(_mod_prime(v) is not None
+           for r in m.rows for c, v in r.items() if c not in skip):
+        assert residual2 == residual
